@@ -14,10 +14,7 @@
 // Every timed probe runs SORA_PERF_SMOKE_REPS times (default 3, floor 3)
 // and reports the median rep: single-shot wall timings on a shared CI box
 // regularly produced nonsense overhead numbers (the instrumented run
-// "faster" than the baseline by double digits). A fourth probe times the
-// same scenario under the sharded engine (shards=4, 500 us network
-// latency) and records sharded_events_per_sec next to a serial run of the
-// identical scenario, so the trajectory tracks the window machinery's cost.
+// "faster" than the baseline by double digits).
 //
 // Usage: perf_smoke [--gate] [output.json]   (default: BENCH_sim.json)
 //
@@ -81,12 +78,8 @@ int probe_reps() {
 /// 4-core cart with a fixed 12-thread pool (mid-sweep operating point).
 /// SORA_PERF_SMOKE_MINUTES lengthens the probe (profiling runs). With
 /// `digest`, the causal profiler's per-event digest is folded in — the only
-/// hot-path cost causal profiling adds to an instrumented run. With
-/// `shards` > 0 the scenario gains a nonzero network latency (sharding
-/// needs cross-service edges with wire time) and runs on the windowed
-/// engine; shards == 0 pins the serial engine even under SORA_SIM_SHARDS.
-EngineResult run_engine_probe(bool digest = false, int shards = 0,
-                              SimTime net_latency = 0) {
+/// hot-path cost causal profiling adds to an instrumented run.
+EngineResult run_engine_probe(bool digest = false) {
   sock_shop::Params params;
   params.cart_cores = 4.0;
   params.cart_threads = 12;
@@ -98,10 +91,7 @@ EngineResult run_engine_probe(bool digest = false, int shards = 0,
   ecfg.duration = minutes(probe_minutes);
   ecfg.sla = msec(250);
   ecfg.seed = 42;
-  ApplicationConfig app = sock_shop::make_sock_shop(params);
-  if (net_latency > 0) app.network_latency = net_latency;
-  Experiment exp(std::move(app), ecfg);
-  exp.set_shards(shards);  // after ctor: wins over the env override
+  Experiment exp(sock_shop::make_sock_shop(params), ecfg);
   exp.closed_loop(600, sec(1), RequestMix(sock_shop::kBrowse));
   if (digest) exp.sim().set_digest_enabled(true);
 
@@ -119,13 +109,10 @@ EngineResult run_engine_probe(bool digest = false, int shards = 0,
 }
 
 /// Median-by-events/sec over `reps` identical engine probes.
-EngineResult median_engine_probe(int reps, bool digest = false,
-                                 int shards = 0, SimTime net_latency = 0) {
+EngineResult median_engine_probe(int reps, bool digest = false) {
   std::vector<EngineResult> runs;
   runs.reserve(static_cast<std::size_t>(reps));
-  for (int i = 0; i < reps; ++i) {
-    runs.push_back(run_engine_probe(digest, shards, net_latency));
-  }
+  for (int i = 0; i < reps; ++i) runs.push_back(run_engine_probe(digest));
   std::sort(runs.begin(), runs.end(),
             [](const EngineResult& a, const EngineResult& b) {
               return a.events_per_sec < b.events_per_sec;
@@ -257,36 +244,6 @@ CausalProbeResult run_causal_probe(int reps, double baseline_events_per_sec) {
   const obs::CausalProfile profile = lab.run();
   r.round_wall_sec = elapsed_sec(start);
   r.round_runs = 2 + profile.effects.size();
-  return r;
-}
-
-struct ShardedProbeResult {
-  bool ran = false;
-  int shards = 0;
-  double events_per_sec = 0.0;         ///< windowed engine, shards lanes
-  double serial_events_per_sec = 0.0;  ///< same scenario, serial engine
-  double overhead_pct = 0.0;  ///< windowed vs serial on this scenario
-};
-
-/// The engine scenario with a 500 us wire latency, serial vs shards=4. On a
-/// single-core host this measures pure window-machinery overhead; with real
-/// cores and SORA_SIM_THREADS it becomes a speedup. Either way the
-/// trajectory keeps the sharded engine's throughput honest.
-ShardedProbeResult run_sharded_probe(int reps) {
-  constexpr SimTime kWire = 500;  // us; also the conservative lookahead
-  ShardedProbeResult r;
-  r.shards = 4;
-  const EngineResult serial =
-      median_engine_probe(reps, /*digest=*/false, /*shards=*/0, kWire);
-  const EngineResult sharded =
-      median_engine_probe(reps, /*digest=*/false, r.shards, kWire);
-  r.serial_events_per_sec = serial.events_per_sec;
-  r.events_per_sec = sharded.events_per_sec;
-  if (serial.events_per_sec > 0 && sharded.events_per_sec > 0) {
-    r.ran = true;
-    r.overhead_pct =
-        (1.0 - sharded.events_per_sec / serial.events_per_sec) * 100.0;
-  }
   return r;
 }
 
@@ -452,16 +409,6 @@ std::string validate_trajectory(const std::string& path) {
       return "entry " + std::to_string(i) +
              ": topo_synth_services_per_sec not positive";
     }
-    if (entry.has("sharded_events_per_sec")) {
-      if (!(entry["sharded_events_per_sec"].as_number() > 0)) {
-        return "entry " + std::to_string(i) +
-               ": sharded_events_per_sec not positive";
-      }
-      if (!(entry["sharded_shards"].as_number() >= 1)) {
-        return "entry " + std::to_string(i) +
-               ": sharded_shards missing or < 1";
-      }
-    }
     ++i;
   }
   return "";
@@ -575,16 +522,6 @@ int main_impl(int argc, char** argv) {
             << "  round wall      : " << fmt(causal.round_wall_sec, 3) << " s ("
             << causal.round_runs << " runs of a 20-s scenario)\n";
 
-  const ShardedProbeResult sharded = run_sharded_probe(reps);
-  std::cout << "\nsharded probe (same sim + 500 us wire, serial vs shards="
-            << sharded.shards << "):\n"
-            << "  serial events/s : "
-            << fmt(sharded.serial_events_per_sec / 1e6, 3) << " M\n"
-            << "  sharded events/s: " << fmt(sharded.events_per_sec / 1e6, 3)
-            << " M\n"
-            << "  window overhead : " << fmt(sharded.overhead_pct, 2)
-            << " %\n";
-
   const TopoSynthProbeResult topo_synth = run_topo_synth_probe(reps);
   std::cout << "\ntopology synthesis probe (" << topo_synth.services
             << " services, median of " << reps << "):\n"
@@ -612,12 +549,6 @@ int main_impl(int argc, char** argv) {
   o.field("engine_events_per_sec", engine.events_per_sec);
   o.field("engine_wall_ms_per_sim_sec", engine.wall_ms_per_sim_sec);
   o.field("probe_reps", static_cast<std::uint64_t>(reps));
-  if (sharded.ran) {
-    o.field("sharded_events_per_sec", sharded.events_per_sec);
-    o.field("sharded_serial_events_per_sec", sharded.serial_events_per_sec);
-    o.field("sharded_shards", static_cast<std::uint64_t>(sharded.shards));
-    o.field("sharded_overhead_pct", sharded.overhead_pct);
-  }
   if (topo_synth.services_per_sec > 0) {
     o.field("topo_synth_services", static_cast<std::uint64_t>(topo_synth.services));
     o.field("topo_synth_wall_sec", topo_synth.wall_sec);

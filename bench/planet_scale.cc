@@ -11,16 +11,13 @@
 // engine events/sec and the localizer's per-round overhead (wall ms and op
 // count) — the scaling claim of DESIGN.md §14.
 //
-// Also run:
-//   - a 5000-service localizer probe (no race): measures analyze() wall
-//     time and op count per round at the paper's upper scale;
-//   - a shard-parity gate: the Sora leg re-run at shards {1,2,4} must be
-//     byte-identical (decision log + summary + warehouse digest).
+// Also run: a 5000-service localizer probe (no race) that measures
+// analyze() wall time and op count per round at the paper's upper scale.
 //
 // Usage: planet_scale [--smoke] [--rate-scale X]
-//   --smoke: CI mode — 500 services, 1 sim-minute, parity at shards {1,4},
-//   asserts a non-empty decision log and the localizer-overhead ceiling;
-//   exits nonzero on any violation.
+//   --smoke: CI mode — 500 services, 1 sim-minute; asserts a non-empty
+//   decision log and the localizer-overhead ceiling; exits nonzero on any
+//   violation.
 //   --rate-scale X: override the replayed-rate multiplier (capacity tuning).
 #include <algorithm>
 #include <chrono>
@@ -28,7 +25,6 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -48,7 +44,6 @@ double elapsed_sec(WallClock::time_point start) {
 struct ScenarioConfig {
   int services = 1000;
   SimTime duration = minutes(3);
-  int shards = 0;
   std::uint64_t seed = 42;
   double rate_scale = 1.0;
 };
@@ -99,7 +94,6 @@ std::unique_ptr<Experiment> make_experiment(const topo::Topology& topo,
   cfg.seed = sc.seed;
   cfg.sla = topo.config.request_sla;
   auto exp = std::make_unique<Experiment>(topo.app, cfg);
-  exp->set_shards(sc.shards);
 
   const ClusterTraceParse parsed = parse_cluster_trace_csv(trace_csv);
   if (!parsed.ok) {
@@ -150,7 +144,6 @@ struct LegResult {
   double localizer_ms_per_round = 0.0;
   std::uint64_t localizer_rounds = 0;
   std::size_t localizer_round_ops = 0;
-  std::string fingerprint;  ///< byte-parity probe material
 };
 
 LegResult run_leg(const std::string& controller, const topo::Topology& topo,
@@ -232,17 +225,6 @@ LegResult run_leg(const std::string& controller, const topo::Topology& topo,
     }
     r.localizer_round_ops = sora_fw->localizer().last_round_cost().total();
   }
-
-  std::ostringstream fp;
-  fp.precision(17);
-  const ExperimentSummary& s = r.summary;
-  fp << s.injected << '|' << s.completed << '|' << s.shed << '|' << s.mean_ms
-     << '|' << s.p50_ms << '|' << s.p95_ms << '|' << s.p99_ms << '|'
-     << s.goodput_rps << '|' << s.good_fraction << '\n';
-  fp << exp->warehouse().digest() << '|' << exp->warehouse().total_stored()
-     << '\n';
-  exp->export_decision_log(fp);
-  r.fingerprint = fp.str();
   return r;
 }
 
@@ -303,8 +285,6 @@ int run(int argc, char** argv) {
   // flash crowds are what push the fleet into overload.
   sc.rate_scale = smoke ? 0.12 : 0.15;
   if (rate_scale_override > 0.0) sc.rate_scale = rate_scale_override;
-  const std::vector<int> parity_shards = smoke ? std::vector<int>{1, 4}
-                                               : std::vector<int>{1, 2, 4};
 
   print_header("planet_scale: Sora vs HPA vs autothrottle",
                "Synthesized topology + replayed flash-crowd cluster trace");
@@ -369,36 +349,6 @@ int run(int argc, char** argv) {
     std::cout << "FAIL: localizer round " << fmt(probe.ms_per_round, 3)
               << " ms exceeds ceiling " << fmt(ceiling_ms, 1) << " ms\n";
     ok = false;
-  }
-
-  // ---- Shard parity ---------------------------------------------------------
-  std::cout << "\nshard parity (sora leg, shards";
-  for (int s : parity_shards) std::cout << " " << s;
-  std::cout << "):\n";
-  std::string reference;
-  for (int shards : parity_shards) {
-    ScenarioConfig psc = sc;
-    psc.shards = shards;
-    const LegResult leg = run_leg("sora", topo, csv, psc);
-    if (shards == parity_shards.front()) {
-      reference = leg.fingerprint;
-      std::cout << "  shards=" << shards << ": reference ("
-                << reference.size() << " fingerprint bytes)\n";
-      continue;
-    }
-    const bool match = leg.fingerprint == reference;
-    std::cout << "  shards=" << shards << ": "
-              << (match ? "IDENTICAL" : "DIVERGED") << "\n";
-    if (!match) {
-      ok = false;
-      std::istringstream a(reference), b(leg.fingerprint);
-      std::string la, lb;
-      int line = 1;
-      while (std::getline(a, la) && std::getline(b, lb) && la == lb) ++line;
-      std::cout << "    first divergence at fingerprint line " << line
-                << ":\n      shards=" << parity_shards.front() << ": " << la
-                << "\n      shards=" << shards << ": " << lb << "\n";
-    }
   }
 
   std::cout << (ok ? "\nPASS\n" : "\nFAIL\n");

@@ -1,121 +1,9 @@
 #include "common/histogram.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 
 namespace sora {
-
-// Bucket layout: values v < 2^sub_bits are stored exactly at index v.
-// Larger values fall in geometric ranges; range `shift` covers
-// [2^(sub_bits+shift), 2^(sub_bits+shift+1)) split into 2^sub_bits linear
-// sub-buckets, at indices (shift+1)*2^sub_bits + sub. The layout is
-// contiguous: index(2^sub_bits - 1) + 1 == index(2^sub_bits).
-
-LatencyHistogram::LatencyHistogram(int sub_bits)
-    : sub_bits_(sub_bits),
-      sub_count_(1ULL << sub_bits),
-      buckets_(static_cast<std::size_t>(65 - sub_bits) * sub_count_, 0) {}
-
-std::size_t LatencyHistogram::bucket_index(std::uint64_t v) const {
-  if (v < sub_count_) return static_cast<std::size_t>(v);
-  const int msb = 63 - std::countl_zero(v);
-  const int shift = msb - sub_bits_;
-  const std::uint64_t sub = (v >> shift) - sub_count_;
-  return static_cast<std::size_t>(shift + 1) * sub_count_ +
-         static_cast<std::size_t>(sub);
-}
-
-std::uint64_t LatencyHistogram::bucket_low(std::size_t idx) const {
-  if (idx < sub_count_) return idx;
-  const std::size_t shift = idx / sub_count_ - 1;
-  const std::uint64_t sub = idx % sub_count_;
-  return (sub_count_ + sub) << shift;
-}
-
-std::uint64_t LatencyHistogram::bucket_high(std::size_t idx) const {
-  if (idx < sub_count_) return idx;
-  const std::size_t shift = idx / sub_count_ - 1;
-  const std::uint64_t sub = idx % sub_count_;
-  return ((sub_count_ + sub + 1) << shift) - 1;
-}
-
-void LatencyHistogram::record(SimTime value) {
-  const std::uint64_t v = value < 0 ? 0 : static_cast<std::uint64_t>(value);
-  const std::size_t idx = bucket_index(v);
-  assert(idx < buckets_.size());
-  ++buckets_[idx];
-  ++count_;
-  sum_ += static_cast<double>(v);
-  if (count_ == 1) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-}
-
-void LatencyHistogram::merge(const LatencyHistogram& other) {
-  assert(sub_bits_ == other.sub_bits_);
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  if (other.count_ > 0) {
-    if (count_ == 0) {
-      min_ = other.min_;
-      max_ = other.max_;
-    } else {
-      min_ = std::min(min_, other.min_);
-      max_ = std::max(max_, other.max_);
-    }
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
-void LatencyHistogram::reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = max_ = 0;
-}
-
-double LatencyHistogram::mean() const {
-  return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
-SimTime LatencyHistogram::percentile(double p) const {
-  if (count_ == 0) return kNoSampleTime;
-  const double clamped = std::clamp(p, 0.0, 100.0);
-  const auto target = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(clamped / 100.0 *
-                                    static_cast<double>(count_) + 0.5));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] == 0) continue;
-    seen += buckets_[i];
-    if (seen >= target) {
-      const std::uint64_t lo = bucket_low(i);
-      const std::uint64_t hi = bucket_high(i);
-      const std::uint64_t mid = lo + (hi - lo) / 2;
-      // Clamp the representative value into the observed range so that e.g.
-      // p100 never exceeds the true max.
-      return std::clamp<SimTime>(static_cast<SimTime>(mid), min_, max_);
-    }
-  }
-  return max_;
-}
-
-std::uint64_t LatencyHistogram::count_at_or_below(SimTime threshold) const {
-  if (threshold < 0 || count_ == 0) return 0;
-  if (threshold >= max_) return count_;
-  const std::size_t limit = bucket_index(static_cast<std::uint64_t>(threshold));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i <= limit && i < buckets_.size(); ++i) {
-    seen += buckets_[i];
-  }
-  return seen;
-}
 
 LinearHistogram::LinearHistogram(double bucket_width, std::size_t num_buckets)
     : width_(bucket_width), counts_(num_buckets, 0) {

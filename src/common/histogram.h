@@ -1,9 +1,8 @@
-// Latency histograms.
+// Fixed-grid histogram.
 //
-// LatencyHistogram is a log-bucketed (HdrHistogram-style) recorder of SimTime
-// durations with cheap percentile queries — used for p95/p99 reporting
-// (Table 2). LinearHistogram buckets values on a fixed grid — used to render
-// the response-time distribution plots (Figure 4).
+// LinearHistogram buckets values on a fixed grid — used to render the
+// response-time distribution plots (Figure 4). Tail percentiles come from
+// the mergeable quantile sketch (obs/quantile_sketch.h) instead.
 #pragma once
 
 #include <cstdint>
@@ -13,51 +12,10 @@
 
 namespace sora {
 
-/// Sentinel returned by SimTime-valued percentile queries on an empty
-/// histogram (the SimTime counterpart of common::kNoSample; durations are
-/// never negative, so -1 is unambiguous).
+/// Sentinel for SimTime-valued percentile queries over no samples (the
+/// SimTime counterpart of common::kNoSample; durations are never negative,
+/// so -1 is unambiguous).
 inline constexpr SimTime kNoSampleTime = -1;
-
-/// Log-bucketed histogram over non-negative durations in microseconds.
-/// Buckets have <= `1/2^sub_bits` relative width, giving bounded relative
-/// error on percentile queries.
-class LatencyHistogram {
- public:
-  /// sub_bits controls precision: each power-of-two range is split into
-  /// 2^sub_bits linear sub-buckets (default ~1.5% relative error).
-  explicit LatencyHistogram(int sub_bits = 6);
-
-  void record(SimTime value);
-  /// Merge another histogram (same sub_bits) into this one.
-  void merge(const LatencyHistogram& other);
-  void reset();
-
-  std::uint64_t count() const { return count_; }
-  SimTime min() const { return count_ ? min_ : 0; }
-  SimTime max() const { return count_ ? max_ : 0; }
-  double mean() const;
-
-  /// p in [0, 100]. Returns a representative value (bucket midpoint), or
-  /// kNoSampleTime when the histogram is empty.
-  SimTime percentile(double p) const;
-
-  /// Number of recorded values <= threshold (approximate at bucket
-  /// granularity, exact for the min/max tracked extremes).
-  std::uint64_t count_at_or_below(SimTime threshold) const;
-
- private:
-  std::size_t bucket_index(std::uint64_t v) const;
-  std::uint64_t bucket_low(std::size_t idx) const;
-  std::uint64_t bucket_high(std::size_t idx) const;
-
-  int sub_bits_;
-  std::uint64_t sub_count_;  // 2^sub_bits
-  std::vector<std::uint64_t> buckets_;
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  SimTime min_ = 0;
-  SimTime max_ = 0;
-};
 
 /// Fixed-width histogram over [0, bucket_width * num_buckets); values beyond
 /// the last bucket are clamped into it.

@@ -182,9 +182,8 @@ class CriticalServiceLocalizer {
   // instead of being torn down and re-grown node by node.
   std::vector<double> busy_snapshot_;
   // Streaming PCC(PT_si, RT_CP) state for the current window. Fed by the
-  // warehouse store listener (trace-completion context, which in sharded
-  // runs is always shard 0 — entry services live there — so this state is
-  // lane-confined); read by analyze() in control-round context.
+  // warehouse store listener (trace-completion context); read by analyze()
+  // in control-round context.
   std::vector<CorrelationAccumulator> accum_;
   // analyze() scratch, reused across rounds.
   std::vector<ServiceDiagnostics> diag_;

@@ -20,7 +20,6 @@ namespace sora {
 FaultInjector::FaultInjector(FaultPlan plan, Hooks hooks, std::uint64_t seed)
     : plan_(std::move(plan)),
       hooks_(std::move(hooks)),
-      seed_(seed),
       // Streams forked per concern: span coin flips never shift scatter
       // coin flips, whatever windows overlap.
       rng_spans_(seed ^ 0x6a09e667f3bcc908ULL),
@@ -205,55 +204,19 @@ void FaultInjector::set_stall(bool on) {
   for (Controller* c : hooks_.controllers) c->set_stalled(stalled);
 }
 
-namespace {
-// splitmix64 finalizer: full-avalanche 64-bit mix.
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-}  // namespace
-
-double FaultInjector::span_coin(const Span& span, std::uint64_t salt) const {
-  std::uint64_t h = mix64(seed_ ^ salt);
-  h = mix64(h ^ span.trace.value());
-  h = mix64(h ^ span.service.value());
-  h = mix64(h ^ static_cast<std::uint64_t>(span.arrival));
-  h = mix64(h ^ static_cast<std::uint64_t>(span.departure));
-  // Top 53 bits -> [0,1) with full double precision.
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
 Tracer::SpanFate FaultInjector::intercept_span(const Span& span) {
-  // Sharded runs use stateless per-span hash coins (see span_coin); serial
-  // runs keep the historical sequential stream so existing seeded scenarios
-  // reproduce byte-for-byte.
-  const bool hashed = hooks_.sim->sharding();
-  if (span_drop_depth_ > 0) {
-    const double u = hashed ? span_coin(span, 0x9e3779b97f4a7c15ULL)
-                            : rng_spans_.uniform();
-    if (u < span_drop_fraction_) {
-      spans_dropped_.fetch_add(1, std::memory_order_relaxed);
-      return Tracer::SpanFate::kDrop;
-    }
+  if (span_drop_depth_ > 0 && rng_spans_.uniform() < span_drop_fraction_) {
+    ++spans_dropped_;
+    return Tracer::SpanFate::kDrop;
   }
-  if (span_delay_depth_ > 0) {
-    const double u = hashed ? span_coin(span, 0xc2b2ae3d27d4eb4fULL)
-                            : rng_spans_.uniform();
-    if (u < span_delay_fraction_) {
-      spans_delayed_.fetch_add(1, std::memory_order_relaxed);
-      // Deliver a copy after the delay; the sampler sees it in the wrong
-      // bucket, which is the point. Scheduled from the closing event, so it
-      // lands on the span's own lane and stays in that service's event
-      // chain.
-      hooks_.sim->schedule_after(span_delay_, [this, copy = span] {
-        hooks_.tracer->deliver_span(copy);
-      });
-      return Tracer::SpanFate::kDefer;
-    }
+  if (span_delay_depth_ > 0 && rng_spans_.uniform() < span_delay_fraction_) {
+    ++spans_delayed_;
+    // Deliver a copy after the delay; the sampler sees it in the wrong
+    // bucket, which is the point.
+    hooks_.sim->schedule_after(span_delay_, [this, copy = span] {
+      hooks_.tracer->deliver_span(copy);
+    });
+    return Tracer::SpanFate::kDefer;
   }
   return Tracer::SpanFate::kDeliver;
 }

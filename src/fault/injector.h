@@ -27,7 +27,6 @@
 // SweepRunner thread counts.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -88,12 +87,8 @@ class FaultInjector {
   std::uint64_t crashes_refused() const { return crashes_refused_; }
   std::uint64_t restarts() const { return restarts_; }
   std::uint64_t cpu_steps() const { return cpu_steps_; }
-  std::uint64_t spans_dropped() const {
-    return spans_dropped_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t spans_delayed() const {
-    return spans_delayed_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t spans_dropped() const { return spans_dropped_; }
+  std::uint64_t spans_delayed() const { return spans_delayed_; }
   std::uint64_t scatter_dropped() const { return scatter_dropped_; }
   std::uint64_t stalls() const { return stalls_; }
 
@@ -108,16 +103,6 @@ class FaultInjector {
   Tracer::SpanFate intercept_span(const Span& span);
   bool admit_scatter_bucket();
 
-  /// Deterministic per-span coin in [0,1), hashed from the span's intrinsic
-  /// identity (trace id, service, message timestamps) and a salt. Used
-  /// instead of the sequential RNG stream when the simulator is sharded:
-  /// spans then close on concurrent lanes in an interleaving-dependent
-  /// order, so draw order — and with it every later coin — would differ
-  /// between shard counts. The hash depends only on the span itself.
-  /// (Span ids are deliberately excluded: at intercept time they are still
-  /// the raw pre-canonical ids, which are interleaving-dependent.)
-  double span_coin(const Span& span, std::uint64_t salt) const;
-
   void set_stall(bool on);
 
   /// Append a controller="fault" decision record.
@@ -130,12 +115,9 @@ class FaultInjector {
   FaultPlan plan_;
   Hooks hooks_;
   bool armed_ = false;
-  std::uint64_t seed_ = 0;  ///< raw seed, kept for the sharded hash coins
 
   // Independent streams so e.g. the span coin flips never shift the
-  // scatter coin flips when windows overlap. rng_scatter_ stays sequential
-  // even in sharded runs: bucket flushes happen on periodic ticks, which
-  // run on the global lane in a fixed order.
+  // scatter coin flips when windows overlap.
   Rng rng_spans_;
   Rng rng_scatter_;
 
@@ -155,11 +137,8 @@ class FaultInjector {
   std::uint64_t crashes_refused_ = 0;
   std::uint64_t restarts_ = 0;
   std::uint64_t cpu_steps_ = 0;
-  // Atomics: span intercepts run on whichever shard lane closes the span,
-  // concurrently across worker threads. Everything else fires on the global
-  // lane only.
-  std::atomic<std::uint64_t> spans_dropped_{0};
-  std::atomic<std::uint64_t> spans_delayed_{0};
+  std::uint64_t spans_dropped_ = 0;
+  std::uint64_t spans_delayed_ = 0;
   std::uint64_t scatter_dropped_ = 0;
   std::uint64_t stalls_ = 0;
 };

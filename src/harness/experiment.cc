@@ -2,24 +2,28 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cerrno>
 #include <cstdlib>
-#include <set>
+#include <cstring>
 #include <stdexcept>
 
 #include "common/log.h"
-#include "sim/partition.h"
 
 namespace sora {
 
 namespace {
 /// SORA_SEED environment override: returns `configured` unless the variable
-/// is set to a parseable unsigned integer.
+/// is set to a parseable unsigned integer that fits in 64 bits.
 std::uint64_t resolve_seed(std::uint64_t configured) {
   const char* env = std::getenv("SORA_SEED");
   if (env == nullptr || *env == '\0') return configured;
   char* end = nullptr;
+  errno = 0;
   const unsigned long long parsed = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0') {
+  // strtoull negates a leading '-' modulo 2^64 and saturates on overflow;
+  // neither yields the seed that was asked for.
+  if (end == env || *end != '\0' || std::strchr(env, '-') != nullptr ||
+      errno == ERANGE) {
     SORA_WARN << "experiment: ignoring unparseable SORA_SEED=\"" << env << '"';
     return configured;
   }
@@ -28,60 +32,24 @@ std::uint64_t resolve_seed(std::uint64_t configured) {
   return static_cast<std::uint64_t>(parsed);
 }
 
-/// Generic non-negative integer env override (SORA_SIM_SHARDS and friends).
-long long resolve_env_int(const char* name, long long configured) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return configured;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(env, &end, 10);
-  if (end == env || *end != '\0' || parsed < 0) {
-    SORA_WARN << "experiment: ignoring unparseable " << name << "=\"" << env
-              << '"';
-    return configured;
-  }
-  SORA_INFO << "experiment: " << name << "=" << parsed << " (env override of "
-            << configured << ")";
-  return parsed;
-}
 }  // namespace
 
 Experiment::Experiment(ApplicationConfig app_config, ExperimentConfig config)
     : config_(config), warehouse_(config.warehouse_capacity) {
   config_.seed = resolve_seed(config_.seed);
-  config_.shards =
-      static_cast<int>(resolve_env_int("SORA_SIM_SHARDS", config_.shards));
-  config_.shard_threads = std::max(
-      1, static_cast<int>(
-             resolve_env_int("SORA_SIM_THREADS", config_.shard_threads)));
-  // SORA_NET_LATENCY_US gives zero-latency topologies a cross-service wire
-  // delay without a rebuild — sharding needs one for its lookahead.
-  app_config.network_latency = static_cast<SimTime>(resolve_env_int(
-      "SORA_NET_LATENCY_US",
-      static_cast<long long>(app_config.network_latency)));
   warehouse_.attach(tracer_);
   // Deadline-aware admission needs requests to carry the end-to-end SLA;
   // stamp it as the default deadline unless the topology set its own.
   if (app_config.request_sla == 0) app_config.request_sla = config_.sla;
   app_ = std::make_unique<Application>(sim_, tracer_, std::move(app_config),
                                        config_.seed);
-  // Traces that outlive their root (async callback edges) assemble on the
-  // lane of whichever service closed last; ride the network back to the
-  // entry lane before running the trace listeners. Listener state
-  // (warehouse, localizer, SLO monitor) stays confined to shard 0, and the
-  // hand-off costs exactly one network latency through the same
-  // merge-keyed mailbox path as response hops — so serial and sharded runs
-  // at any shard count see identical delivery times and stay
-  // byte-identical.
-  tracer_.set_deferred_delivery([this](Trace&& t, ServiceId last) {
-    Service* sender = app_->service(last);
-    if (sender == nullptr) {
-      tracer_.deliver_trace(std::move(t));
-      return;
-    }
-    app_->deliver(*sender, /*dst_shard=*/0,
-                  [this, done = std::move(t)]() mutable {
-                    tracer_.deliver_trace(std::move(done));
-                  });
+  // Traces that outlive their root (async callback edges) are reported by
+  // whichever service closed last; the report rides the network back to
+  // the collector — one wire hop — before the trace listeners run.
+  tracer_.set_deferred_delivery([this](Trace&& t) {
+    app_->deliver([this, done = std::move(t)]() mutable {
+      tracer_.deliver_trace(std::move(done));
+    });
   });
   recorder_ = std::make_unique<LatencyRecorder>(sim_, config_.sla,
                                                 config_.timeline_bucket);
@@ -313,100 +281,12 @@ AdmissionController& Experiment::enable_admission(const std::string& service,
   return *ptr;
 }
 
-void Experiment::configure_sharding() {
-  if (config_.shards <= 0 || sim_.sharding()) return;
-  const ApplicationConfig& app_cfg = app_->config();
-
-  // Build the partition graph from the topology declaration. Node index ==
-  // config index == ServiceId value (the application compiles services in
-  // declaration order); weight = replica count as the load estimate.
-  std::set<std::string> entry_names;
-  for (const auto& [cls, name] : app_cfg.entry_service) {
-    entry_names.insert(name);
-  }
-  std::vector<sim::PartitionNode> nodes;
-  nodes.reserve(app_cfg.services.size());
-  std::vector<sim::PartitionEdge> edges;
-  std::map<std::string, int> index_of;
-  for (const ServiceConfig& svc : app_cfg.services) {
-    sim::PartitionNode n;
-    n.name = svc.name;
-    n.weight = static_cast<double>(std::max(1, svc.initial_replicas));
-    n.entry = entry_names.count(svc.name) > 0;
-    index_of[svc.name] = static_cast<int>(nodes.size());
-    nodes.push_back(std::move(n));
-  }
-  for (const ServiceConfig& svc : app_cfg.services) {
-    std::set<std::string> targets;
-    for (const auto& [cls, behavior] : svc.classes) {
-      for (const CallGroup& group : behavior.call_groups) {
-        for (const std::string& t : group.targets) targets.insert(t);
-      }
-      // Async callback edges carry real messages too: they ride the same
-      // deliver() path at the same network latency, so including them here
-      // keeps the partitioner's lookahead (= min cross-shard edge latency)
-      // a true lower bound on every cross-lane message.
-      for (const AsyncCallback& cb : behavior.async_callbacks) {
-        targets.insert(cb.target);
-      }
-    }
-    for (const std::string& t : targets) {
-      auto it = index_of.find(t);
-      if (it == index_of.end()) continue;  // Application validates these
-      edges.push_back(sim::PartitionEdge{index_of[svc.name], it->second,
-                                         app_cfg.network_latency});
-    }
-  }
-
-  const sim::PartitionResult part =
-      sim::partition_service_graph(nodes, edges, config_.shards);
-  if (!part.ok) {
-    SORA_WARN << "experiment: sharding disabled, serial engine kept: "
-              << part.reason;
-    return;
-  }
-  // No cross-shard edges (single service, or everything landed on one
-  // shard): any positive lookahead is safe since nothing ever crosses.
-  const SimTime lookahead =
-      part.lookahead == sim::PartitionResult::kNoCrossEdges
-          ? std::max<SimTime>(app_cfg.network_latency, 1)
-          : part.lookahead;
-
-  sim_.configure_shards(part.shards, lookahead, config_.shard_threads);
-  for (const auto& svc : app_->services()) {
-    const auto idx = static_cast<std::size_t>(svc->id().value());
-    svc->set_shard(idx < part.assignment.size() ? part.assignment[idx] : 0);
-  }
-  // Completed traces must come out in canonical (interleaving-independent)
-  // form; the open-trace table needs the mutex only when lanes really run
-  // concurrently.
-  tracer_.set_canonical_ids(true);
-  tracer_.set_thread_safe(config_.shard_threads > 1);
-  // Decision records buffer per lane and merge at window barriers.
-  decision_log_.enable_shard_buffers(
-      part.shards + 1, [shards = part.shards] {
-        const int s = Simulator::current_shard();
-        return s >= 0 ? s : shards;
-      });
-  sim_.set_barrier_hook([this] { decision_log_.flush_shard_buffers(); });
-  SORA_INFO << "experiment: sharded engine: " << part.shards
-            << " shard(s), lookahead " << lookahead << "us, "
-            << config_.shard_threads << " worker thread(s)";
-}
-
 void Experiment::start_all() {
   if (started_) return;
   started_ = true;
-  configure_sharding();
-  {
-    // Workload generators drive the entry services, which the partitioner
-    // pins to shard 0; their event chains belong on that lane. (A no-op
-    // for the serial engine: the scope only sets a thread-local tag.)
-    Simulator::ShardScope scope(0);
-    for (auto& gen : open_loops_) gen->start();
-    for (auto& gen : closed_loops_) gen->start();
-    for (auto& src : workload_sources_) src->start();
-  }
+  for (auto& gen : open_loops_) gen->start();
+  for (auto& gen : closed_loops_) gen->start();
+  for (auto& src : workload_sources_) src->start();
   // One loop drives every control plane, through the shared Controller
   // contract, in start order: frameworks first (preserving the historical
   // same-timestamp ordering between paired control planes), then hardware

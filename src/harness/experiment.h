@@ -60,12 +60,6 @@ struct ExperimentConfig {
   SimTime sla = msec(400);
   SimTime timeline_bucket = sec(1);
   std::size_t warehouse_capacity = 200000;
-  /// Shard-lane count for the parallel engine (see set_shards); 0 = the
-  /// classic serial engine. Overridable via SORA_SIM_SHARDS.
-  int shards = 0;
-  /// Worker threads executing shard lanes within a window (>= 1; only
-  /// meaningful with shards >= 1). Overridable via SORA_SIM_THREADS.
-  int shard_threads = 1;
 };
 
 /// One per-bucket sample of a tracked service's state.
@@ -126,7 +120,7 @@ class Experiment {
   /// source is bound immediately — simulator, application target, a seed
   /// salted from the experiment seed by attach order, and the same
   /// completion observer the built-in generators use — and started at
-  /// start_all() on shard lane 0 alongside them. Additive: the built-in
+  /// start_all() alongside them. Additive: the built-in
   /// open_loop/closed_loop generators stay available and compose, as do
   /// enable_faults/enable_admission and SLO analytics. Returns the source
   /// for knob access; the experiment takes ownership.
@@ -253,22 +247,6 @@ class Experiment {
   /// never enabled).
   void export_metrics_jsonl(std::ostream& os);
 
-  // -- parallel engine ----------------------------------------------------------
-
-  /// Partition the service graph across `n` shard lanes for the run
-  /// (conservative lookahead windows; DESIGN.md §12). Call before
-  /// start_all(). Needs a nonzero network latency — the lookahead is the
-  /// minimum cross-shard edge latency — otherwise the run falls back to the
-  /// serial engine with a warning. n >= 1; n == 1 still runs the full
-  /// window/mailbox machinery and is the parity baseline for n > 1. n == 0
-  /// restores the serial default. Also settable via SORA_SIM_SHARDS, with
-  /// worker threads via SORA_SIM_THREADS and a latency override via
-  /// SORA_NET_LATENCY_US (applied before the application is built).
-  void set_shards(int n) { config_.shards = n; }
-  int shards() const { return config_.shards; }
-  /// True once start_all() actually configured the sharded engine.
-  bool sharded() const { return sim_.sharding(); }
-
   // -- run ------------------------------------------------------------------------
 
   /// Start everything added so far and run until `config.duration`.
@@ -293,10 +271,6 @@ class Experiment {
   };
 
   void sample_tracked();
-  /// Partition the service graph and switch the simulator, tracer and
-  /// decision log into sharded mode (no-op when config_.shards == 0 or the
-  /// topology cannot be safely partitioned — zero-latency edges).
-  void configure_sharding();
 
   ExperimentConfig config_;
   Simulator sim_;

@@ -27,7 +27,7 @@ void LatencyRecorder::record(SimTime rt, bool ok) {
     ++b.shed;
     return;
   }
-  hist_.record(rt);
+  sum_rt_ += static_cast<double>(std::max<SimTime>(rt, 0));
   sketch_.record(static_cast<double>(rt));
   ++b.completed;
   if (rt <= sla_) ++b.good;
@@ -37,6 +37,12 @@ void LatencyRecorder::record(SimTime rt, bool ok) {
 
 double LatencyRecorder::percentile_ms(double p) const {
   return sketch_.percentile(p) / 1e3;  // kNoSample propagates through /
+}
+
+double LatencyRecorder::mean_ms() const {
+  const std::uint64_t n = count();
+  if (n == 0) return 0.0;
+  return to_msec(static_cast<SimTime>(sum_rt_ / static_cast<double>(n)));
 }
 
 double LatencyRecorder::average_goodput() const {

@@ -1,9 +1,9 @@
 // End-to-end latency and goodput recording.
 //
 // The recorder is wired as the workload generator's completion observer. It
-// maintains (a) a mergeable quantile sketch plus a log-bucketed histogram
-// for tail percentiles (Table 2) in memory independent of the sample count,
-// (b) a per-bucket timeline of mean/max response time, throughput and
+// maintains (a) a mergeable quantile sketch for tail percentiles (Table 2)
+// in memory independent of the sample count, plus a running sum for the
+// mean, (b) a per-bucket timeline of mean/max response time, throughput and
 // goodput for the figure-style timeline plots (Figures 10-12), and (c) a
 // linear-grid view of the response-time distribution derived from the
 // sketch (Figure 4).
@@ -44,7 +44,7 @@ class LatencyRecorder {
 
   /// Record one completed request. `ok == false` means admission control
   /// shed it: the rejection counts against goodput (it is not a served
-  /// response) but stays out of the latency sketch/histogram, so
+  /// response) but stays out of the latency sketch and mean, so
   /// percentiles describe admitted requests only.
   void record(SimTime rt, bool ok = true);
 
@@ -58,7 +58,9 @@ class LatencyRecorder {
   /// sketch (relative error bounded by the sketch's accuracy, default 1%).
   /// Returns kNoSample when nothing has been recorded.
   double percentile_ms(double p) const;
-  double mean_ms() const { return to_msec(static_cast<SimTime>(hist_.mean())); }
+  /// Mean served response time in milliseconds (0 when nothing was served).
+  /// The microsecond mean truncates to whole microseconds first.
+  double mean_ms() const;
 
   /// Goodput in requests/second over the whole recording window.
   double average_goodput() const;
@@ -78,7 +80,6 @@ class LatencyRecorder {
   /// granularity).
   LinearHistogram distribution_ms(double bucket_ms, std::size_t buckets) const;
 
-  const LatencyHistogram& histogram() const { return hist_; }
   /// The mergeable response-time sketch (microsecond unit), for SLO
   /// reporting and cross-run aggregation.
   const obs::QuantileSketch& sketch() const { return sketch_; }
@@ -91,7 +92,9 @@ class LatencyRecorder {
   SimTime bucket_;
   SimTime start_;
   std::uint64_t shed_ = 0;
-  LatencyHistogram hist_;
+  /// Sum of served response times in microseconds, negatives clamped to 0,
+  /// accumulated in record order.
+  double sum_rt_ = 0.0;
   obs::QuantileSketch sketch_;
   std::vector<TimelineBucket> timeline_;
 };

@@ -1,8 +1,5 @@
 #include "obs/decision_log.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "obs/json.h"
 
 namespace sora::obs {
@@ -94,41 +91,8 @@ std::string ControlDecisionRecord::to_json() const {
   return obj.str();
 }
 
-void DecisionLog::enable_shard_buffers(int lanes, std::function<int()> lane_of) {
-  flush_shard_buffers();
-  buffers_.clear();
-  buffers_.resize(static_cast<std::size_t>(lanes));
-  lane_of_ = std::move(lane_of);
-}
-
-void DecisionLog::flush_shard_buffers() const {
-  if (buffers_.empty()) return;
-  struct Tagged {
-    bool global;
-    ControlDecisionRecord rec;
-  };
-  std::vector<Tagged> merged;
-  for (std::size_t l = 0; l < buffers_.size(); ++l) {
-    const bool global = l + 1 == buffers_.size();
-    for (auto& r : buffers_[l]) merged.push_back({global, std::move(r)});
-    buffers_[l].clear();
-  }
-  if (merged.empty()) return;
-  // Stable: same-(at, target) records are lane-confined, so their
-  // buffer-local append order survives the merge unchanged.
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const Tagged& a, const Tagged& b) {
-                     if (a.rec.at != b.rec.at) return a.rec.at < b.rec.at;
-                     if (a.global != b.global) return a.global;
-                     return a.rec.target < b.rec.target;
-                   });
-  records_.reserve(records_.size() + merged.size());
-  for (auto& t : merged) records_.push_back(std::move(t.rec));
-}
-
 std::vector<const ControlDecisionRecord*> DecisionLog::by_controller(
     const std::string& controller) const {
-  flush_shard_buffers();
   std::vector<const ControlDecisionRecord*> out;
   for (const auto& r : records_) {
     if (r.controller == controller) out.push_back(&r);
@@ -138,7 +102,6 @@ std::vector<const ControlDecisionRecord*> DecisionLog::by_controller(
 
 std::vector<const ControlDecisionRecord*> DecisionLog::by_action(
     const std::string& action) const {
-  flush_shard_buffers();
   std::vector<const ControlDecisionRecord*> out;
   for (const auto& r : records_) {
     if (r.action == action) out.push_back(&r);
@@ -147,7 +110,6 @@ std::vector<const ControlDecisionRecord*> DecisionLog::by_action(
 }
 
 std::size_t DecisionLog::count_action(const std::string& action) const {
-  flush_shard_buffers();
   std::size_t n = 0;
   for (const auto& r : records_) {
     if (r.action == action) ++n;
@@ -156,7 +118,6 @@ std::size_t DecisionLog::count_action(const std::string& action) const {
 }
 
 void DecisionLog::write_jsonl(std::ostream& os) const {
-  flush_shard_buffers();
   for (const auto& r : records_) os << r.to_json() << '\n';
 }
 

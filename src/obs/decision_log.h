@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -125,44 +124,13 @@ struct ControlDecisionRecord {
 class DecisionLog {
  public:
   void append(ControlDecisionRecord record) {
-    if (!buffers_.empty()) {
-      buffers_[static_cast<std::size_t>(lane_of_())].push_back(
-          std::move(record));
-      return;
-    }
     records_.push_back(std::move(record));
   }
 
-  /// Sharded runs: route appends into per-lane buffers so concurrent lanes
-  /// never touch the shared record vector. `lanes` is the total lane count
-  /// (shards + 1; the LAST buffer is the global lane's) and `lane_of`
-  /// returns the calling context's lane index. Buffers merge into the main
-  /// record stream at flush_shard_buffers(), which the harness wires to the
-  /// simulator's window barrier.
-  void enable_shard_buffers(int lanes, std::function<int()> lane_of);
-
-  /// Merge buffered records into the main stream, ordered by
-  /// (at, global-lane-first, target). The key is invariant across shard
-  /// counts: a target (service or knob) lives on exactly one lane, so
-  /// same-(at, target) records come from one buffer and keep their
-  /// lane-local append order; global records at a window edge W really did
-  /// execute before shard events at W. Idempotent; safe to call anytime the
-  /// shard lanes are quiesced (a barrier, or outside a run).
-  void flush_shard_buffers() const;
-
-  const std::vector<ControlDecisionRecord>& records() const {
-    flush_shard_buffers();
-    return records_;
-  }
-  std::size_t size() const {
-    flush_shard_buffers();
-    return records_.size();
-  }
-  bool empty() const { return size() == 0; }
-  void clear() {
-    for (auto& b : buffers_) b.clear();
-    records_.clear();
-  }
+  const std::vector<ControlDecisionRecord>& records() const { return records_; }
+  std::size_t size() const { return records_.size(); }
+  bool empty() const { return records_.empty(); }
+  void clear() { records_.clear(); }
 
   /// All records from one controller, in order.
   std::vector<const ControlDecisionRecord*> by_controller(
@@ -177,11 +145,7 @@ class DecisionLog {
   void write_jsonl(std::ostream& os) const;
 
  private:
-  // Mutable so the const read accessors can drain stragglers (e.g. records
-  // appended after the run ended, which land in the global buffer).
-  mutable std::vector<ControlDecisionRecord> records_;
-  mutable std::vector<std::vector<ControlDecisionRecord>> buffers_;
-  std::function<int()> lane_of_;
+  std::vector<ControlDecisionRecord> records_;
 };
 
 }  // namespace sora::obs

@@ -36,8 +36,7 @@ Application::Application(Simulator& sim, Tracer& tracer,
   for (auto& svc : services_) svc->compile_and_start();
 
   // Pre-register counters that hot paths bump at runtime, so those bumps are
-  // pure map finds — in sharded runs, concurrent lanes may look these up
-  // while the registry must not be mutated off-barrier.
+  // pure map finds.
   for (const auto& svc : services_) {
     metrics_.counter("fault.visits_dropped", {{"service", svc->name()}});
   }
@@ -147,21 +146,6 @@ void Application::publish_metrics() {
 void Application::deliver(UniqueFunction fn) {
   if (config_.network_latency <= 0) {
     fn();
-    return;
-  }
-  sim_.schedule_after(config_.network_latency, std::move(fn));
-}
-
-void Application::deliver(Service& sender, int dst_shard, UniqueFunction fn) {
-  if (config_.network_latency <= 0) {
-    fn();
-    return;
-  }
-  if (sim_.sharding()) {
-    // Sender key 0 is reserved for non-service sends, so service ids shift
-    // by one.
-    sim_.send_cross(dst_shard, sender.id().value() + 1, sender.bump_send_seq(),
-                    config_.network_latency, std::move(fn));
     return;
   }
   sim_.schedule_after(config_.network_latency, std::move(fn));

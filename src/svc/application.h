@@ -89,13 +89,6 @@ class Application : public LoadTarget {
   /// network latency (synchronously when latency is 0).
   void deliver(UniqueFunction fn);
 
-  /// Routed variant for service-to-service messages: in sharded runs the
-  /// callback lands on `dst_shard`'s lane via the simulator's mailbox path,
-  /// keyed by the sender's (service id, send seq) so same-arrival messages
-  /// merge in a shard-count-invariant order. Falls back to plain deliver()
-  /// when the simulator is unsharded.
-  void deliver(Service& sender, int dst_shard, UniqueFunction fn);
-
  private:
   Service& entry_service(int request_class);
 

@@ -184,18 +184,15 @@ void ServiceInstance::issue_call(Visit* v, std::size_t group_index,
   // release the connection, stamp the return time, and advance the group
   // after all peer calls have finished.
   auto launch = [this, v, child, gate, target, group_index, child_slot] {
-    Application& app2 = svc_.app();
-    // Request hop: caller's shard -> target's shard.
-    app2.deliver(svc_, target->shard(),
-                 [this, v, child, gate, target, group_index, child_slot] {
+    // Request hop.
+    svc_.app().deliver([this, v, child, gate, target, group_index,
+                        child_slot] {
       target->dispatch(
           v->trace, child,
           RequestMeta{v->request_class, v->priority, v->deadline},
-          [this, v, gate, target, group_index, child_slot] {
-            Application& app3 = svc_.app();
-            // Response hop: runs on the target's shard, back to the caller.
-            app3.deliver(*target, svc_.shard(),
-                         [this, v, gate, group_index, child_slot] {
+          [this, v, gate, group_index, child_slot] {
+            // Response hop, back to the caller.
+            svc_.app().deliver([this, v, gate, group_index, child_slot] {
               if (gate != nullptr) gate->release();
               Tracer& t = svc_.app().tracer();
               Span& p = t.span(v->trace, v->span);
@@ -235,12 +232,10 @@ void ServiceInstance::issue_async_callbacks(Visit* v) {
         ChildCall{child, /*parallel_group=*/-1, now, 0, /*async=*/true});
     // No deadline: the user's response already departed, so there is
     // nothing left for the callback to be late for.
-    app.deliver(svc_, target->shard(),
-                [target, trace = v->trace, child, cls = cb.request_class,
+    app.deliver([target, trace = v->trace, child, cls = cb.request_class,
                  prio = cb.priority] {
-                  target->dispatch(trace, child, RequestMeta{cls, prio, 0},
-                                   [] {});
-                });
+      target->dispatch(trace, child, RequestMeta{cls, prio, 0}, [] {});
+    });
   }
 }
 

@@ -107,14 +107,6 @@ class Service {
   const ServiceConfig& config() const { return config_; }
   Application& app() { return app_; }
 
-  /// Shard lane owning this service's events (sharded runs; see
-  /// sim/partition.h). Always 0 in unsharded runs.
-  int shard() const { return shard_; }
-  void set_shard(int shard) { shard_ = shard; }
-  /// Monotone counter over this service's network sends; forms the
-  /// shard-count-invariant merge key for same-arrival cross-lane messages.
-  std::uint64_t bump_send_seq() { return send_seq_++; }
-
   // -- scaling knobs ---------------------------------------------------------
 
   /// Horizontal scaling: activate/deactivate replicas (creating new ones as
@@ -225,8 +217,6 @@ class Service {
 
   std::uint64_t completions_ = 0;
   IdGenerator<InstanceId>* instance_ids_ = nullptr;  // owned by Application
-  int shard_ = 0;
-  std::uint64_t send_seq_ = 0;
 
   // Scratch buffers reused by pick_replica() to keep the per-dispatch hot
   // path free of allocations.

@@ -16,26 +16,12 @@ const char* tier_of(const Topology& topo, std::size_t i) {
 
 }  // namespace
 
-void write_json(std::ostream& os, const Topology& topo, int shards) {
-  sim::PartitionResult part;
-  if (shards > 1) {
-    part = sim::partition_service_graph(topo.partition_nodes(),
-                                        topo.partition_edges(), shards);
-  }
+void write_json(std::ostream& os, const Topology& topo) {
   os << "{\n";
   os << "  \"seed\": " << topo.config.seed << ",\n";
   os << "  \"services\": " << topo.app.services.size() << ",\n";
   os << "  \"tenants\": " << topo.config.tenants << ",\n";
   os << "  \"callback_class\": " << topo.callback_class << ",\n";
-  if (shards > 1) {
-    os << "  \"shards\": " << shards << ",\n";
-    os << "  \"partition_ok\": " << (part.ok ? "true" : "false") << ",\n";
-    if (part.ok) {
-      os << "  \"lookahead_us\": " << part.lookahead << ",\n";
-    } else {
-      os << "  \"partition_reason\": \"" << part.reason << "\",\n";
-    }
-  }
   os << "  \"entry_classes\": {";
   bool first = true;
   for (const auto& [cls, name] : topo.app.entry_service) {
@@ -50,11 +36,8 @@ void write_json(std::ostream& os, const Topology& topo, int shards) {
        << "\", \"tier\": \"" << tier_of(topo, i)
        << "\", \"tenant\": " << topo.tenant_of[i]
        << ", \"depth\": " << topo.depth[i] << ", \"cores\": " << s.cores
-       << ", \"replicas\": " << s.initial_replicas;
-    if (!part.assignment.empty()) {
-      os << ", \"shard\": " << part.assignment[i];
-    }
-    os << "}" << (i + 1 < topo.app.services.size() ? "," : "") << "\n";
+       << ", \"replicas\": " << s.initial_replicas << "}"
+       << (i + 1 < topo.app.services.size() ? "," : "") << "\n";
   }
   os << "  ],\n";
   os << "  \"edges\": [\n";

@@ -2,7 +2,7 @@
 // topology, plus a human-readable stats summary (depth histogram, fan-out
 // tail, shared-tier in-degree). Used by tools/gen_topology and the
 // planet-scale bench; the JSON form is the round-trippable description a
-// partition-aware deployer would consume.
+// deployer would consume.
 #pragma once
 
 #include <iosfwd>
@@ -12,11 +12,8 @@
 namespace sora::topo {
 
 /// Dump the topology as JSON: config echo, services (name/tenant/depth/
-/// cores/replicas), edges (sync + async), entry classes. When `shards` > 1
-/// the partitioner runs and each service carries its shard assignment
-/// (plus a top-level lookahead field); a failed partition emits
-/// "partition_ok": false with the reason.
-void write_json(std::ostream& os, const Topology& topo, int shards = 1);
+/// cores/replicas), edges (sync + async), entry classes.
+void write_json(std::ostream& os, const Topology& topo);
 
 /// Graphviz digraph: entries as doubleoctagons, shared backends as
 /// cylinders, async edges dashed. Tenants cluster into subgraphs.

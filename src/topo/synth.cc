@@ -460,25 +460,4 @@ RequestMix Topology::tenant_mix(int tenant) const {
   return mix;
 }
 
-std::vector<sim::PartitionNode> Topology::partition_nodes() const {
-  std::vector<sim::PartitionNode> nodes;
-  nodes.reserve(app.services.size());
-  for (std::size_t i = 0; i < app.services.size(); ++i) {
-    const ServiceConfig& s = app.services[i];
-    nodes.push_back(sim::PartitionNode{
-        s.name, s.cores * static_cast<double>(s.initial_replicas),
-        tenant_of[i] >= 0 && depth[i] == 0});
-  }
-  return nodes;
-}
-
-std::vector<sim::PartitionEdge> Topology::partition_edges() const {
-  std::vector<sim::PartitionEdge> out;
-  out.reserve(edges.size());
-  for (const TopologyEdge& e : edges) {
-    out.push_back(sim::PartitionEdge{e.from, e.to, config.network_latency});
-  }
-  return out;
-}
-
 }  // namespace sora::topo

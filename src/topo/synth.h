@@ -8,7 +8,7 @@
 // per tenant (one request class per entry), and cross-service cycles
 // expressed as async callback edges (svc/config.h AsyncCallback) back to
 // an ancestor on the synchronous path. The output is a ready-to-run
-// svc::ApplicationConfig plus a partition-friendly edge list; the same
+// svc::ApplicationConfig plus an explicit edge list; the same
 // config + seed always produces a byte-identical topology (single Rng,
 // fixed draw order, no unordered containers). DESIGN.md §14.
 #pragma once
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/time.h"
-#include "sim/partition.h"
 #include "svc/config.h"
 #include "workload/generator.h"
 
@@ -102,7 +101,7 @@ struct TopologyStats {
 };
 
 /// A synthesized topology: the runnable application plus the graph-shaped
-/// metadata the partitioner, the stats dump and the replay workload need.
+/// metadata the exporters, the stats dump and the replay workload need.
 struct Topology {
   TopologyConfig config;
   ApplicationConfig app;
@@ -126,11 +125,6 @@ struct Topology {
   /// trailing batch_tenant_fraction) carry Priority::kBatch on every class.
   RequestMix tenant_mix(int tenant) const;
   bool tenant_is_batch(int tenant) const;
-
-  /// The partition-friendly description (entry pinning, replica weights,
-  /// per-edge latency — async edges included, they carry real messages).
-  std::vector<sim::PartitionNode> partition_nodes() const;
-  std::vector<sim::PartitionEdge> partition_edges() const;
 };
 
 /// Deterministically synthesize a topology. Throws std::invalid_argument

@@ -82,12 +82,9 @@ struct Span {
 };
 
 /// A completed request trace: the root span plus all descendants.
-/// Spans are stored in creation order; spans[0] is the root. (In sharded
-/// runs the tracer rewrites completed traces into canonical DFS order with
-/// per-trace span ids — see Tracer::set_canonical_ids — so creation-order
-/// differences between shard interleavings never escape.) A deque rather
-/// than a vector: appending a span must not invalidate references to spans
-/// already held by concurrently executing shard lanes.
+/// Spans are stored in creation order; spans[0] is the root. A deque rather
+/// than a vector: opening a span must not invalidate references to spans a
+/// service already holds (Tracer::span) while its visit is in flight.
 struct Trace {
   TraceId id;
   int request_class = 0;

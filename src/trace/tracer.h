@@ -6,20 +6,9 @@
 // span closes, the assembled Trace is handed to the TraceWarehouse and to
 // any registered listeners (e.g. the Concurrency Estimator and metric
 // samplers).
-//
-// Sharded runs flip two opt-in switches. set_thread_safe(true) guards the
-// open-trace table with a mutex, since spans of one trace open and close on
-// different shard lanes (listeners still run outside the lock — each
-// listener's state is confined to one lane by construction). And
-// set_canonical_ids(true) rewrites every completed trace into canonical
-// form — spans in depth-first call order, renumbered 1..N within the trace —
-// because raw span ids and creation order depend on how lanes interleave,
-// which would differ between shard counts even though the trace tree itself
-// is identical.
 #pragma once
 
 #include <functional>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -43,13 +32,11 @@ class Tracer {
   using RootListener = std::function<void(const Trace&)>;
   /// Hand-off for deferred assembly: when the last span of a trace closes
   /// after the root already departed (async callbacks outliving the
-  /// response), the raw trace is passed here with the service whose span
-  /// closed last, instead of being processed inline. The hook must
-  /// eventually call deliver_trace — the harness routes the hand-off
-  /// through the network layer so trace listeners always run on the entry
-  /// lane at a shard-count-invariant time. Without a hook, finish_span
-  /// calls deliver_trace inline.
-  using DeferredDelivery = std::function<void(Trace&&, ServiceId)>;
+  /// response), the raw trace is passed here instead of being processed
+  /// inline. The hook must eventually call deliver_trace — the harness
+  /// sends the hand-off across the network, one wire hop back to the
+  /// collector. Without a hook, finish_span calls deliver_trace inline.
+  using DeferredDelivery = std::function<void(Trace&&)>;
 
   /// What the span interceptor decided for one completed span's report.
   enum class SpanFate {
@@ -74,7 +61,7 @@ class Tracer {
   /// Mutable access to an open span (to stamp admitted/downstream_wait and
   /// append child calls). Must not be called after the span is finished.
   /// The returned reference stays valid while the trace is open (spans live
-  /// in a deque), but the lookup itself synchronizes in thread-safe mode.
+  /// in a deque).
   Span& span(TraceId trace, SpanId id);
 
   /// Close a span. When the last open span of a trace closes (the root
@@ -94,8 +81,8 @@ class Tracer {
   void set_deferred_delivery(DeferredDelivery fn) {
     deferred_delivery_ = std::move(fn);
   }
-  /// Assemble a trace whose spans have all closed: canonical ids (when
-  /// enabled), finalizer, then trace listeners. Called by finish_span for
+  /// Assemble a trace whose spans have all closed: finalizer, then trace
+  /// listeners. Called by finish_span for
   /// ordinary traces and by the deferred-delivery hook's continuation for
   /// traces that outlived their root.
   void deliver_trace(Trace&& t);
@@ -119,17 +106,6 @@ class Tracer {
     for (const auto& listener : span_listeners_) listener(s);
   }
 
-  /// Guard the open-trace table with a mutex (sharded runs with worker
-  /// threads; harmless but unnecessary otherwise). Listener callbacks run
-  /// outside the lock.
-  void set_thread_safe(bool on) { thread_safe_ = on; }
-  /// Rewrite completed traces into canonical DFS span order with per-trace
-  /// span ids 1..N before the finalizer and listeners see them. Required
-  /// for cross-shard-count byte parity; off by default so unsharded runs
-  /// keep their historical creation-order traces.
-  void set_canonical_ids(bool on) { canonical_ids_ = on; }
-  bool canonical_ids() const { return canonical_ids_; }
-
   /// Number of traces currently in flight (diagnostics / leak checks).
   std::size_t open_traces() const { return open_.size(); }
   std::uint64_t traces_completed() const { return traces_completed_; }
@@ -148,29 +124,6 @@ class Tracer {
   /// a per-trace hash index.
   static Span& find_span(OpenTrace& open, SpanId id);
 
-  /// Reorder `t.spans` into DFS call order and renumber ids 1..N.
-  static void canonicalize(Trace& t);
-
-  class MaybeLock {
-   public:
-    MaybeLock(std::mutex& mu, bool engage) : mu_(mu), engaged_(engage) {
-      if (engaged_) mu_.lock();
-    }
-    ~MaybeLock() { unlock(); }
-    void unlock() {
-      if (engaged_) {
-        mu_.unlock();
-        engaged_ = false;
-      }
-    }
-    MaybeLock(const MaybeLock&) = delete;
-    MaybeLock& operator=(const MaybeLock&) = delete;
-
-   private:
-    std::mutex& mu_;
-    bool engaged_;
-  };
-
   IdGenerator<TraceId> trace_ids_;
   IdGenerator<SpanId> span_ids_;
   std::unordered_map<std::uint64_t, OpenTrace> open_;
@@ -181,9 +134,6 @@ class Tracer {
   std::vector<SpanListener> span_listeners_;
   std::vector<RootListener> root_listeners_;
   std::uint64_t traces_completed_ = 0;
-  bool thread_safe_ = false;
-  bool canonical_ids_ = false;
-  std::mutex mu_;
 };
 
 }  // namespace sora

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 
@@ -153,6 +155,38 @@ TEST(Experiment, DeterministicWithSameSeed) {
   EXPECT_EQ(a.injected, b.injected);
   EXPECT_DOUBLE_EQ(a.p99_ms, b.p99_ms);
   EXPECT_NE(a.injected, c.injected);
+}
+
+/// The seed an Experiment configured with seed 42 resolves to while
+/// SORA_SEED is set to `value` (the caller's own setting is restored).
+std::uint64_t seed_under_env(const char* value) {
+  const char* prior = std::getenv("SORA_SEED");
+  const std::string saved = prior != nullptr ? prior : "";
+  ::setenv("SORA_SEED", value, 1);
+  ExperimentConfig cfg;
+  cfg.seed = 42;
+  const Experiment exp(testutil::single_service(), cfg);
+  if (prior != nullptr) {
+    ::setenv("SORA_SEED", saved.c_str(), 1);
+  } else {
+    ::unsetenv("SORA_SEED");
+  }
+  return exp.config().seed;
+}
+
+TEST(Experiment, SeedEnvOverrideAcceptsUnsignedIntegers) {
+  EXPECT_EQ(seed_under_env("7"), 7u);
+  EXPECT_EQ(seed_under_env("18446744073709551615"), UINT64_MAX);
+}
+
+// strtoull would turn "-5" into 2^64 - 5 and saturate overflow to
+// ULLONG_MAX; both must warn and keep the configured seed instead.
+TEST(Experiment, SeedEnvOverrideRejectsNegativeAndOverflowingInput) {
+  EXPECT_EQ(seed_under_env("-5"), 42u);
+  EXPECT_EQ(seed_under_env(" -5"), 42u);
+  EXPECT_EQ(seed_under_env("18446744073709551616"), 42u);  // 2^64
+  EXPECT_EQ(seed_under_env("99999999999999999999999"), 42u);
+  EXPECT_EQ(seed_under_env("12abc"), 42u);
 }
 
 TEST(Experiment, SloAnalyticsDetectsEpisodesAndAttributes) {

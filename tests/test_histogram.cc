@@ -1,139 +1,10 @@
-// Tests for the log-bucketed latency histogram and the linear histogram.
+// Tests for the fixed-grid linear histogram.
 #include "common/histogram.h"
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
-#include "common/rng.h"
-#include "common/stats.h"
-
 namespace sora {
 namespace {
-
-TEST(LatencyHistogram, EmptyIsZero) {
-  LatencyHistogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.percentile(50), kNoSampleTime);
-  EXPECT_EQ(h.min(), 0);
-  EXPECT_EQ(h.max(), 0);
-  EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
-TEST(LatencyHistogram, SingleValue) {
-  LatencyHistogram h;
-  h.record(1234);
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.min(), 1234);
-  EXPECT_EQ(h.max(), 1234);
-  EXPECT_NEAR(static_cast<double>(h.percentile(50)), 1234.0, 1234.0 * 0.02);
-}
-
-TEST(LatencyHistogram, SmallValuesExact) {
-  // Values below 2^sub_bits are stored exactly.
-  LatencyHistogram h(6);
-  for (int i = 0; i < 64; ++i) h.record(i);
-  EXPECT_EQ(h.percentile(0), 0);
-  EXPECT_EQ(h.percentile(100), 63);
-  EXPECT_EQ(h.count_at_or_below(31), 32u);
-}
-
-TEST(LatencyHistogram, PercentileRelativeError) {
-  LatencyHistogram h(6);
-  Rng rng(42);
-  std::vector<double> raw;
-  for (int i = 0; i < 100000; ++i) {
-    const double v = rng.lognormal_mean_cv(50000.0, 1.0);
-    raw.push_back(v);
-    h.record(static_cast<SimTime>(v));
-  }
-  for (double p : {50.0, 90.0, 95.0, 99.0, 99.9}) {
-    const double exact = percentile(raw, p);
-    const double approx = static_cast<double>(h.percentile(p));
-    EXPECT_NEAR(approx, exact, exact * 0.05) << "p=" << p;
-  }
-}
-
-TEST(LatencyHistogram, MeanMatches) {
-  LatencyHistogram h;
-  h.record(100);
-  h.record(300);
-  EXPECT_DOUBLE_EQ(h.mean(), 200.0);
-}
-
-TEST(LatencyHistogram, CountAtOrBelow) {
-  LatencyHistogram h;
-  h.record(msec(10));
-  h.record(msec(20));
-  h.record(msec(400));
-  EXPECT_EQ(h.count_at_or_below(msec(50)), 2u);
-  EXPECT_EQ(h.count_at_or_below(msec(400)), 3u);
-  EXPECT_EQ(h.count_at_or_below(-1), 0u);
-}
-
-TEST(LatencyHistogram, NegativeClampedToZero) {
-  LatencyHistogram h;
-  h.record(-5);
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.count_at_or_below(0), 1u);
-}
-
-TEST(LatencyHistogram, MergeCombines) {
-  LatencyHistogram a, b;
-  a.record(100);
-  b.record(1000);
-  b.record(2000);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_EQ(a.min(), 100);
-  EXPECT_EQ(a.max(), 2000);
-}
-
-TEST(LatencyHistogram, MergeIntoEmpty) {
-  LatencyHistogram a, b;
-  b.record(5000);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  EXPECT_EQ(a.min(), 5000);
-  EXPECT_EQ(a.max(), 5000);
-}
-
-TEST(LatencyHistogram, Reset) {
-  LatencyHistogram h;
-  h.record(123456);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.percentile(99), kNoSampleTime);
-}
-
-TEST(LatencyHistogram, LargeValues) {
-  LatencyHistogram h;
-  const SimTime big = sec(3600) * 24;  // a day in usec
-  h.record(big);
-  EXPECT_NEAR(static_cast<double>(h.percentile(100)),
-              static_cast<double>(big), static_cast<double>(big) * 0.02);
-}
-
-// Percentile is monotone in p for arbitrary data.
-class HistMonotone : public ::testing::TestWithParam<int> {};
-
-TEST_P(HistMonotone, PercentileMonotone) {
-  LatencyHistogram h;
-  Rng rng(static_cast<std::uint64_t>(GetParam()));
-  for (int i = 0; i < 5000; ++i) {
-    h.record(static_cast<SimTime>(rng.exponential(300000.0)));
-  }
-  SimTime prev = -1;
-  for (double p = 0; p <= 100.0; p += 5.0) {
-    const SimTime q = h.percentile(p);
-    EXPECT_GE(q, prev);
-    prev = q;
-  }
-  EXPECT_LE(h.percentile(100), h.max());
-  EXPECT_GE(h.percentile(0), h.min());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, HistMonotone, ::testing::Range(1, 7));
 
 TEST(LinearHistogram, BucketsAndClamping) {
   LinearHistogram h(10.0, 5);  // [0,50) in 5 buckets

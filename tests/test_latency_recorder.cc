@@ -22,8 +22,29 @@ TEST(LatencyRecorder, EmptyIsZero) {
   Simulator sim;
   LatencyRecorder rec(sim, msec(100));
   EXPECT_TRUE(is_no_sample(rec.percentile_ms(99)));
+  EXPECT_EQ(rec.mean_ms(), 0.0);
   EXPECT_DOUBLE_EQ(rec.average_goodput(), 0.0);
   EXPECT_DOUBLE_EQ(rec.good_fraction(), 0.0);
+  // A shed request is not a served response: it never enters the mean.
+  rec.record(msec(5), /*ok=*/false);
+  EXPECT_EQ(rec.mean_ms(), 0.0);
+}
+
+// The mean is the microsecond sum over served requests divided by their
+// count, truncated to whole microseconds before the millisecond
+// conversion; negative response times count as zero.
+TEST(LatencyRecorder, MeanTruncatesToWholeMicroseconds) {
+  Simulator sim;
+  LatencyRecorder rec(sim, msec(100));
+  rec.record(msec(1) + 1);
+  rec.record(msec(2));
+  EXPECT_EQ(rec.mean_ms(), 1.5);  // 1500.5 us truncates to 1500 us
+
+  LatencyRecorder clamped(sim, msec(100));
+  clamped.record(-4);
+  clamped.record(5);
+  clamped.record(2000);
+  EXPECT_EQ(clamped.mean_ms(), to_msec(668));  // 2005 / 3 = 668.33 us
 }
 
 TEST(LatencyRecorder, GoodputCountsWithinSla) {

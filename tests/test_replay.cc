@@ -1,6 +1,6 @@
 // Tests for cluster-trace replay (workload/replay): fail-closed CSV
 // parsing, piecewise-linear trace semantics, deterministic synthesis, and
-// byte-identical replayed runs across reruns and shard counts.
+// byte-identical replayed runs across reruns.
 #include "workload/replay.h"
 
 #include <gtest/gtest.h>
@@ -135,7 +135,7 @@ struct ReplayRun {
   std::string fingerprint;
 };
 
-ReplayRun run_replay(int shards) {
+ReplayRun run_replay() {
   topo::TopologyConfig tcfg;
   tcfg.seed = 3;
   tcfg.services = 80;
@@ -157,7 +157,6 @@ ReplayRun run_replay(int shards) {
   ecfg.seed = 11;
   ecfg.sla = tcfg.request_sla;
   Experiment exp(topo.app, ecfg);
-  exp.set_shards(shards);
   auto source = std::make_unique<ReplayWorkloadSource>(parsed.trace);
   for (int t = 0; t < tcfg.tenants; ++t) {
     source->set_tenant_mix(static_cast<std::size_t>(t), topo.tenant_mix(t));
@@ -183,22 +182,14 @@ ReplayRun run_replay(int shards) {
 }
 
 TEST(ReplayRunDeterminism, RerunsAreByteIdentical) {
-  const ReplayRun a = run_replay(/*shards=*/1);
-  const ReplayRun b = run_replay(/*shards=*/1);
+  const ReplayRun a = run_replay();
+  const ReplayRun b = run_replay();
   EXPECT_GT(a.injected, 300u);
   EXPECT_GT(a.completed, 100u);
-  // The parity fingerprint must cover real traces, not an empty warehouse.
+  // The fingerprint must cover real traces, not an empty warehouse.
   EXPECT_NE(a.warehouse_digest, TraceWarehouse(1).digest());
   EXPECT_EQ(a.source_injected, a.injected);
   EXPECT_EQ(a.fingerprint, b.fingerprint);
-}
-
-TEST(ReplayRunDeterminism, ShardCountsAgree) {
-  const ReplayRun one = run_replay(/*shards=*/1);
-  const ReplayRun two = run_replay(/*shards=*/2);
-  const ReplayRun four = run_replay(/*shards=*/4);
-  EXPECT_EQ(one.fingerprint, two.fingerprint);
-  EXPECT_EQ(one.fingerprint, four.fingerprint);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace sora {
@@ -34,6 +35,58 @@ TEST(Simulator, SameTimeIsFifo) {
   }
   sim.run_all();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+}
+
+// The one tie-break rule: same-time events fire in scheduling order. An
+// event scheduled for the current instant from inside a callback queues
+// behind every same-time event that was already scheduled.
+TEST(Simulator, SameTimeEventScheduledDuringExecutionQueuesLast) {
+  Simulator sim;
+  std::vector<char> order;
+  sim.schedule_at(10, [&] {
+    order.push_back('a');
+    sim.schedule_after(0, [&] { order.push_back('c'); });
+  });
+  sim.schedule_at(10, [&] { order.push_back('b'); });
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'c'}));
+}
+
+// Periodic ticks follow the same rule: each tick is scheduled when the
+// previous one fires, so it ties with one-shots by when each was scheduled.
+TEST(Simulator, PeriodicTicksTieWithOneShotsBySchedulingOrder) {
+  Simulator sim;
+  std::vector<std::string> order;
+  sim.schedule_at(20, [&] { order.push_back("early@20"); });
+  sim.schedule_periodic(10, [&] {
+    order.push_back("tick@" + std::to_string(sim.now()));
+  });
+  sim.schedule_at(10, [&] { order.push_back("late@10"); });
+  sim.run_until(20);
+  EXPECT_EQ(order, (std::vector<std::string>{"tick@10", "late@10",
+                                             "early@20", "tick@20"}));
+}
+
+// The event-stream digest fingerprints (time, seq) of every executed event:
+// identical schedules digest equal, a shifted event does not.
+TEST(Simulator, DigestFingerprintsTheSchedule) {
+  const auto digest_of = [](SimTime second_at) {
+    Simulator sim;
+    sim.set_digest_enabled(true);
+    sim.schedule_at(10, [] {});
+    sim.schedule_at(second_at, [] {});
+    sim.schedule_periodic(7, [] {});
+    sim.run_until(50);
+    return sim.digest();
+  };
+  EXPECT_EQ(digest_of(20), digest_of(20));
+  EXPECT_NE(digest_of(20), digest_of(21));
+
+  Simulator off;
+  const std::uint64_t basis = off.digest();
+  off.schedule_at(1, [] {});
+  off.run_all();
+  EXPECT_EQ(off.digest(), basis);  // disabled: nothing folded
 }
 
 TEST(Simulator, ScheduleAfter) {

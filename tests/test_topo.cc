@@ -24,7 +24,7 @@ TopologyConfig small_config(std::uint64_t seed = 1) {
 
 std::string serialized(const Topology& topo) {
   std::ostringstream os;
-  write_json(os, topo, /*shards=*/4);
+  write_json(os, topo);
   std::ostringstream dot;
   write_dot(dot, topo);
   return os.str() + dot.str();
@@ -112,26 +112,6 @@ TEST(TopoSynth, AsyncEdgesPointAtAncestorsWithTerminalBehaviour) {
     EXPECT_GT(it->second.request_demand.mean_us, 0.0);
   }
   EXPECT_GT(async_edges, 0);
-}
-
-TEST(TopoSynth, PartitionAssignsEveryServiceAndPinsEntries) {
-  const Topology topo = synthesize(small_config());
-  const auto nodes = topo.partition_nodes();
-  const auto edges = topo.partition_edges();
-  EXPECT_EQ(nodes.size(), topo.app.services.size());
-  EXPECT_EQ(edges.size(), topo.edges.size());
-  for (int shards : {2, 4}) {
-    const sim::PartitionResult part =
-        sim::partition_service_graph(nodes, edges, shards);
-    ASSERT_TRUE(part.ok) << part.reason;
-    EXPECT_EQ(part.assignment.size(), nodes.size());
-    EXPECT_EQ(part.lookahead, topo.config.network_latency);
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      if (nodes[i].entry) {
-        EXPECT_EQ(part.assignment[i], 0);
-      }
-    }
-  }
 }
 
 TEST(TopoSynth, TenantMixesCoverClassesAndBatchPriority) {

@@ -2,13 +2,12 @@
 //
 // Usage:
 //   gen_topology [--services N] [--tenants N] [--entries N] [--seed S]
-//                [--shards N] [--json | --dot | --stats] [--out FILE]
+//                [--json | --dot | --stats] [--out FILE]
 //
-// --json (default) emits the machine-readable description; with --shards N
-// each node also carries its deterministic shard assignment and the dump
-// records the partition lookahead. --dot renders Graphviz (tenant clusters,
-// dashed async edges). --stats prints the distribution summary (depth
-// histogram, fan-out p99, shared-tier in-degree).
+// --json (default) emits the machine-readable description. --dot renders
+// Graphviz (tenant clusters, dashed async edges). --stats prints the
+// distribution summary (depth histogram, fan-out p99, shared-tier
+// in-degree).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,8 +24,7 @@ void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--services N] [--tenants N] [--entries N]\n"
                "          [--seed S] [--depth N] [--async-frac F]\n"
-               "          [--shards N] [--json | --dot | --stats]\n"
-               "          [--out FILE]\n",
+               "          [--json | --dot | --stats] [--out FILE]\n",
                argv0);
 }
 
@@ -46,7 +44,6 @@ bool parse_dbl(const char* s, double* out) {
 
 int main(int argc, char** argv) {
   sora::topo::TopologyConfig cfg;
-  int shards = 1;
   enum class Mode { kJson, kDot, kStats } mode = Mode::kJson;
   std::string out_path;
 
@@ -79,9 +76,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--async-frac") == 0 && has_value &&
                parse_dbl(argv[++i], &d)) {
       cfg.async_cycle_fraction = d;
-    } else if (std::strcmp(arg, "--shards") == 0 && has_value &&
-               parse_int(argv[++i], &n)) {
-      shards = static_cast<int>(n);
     } else if (std::strcmp(arg, "--out") == 0 && has_value) {
       out_path = argv[++i];
     } else {
@@ -109,7 +103,7 @@ int main(int argc, char** argv) {
   std::ostream& os = out_path.empty() ? std::cout : file;
   switch (mode) {
     case Mode::kJson:
-      sora::topo::write_json(os, topo, shards);
+      sora::topo::write_json(os, topo);
       break;
     case Mode::kDot:
       sora::topo::write_dot(os, topo);
