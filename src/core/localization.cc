@@ -64,17 +64,14 @@ CriticalServiceLocalizer::CriticalServiceLocalizer(Application& app,
 
 void CriticalServiceLocalizer::accumulate(const Trace& t) {
   ++window_traces_;
-  const CriticalPath cp = [&] {
-    SORA_PROFILE_STAGE("trace.critical_path");
-    return extract_critical_path(t);
-  }();
-  for (const CriticalHop& hop : cp.hops) {
+  if (t.spans.empty()) return;
+  const double rt_cp = static_cast<double>(t.root().duration());
+  for_each_critical_hop(t, [&](const Span& hop) {
     const std::uint64_t sid = hop.service.value();
-    if (sid >= accum_.size()) continue;  // defensive: unknown service
+    if (sid >= accum_.size()) return;  // defensive: unknown service
     ++window_hops_;
-    accum_[sid].add(static_cast<double>(hop.processing_time),
-                    static_cast<double>(cp.total_duration));
-  }
+    accum_[sid].add(static_cast<double>(hop.processing_time()), rt_cp);
+  });
 }
 
 void CriticalServiceLocalizer::begin_window() {
@@ -128,10 +125,10 @@ CriticalServiceReport CriticalServiceLocalizer::analyze() {
   cost.services_scanned = n;
 
   // --- Step 2: PCC(PT_si, RT_CP), streamed since begin_window ------------------
-  // The heavy lifting (critical-path extraction, co-moment accumulation)
-  // already happened at trace-store time; this pass is O(services), and
-  // services the window's critical paths never touched (acc.n == 0) cost
-  // one branch each.
+  // The heavy lifting (co-moment accumulation over the critical-path hops
+  // the warehouse marked) already happened at trace-store time; this pass
+  // is O(services), and services the window's critical paths never touched
+  // (acc.n == 0) cost one branch each.
   report.traces_analyzed = window_traces_;
   double top_pcc = -2.0;
   for (std::size_t i = 0; i < n && i < accum_.size(); ++i) {

@@ -8,11 +8,12 @@
 //      variation is the critical one.
 //
 // Step 2 streams: the localizer registers a store listener on the trace
-// warehouse and folds each trace's critical path into per-service
-// co-moment accumulators as it completes. A control round's analyze() then
-// costs O(services) instead of re-extracting critical paths for every trace
-// in the window — the dominant per-round cost at high trace rates (see
-// bench/micro_model_cost for the sweep).
+// warehouse and folds each trace's critical-path hops — marked once by the
+// warehouse as it stores the trace (trace/critical_path.h) — into
+// per-service co-moment accumulators. The localizer never extracts a path
+// itself, and a control round's analyze() costs O(services) instead of
+// rescanning every trace in the window (see bench/micro_model_cost for the
+// sweep).
 #pragma once
 
 #include <cmath>
@@ -166,7 +167,8 @@ class CriticalServiceLocalizer {
   const LocalizerRoundCost& last_round_cost() const { return last_cost_; }
 
  private:
-  /// Fold one completed trace's critical path into the accumulators.
+  /// Fold one stored trace's marked critical-path hops into the
+  /// accumulators.
   void accumulate(const Trace& t);
 
   Application& app_;

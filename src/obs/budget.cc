@@ -1,7 +1,6 @@
 #include "obs/budget.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "obs/json.h"
 #include "trace/critical_path.h"
@@ -28,37 +27,33 @@ TraceBudget attribute_budget(const Trace& trace, SimTime sla) {
   out.sla = sla;
   out.response = trace.response_time();
   out.met_sla = out.response <= sla;
-  const CriticalPath path = extract_critical_path(trace);
-  out.hops.reserve(path.hops.size());
+  // The tracer's own copy, before the warehouse marks its copy: walk the
+  // path directly.
   SimTime upstream = 0;
-  for (const CriticalHop& hop : path.hops) {
+  walk_critical_path(trace, [&](const Span& s) {
     HopBudget hb;
-    hb.service = hop.service;
-    hb.processing = hop.processing_time;
-    hb.span_duration = hop.span_duration;
+    hb.service = s.service;
+    hb.processing = s.processing_time();
+    hb.span_duration = s.duration();
     hb.deadline = sla - upstream;
-    hb.slack = hb.deadline - hop.span_duration;
+    hb.slack = hb.deadline - hb.span_duration;
     out.hops.push_back(hb);
-    upstream += hop.processing_time;
-  }
+    upstream += hb.processing;
+  });
   return out;
 }
 
 void annotate_budget(Trace& trace, SimTime sla) {
-  if (trace.spans.empty()) return;
   // Spans are stored in creation order, so every parent precedes its
-  // children and one forward pass suffices.
-  std::unordered_map<std::uint64_t, std::size_t> index;
-  index.reserve(trace.spans.size());
+  // children: one forward pass suffices, and each parent is found by
+  // position among the spans before its child.
   for (std::size_t i = 0; i < trace.spans.size(); ++i) {
-    index.emplace(trace.spans[i].id.value(), i);
-  }
-  for (Span& s : trace.spans) {
+    Span& s = trace.spans[i];
     SimTime deadline = sla;
     if (s.parent.valid()) {
-      const auto it = index.find(s.parent.value());
-      if (it != index.end()) {
-        const Span& parent = trace.spans[it->second];
+      const std::size_t p = find_span(trace, s.parent, 0, i);
+      if (p != kNoSpan) {
+        const Span& parent = trace.spans[p];
         deadline = parent.budget_deadline - parent.processing_time();
       }
     }

@@ -12,8 +12,9 @@ OverheadProfiler& OverheadProfiler::global() {
 
 void OverheadProfiler::record(const char* stage, double us) {
   const std::lock_guard<std::mutex> lock(mu_);
-  StageStats& s = stages_[stage];
-  if (s.stage.empty()) s.stage = stage;
+  auto it = stages_.find(std::string_view(stage));
+  if (it == stages_.end()) it = stages_.emplace(stage, StageStats{stage}).first;
+  StageStats& s = it->second;
   ++s.calls;
   s.total_us += us;
   s.max_us = std::max(s.max_us, us);

@@ -11,21 +11,26 @@
 // A process-global instance keeps the hot control path free of plumbing.
 // Each Simulator is single-threaded, but independent experiments may run
 // concurrently on sweep-worker threads (harness::SweepRunner), so the
-// per-stage accumulators are guarded by a mutex — contention is negligible
-// because stages fire at control-round granularity, not per event. Harness
-// consumers (ExperimentSummary, bench/micro_model_cost) snapshot-and-diff
-// around the region they attribute; note that under a parallel sweep the
-// global profiler aggregates stages from all concurrently running
-// experiments, so per-experiment deltas are attributable only in serial
-// runs.
+// per-stage accumulators are guarded by a mutex. Most stages fire once per
+// control round; the busiest, `trace.critical_path`, fires once per stored
+// trace (the warehouse's store-time marking pass), so record() takes the
+// lock and looks the stage up without allocating. Harness consumers
+// (ExperimentSummary, bench/micro_model_cost) snapshot-and-diff around the
+// region they attribute; note that under a parallel sweep the global
+// profiler aggregates stages from all concurrently running experiments, so
+// per-experiment deltas are attributable only in serial runs. The profiler
+// depends on nothing else and is compiled into sora_common, so every layer,
+// the trace warehouse included, can time its stages.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sora::obs {
@@ -88,7 +93,9 @@ class OverheadProfiler {
 
  private:
   mutable std::mutex mu_;
-  std::map<std::string, StageStats> stages_;
+  // Transparent comparator: record() looks stages up by string_view and
+  // builds the key string only the first time a stage is seen.
+  std::map<std::string, StageStats, std::less<>> stages_;
 };
 
 }  // namespace sora::obs

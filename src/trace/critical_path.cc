@@ -1,53 +1,66 @@
 #include "trace/critical_path.h"
 
-#include <unordered_map>
-
 namespace sora {
 
-namespace {
-
-using SpanIndex = std::unordered_map<std::uint64_t, const Span*>;
-
-SpanIndex index_spans(const Trace& trace) {
-  SpanIndex idx;
-  idx.reserve(trace.spans.size());
-  for (const Span& s : trace.spans) idx.emplace(s.id.value(), &s);
-  return idx;
+std::size_t find_span(const Trace& trace, SpanId id, std::size_t first,
+                      std::size_t last) {
+  // Hand-rolled lower bound: the range need not actually be sorted, and a
+  // miss on unsorted ids just falls through to the scan below.
+  std::size_t lo = first;
+  std::size_t hi = last;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (trace.spans[mid].id.value() < id.value()) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  if (lo < last && trace.spans[lo].id == id) return lo;
+  for (std::size_t i = 0; i < trace.spans.size(); ++i) {
+    if (trace.spans[i].id == id) return i;
+  }
+  return kNoSpan;
 }
 
-}  // namespace
+std::size_t critical_child(const Trace& trace, std::size_t index) {
+  // Descend into the child visit of maximal duration: it dominates the
+  // downstream wall time of this span. Async callback children are
+  // fire-and-forget — the caller's response never waits on them — so they
+  // can never sit on the critical path, however long they run.
+  std::size_t next = kNoSpan;
+  SimTime best = -1;
+  for (const ChildCall& call : trace.spans[index].children) {
+    if (call.async) continue;
+    const std::size_t c =
+        find_span(trace, call.child, index + 1, trace.spans.size());
+    if (c == kNoSpan) continue;  // child span missing (defensive)
+    const SimTime d = trace.spans[c].duration();
+    if (d > best) {
+      best = d;
+      next = c;
+    }
+  }
+  return next;
+}
 
 CriticalPath extract_critical_path(const Trace& trace) {
   CriticalPath path;
   if (trace.spans.empty()) return path;
-
-  const SpanIndex idx = index_spans(trace);
-  const Span* current = &trace.root();
-  path.total_duration = current->duration();
-
-  while (current != nullptr) {
-    path.hops.push_back(CriticalHop{current->service, current->id,
-                                    current->processing_time(),
-                                    current->duration()});
-    // Descend into the child visit of maximal duration: it dominates the
-    // downstream wall time of this span. Async callback children are
-    // fire-and-forget — the caller's response never waits on them — so they
-    // can never sit on the critical path, however long they run.
-    const Span* next = nullptr;
-    SimTime best = -1;
-    for (const ChildCall& call : current->children) {
-      if (call.async) continue;
-      auto it = idx.find(call.child.value());
-      if (it == idx.end()) continue;  // child span missing (defensive)
-      const SimTime d = it->second->duration();
-      if (d > best) {
-        best = d;
-        next = it->second;
-      }
-    }
-    current = next;
-  }
+  path.total_duration = trace.root().duration();
+  walk_critical_path(trace, [&path](const Span& s) {
+    path.hops.push_back(
+        CriticalHop{s.service, s.id, s.processing_time(), s.duration()});
+  });
   return path;
+}
+
+void mark_critical_path(Trace& trace) {
+  for (Span& s : trace.spans) s.on_critical_path = false;
+  if (trace.spans.empty()) return;
+  for (std::size_t i = 0; i != kNoSpan; i = critical_child(trace, i)) {
+    trace.spans[i].on_critical_path = true;
+  }
 }
 
 SimTime upstream_processing_time(const CriticalPath& path, ServiceId service) {
@@ -55,6 +68,16 @@ SimTime upstream_processing_time(const CriticalPath& path, ServiceId service) {
   for (const auto& hop : path.hops) {
     if (hop.service == service) return sum;
     sum += hop.processing_time;
+  }
+  return -1;
+}
+
+SimTime upstream_processing_time(const Trace& trace, ServiceId service) {
+  SimTime sum = 0;
+  for (const Span& s : trace.spans) {
+    if (!s.on_critical_path) continue;
+    if (s.service == service) return sum;
+    sum += s.processing_time();
   }
   return -1;
 }

@@ -59,6 +59,11 @@ struct Span {
   /// — but rejected distinguishes deliberate shedding from crash aborts).
   bool rejected = false;
 
+  /// This visit is a hop of the trace's critical path. Stamped once, on the
+  /// trace warehouse's copy, by mark_critical_path (trace/critical_path.h);
+  /// false everywhere else. Sits in padding, so Span does not grow.
+  bool on_critical_path = false;
+
   // -- latency-budget annotation (stamped at trace completion when SLO
   // analytics is enabled; see obs/budget.h) -----------------------------------
   /// Propagated local deadline at this hop: the end-to-end SLA minus the

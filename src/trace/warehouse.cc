@@ -1,7 +1,9 @@
 #include "trace/warehouse.h"
 
 #include <memory>
-#include <unordered_map>
+
+#include "obs/profiler.h"
+#include "trace/critical_path.h"
 
 namespace sora {
 
@@ -19,6 +21,10 @@ void TraceWarehouse::attach(Tracer& tracer, std::uint64_t sample_every_n) {
 }
 
 void TraceWarehouse::store(Trace trace) {
+  {
+    SORA_PROFILE_STAGE("trace.critical_path");
+    mark_critical_path(trace);
+  }
   traces_.push_back(std::move(trace));
   ++total_stored_;
   for (const auto& listener : store_listeners_) listener(traces_.back());
@@ -67,36 +73,6 @@ std::size_t TraceWarehouse::count_in_window(SimTime from, SimTime to) const {
   std::size_t n = 0;
   for_each_in_window(from, to, [&n](const Trace&) { ++n; });
   return n;
-}
-
-void CallGraphStore::attach(Tracer& tracer) {
-  tracer.add_trace_listener([this](const Trace& t) { ingest(t); });
-}
-
-void CallGraphStore::ingest(const Trace& trace) {
-  std::unordered_map<std::uint64_t, const Span*> idx;
-  idx.reserve(trace.spans.size());
-  for (const Span& s : trace.spans) idx.emplace(s.id.value(), &s);
-  for (const Span& s : trace.spans) {
-    if (!s.parent.valid()) {
-      ++roots_[s.service.value()];
-      continue;
-    }
-    auto it = idx.find(s.parent.value());
-    if (it != idx.end()) {
-      ++edges_[key(it->second->service, s.service)];
-    }
-  }
-}
-
-std::uint64_t CallGraphStore::edge_count(ServiceId from, ServiceId to) const {
-  auto it = edges_.find(key(from, to));
-  return it == edges_.end() ? 0 : it->second;
-}
-
-std::uint64_t CallGraphStore::root_count(ServiceId service) const {
-  auto it = roots_.find(service.value());
-  return it == roots_.end() ? 0 : it->second;
 }
 
 }  // namespace sora

@@ -2,8 +2,9 @@
 //
 // Stands in for the paper's Neo4j + per-service MongoDB trace stores: the
 // Concurrency Estimator pulls recent traces from here asynchronously for
-// critical-service localization and deadline propagation. A ring buffer
-// bounds memory; queries filter by completion-time window.
+// critical-service localization and deadline propagation, both of which
+// read the critical-path marks stamped at store time. A ring buffer bounds
+// memory; queries filter by completion-time window.
 #pragma once
 
 #include <cstddef>
@@ -28,12 +29,16 @@ class TraceWarehouse {
   /// costs the localization/deadline phases.
   void attach(Tracer& tracer, std::uint64_t sample_every_n = 1);
 
-  /// Store a completed trace directly (used by tests).
+  /// Store a completed trace (the tracer listener's path; tests call it
+  /// directly). This is where each trace's critical path is extracted, once:
+  /// its hops are marked Span::on_critical_path on the stored copy before
+  /// any store listener sees it.
   void store(Trace trace);
 
   /// Observe every trace as it is stored (after sampling/eviction policy
-  /// admits it). The critical-service localizer streams its correlation
-  /// accumulators from here so control rounds no longer rescan the window.
+  /// admits it), critical path already marked. The critical-service
+  /// localizer streams its correlation accumulators from here so control
+  /// rounds no longer rescan the window.
   void add_store_listener(std::function<void(const Trace&)> fn) {
     store_listeners_.push_back(std::move(fn));
   }
@@ -47,8 +52,9 @@ class TraceWarehouse {
   std::size_t count_in_window(SimTime from, SimTime to) const;
 
   /// Order-sensitive FNV-1a fingerprint of every retained trace (ids, span
-  /// services, message timestamps, failure flags). Two warehouses from
-  /// byte-identical runs digest equal; any timing or structural divergence
+  /// services, message timestamps, failure flags; not the critical-path
+  /// marks, which derive from those). Two warehouses from byte-identical
+  /// runs digest equal; any timing or structural divergence
   /// changes the value. Used by the causal profiler's control-run check.
   std::uint64_t digest() const;
 
@@ -63,28 +69,6 @@ class TraceWarehouse {
   std::vector<std::function<void(const Trace&)>> store_listeners_;
   std::uint64_t total_stored_ = 0;
   std::uint64_t total_evicted_ = 0;
-};
-
-/// Aggregate call-graph store: counts observed service->service invocation
-/// edges across traces (the role the paper assigns to its Neo4j graph
-/// database). Useful for topology discovery and diagnostics.
-class CallGraphStore {
- public:
-  void attach(Tracer& tracer);
-  void ingest(const Trace& trace);
-
-  /// Number of observed calls from `from` to `to`.
-  std::uint64_t edge_count(ServiceId from, ServiceId to) const;
-  /// Number of root spans observed at `service`.
-  std::uint64_t root_count(ServiceId service) const;
-  std::size_t num_edges() const { return edges_.size(); }
-
- private:
-  static std::uint64_t key(ServiceId from, ServiceId to) {
-    return (from.value() << 32) | (to.value() & 0xffffffffULL);
-  }
-  std::unordered_map<std::uint64_t, std::uint64_t> edges_;
-  std::unordered_map<std::uint64_t, std::uint64_t> roots_;
 };
 
 }  // namespace sora

@@ -3,12 +3,82 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
+#include "harness/experiment.h"
 #include "test_util.h"
+#include "topo/synth.h"
 
 namespace sora {
 namespace {
 
 using testutil::SyntheticSpan;
+
+// Span with every field but on_critical_path: the mark must live in the
+// padding after `rejected`, so adding it may not grow the span.
+struct SpanWithoutMark {
+  SpanId id;
+  TraceId trace;
+  SpanId parent;
+  ServiceId service;
+  InstanceId instance;
+  int request_class = 0;
+  SimTime arrival = 0;
+  SimTime admitted = 0;
+  SimTime departure = 0;
+  SimTime downstream_wait = 0;
+  bool failed = false;
+  bool rejected = false;
+  SimTime budget_deadline = kSimTimeNever;
+  SimTime budget_slack = 0;
+  std::vector<ChildCall> children;
+};
+static_assert(sizeof(Span) == sizeof(SpanWithoutMark),
+              "Span::on_critical_path must not grow Span");
+
+// Marks a copy of `t` and checks the marked hops, read in storage order, are
+// exactly the hops extract_critical_path returns, in the same order, and
+// that both upstream_processing_time overloads agree for every service.
+void expect_marks_match_extraction(const Trace& t) {
+  const CriticalPath cp = extract_critical_path(t);
+  Trace marked = t;
+  mark_critical_path(marked);
+  std::vector<CriticalHop> hops;
+  for_each_critical_hop(marked, [&hops](const Span& s) {
+    hops.push_back(
+        CriticalHop{s.service, s.id, s.processing_time(), s.duration()});
+  });
+  ASSERT_EQ(hops.size(), cp.hops.size());
+  for (std::size_t i = 0; i < hops.size(); ++i) {
+    EXPECT_EQ(hops[i].span, cp.hops[i].span) << "hop " << i;
+    EXPECT_EQ(hops[i].service, cp.hops[i].service) << "hop " << i;
+    EXPECT_EQ(hops[i].processing_time, cp.hops[i].processing_time);
+    EXPECT_EQ(hops[i].span_duration, cp.hops[i].span_duration);
+  }
+  std::vector<ServiceId> services{ServiceId(1u << 30)};  // never on a path
+  for (const Span& s : t.spans) services.push_back(s.service);
+  for (ServiceId s : services) {
+    EXPECT_EQ(upstream_processing_time(marked, s),
+              upstream_processing_time(cp, s))
+        << "service " << s.value();
+  }
+}
+
+// Renumber span ids in descending storage order (parents keep preceding
+// their children, but ids now run backwards), rewiring every reference.
+void reverse_span_ids(Trace& t) {
+  std::map<std::uint64_t, std::uint64_t> remap;
+  const std::uint64_t top = 100000 + t.spans.size();
+  for (std::size_t i = 0; i < t.spans.size(); ++i) {
+    remap[t.spans[i].id.value()] = top - i;
+  }
+  for (Span& s : t.spans) {
+    s.id = SpanId(remap.at(s.id.value()));
+    if (s.parent.valid()) s.parent = SpanId(remap.at(s.parent.value()));
+    for (ChildCall& c : s.children) c.child = SpanId(remap.at(c.child.value()));
+  }
+}
 
 TEST(CriticalPath, SingleSpan) {
   const Trace t = testutil::make_trace({
@@ -170,6 +240,155 @@ TEST(CriticalPath, ProcessingTimeBoundedByDuration) {
     pt_sum += hop.processing_time;
   }
   EXPECT_LE(pt_sum, cp.total_duration);
+}
+
+TEST(CriticalPathMarks, LinearChain) {
+  const Trace t = testutil::make_trace({
+      {-1, 0, 0, 500, 430},
+      {0, 1, 20, 450, 350},
+      {1, 2, 50, 400, 270},
+      {2, 3, 80, 350, 0},
+  });
+  expect_marks_match_extraction(t);
+  Trace marked = t;
+  mark_critical_path(marked);
+  for (const Span& s : marked.spans) EXPECT_TRUE(s.on_critical_path);
+}
+
+TEST(CriticalPathMarks, DurationTieFirstListedChildWins) {
+  const Trace t = testutil::make_trace({
+      {-1, 0, 0, 100, 80},
+      {0, 1, 10, 90, 0, 0},
+      {0, 2, 10, 90, 0, 0},
+  });
+  expect_marks_match_extraction(t);
+  Trace marked = t;
+  mark_critical_path(marked);
+  EXPECT_TRUE(marked.spans[1].on_critical_path);
+  EXPECT_FALSE(marked.spans[2].on_critical_path);
+}
+
+TEST(CriticalPathMarks, AsyncChildIsNeverTaken) {
+  // The async callback (service 2) outlives every synchronous child, yet
+  // the caller never waits on it.
+  Trace t = testutil::make_trace({
+      {-1, 0, 0, 100, 50},
+      {0, 1, 10, 60, 0, 0},
+      {0, 2, 90, 900, 0, -1},
+  });
+  t.spans[0].children[1].async = true;
+  expect_marks_match_extraction(t);
+  Trace marked = t;
+  mark_critical_path(marked);
+  EXPECT_TRUE(marked.spans[1].on_critical_path);
+  EXPECT_FALSE(marked.spans[2].on_critical_path);
+}
+
+TEST(CriticalPathMarks, MissingChildSpanTruncatesPath) {
+  Trace t = testutil::make_trace({
+      {-1, 0, 0, 500, 430},
+      {0, 1, 20, 450, 350},
+      {1, 2, 50, 400, 270},
+      {2, 3, 80, 350, 0},
+      {0, 4, 20, 100, 0},
+  });
+  t.spans.erase(t.spans.begin() + 1);  // the root's longest child
+  expect_marks_match_extraction(t);
+  Trace marked = t;
+  mark_critical_path(marked);
+  // The path falls back to the surviving child of the root.
+  EXPECT_EQ(extract_critical_path(t).hops.size(), 2u);
+  EXPECT_TRUE(marked.spans.back().on_critical_path);
+}
+
+TEST(CriticalPathMarks, OutOfOrderSpanIdsUseTheFallbackScan) {
+  Trace t = testutil::make_trace({
+      {-1, 0, 0, 1000, 900},
+      {0, 1, 50, 900, 700},
+      {0, 2, 50, 300, 0},
+      {1, 3, 100, 750, 600},
+      {3, 4, 120, 700, 0},
+      {1, 5, 100, 200, 0},
+  });
+  const CriticalPath before = extract_critical_path(t);
+  reverse_span_ids(t);
+  const CriticalPath after = extract_critical_path(t);
+  ASSERT_EQ(after.hops.size(), before.hops.size());
+  for (std::size_t i = 0; i < after.hops.size(); ++i) {
+    EXPECT_EQ(after.hops[i].service, before.hops[i].service);
+  }
+  EXPECT_EQ(find_span(t, t.spans[4].id, 1, t.spans.size()), 4u);
+  EXPECT_EQ(find_span(t, SpanId(7), 0, t.spans.size()), kNoSpan);
+  expect_marks_match_extraction(t);
+}
+
+TEST(CriticalPathMarks, RemarkingClearsStaleMarks) {
+  Trace t = testutil::make_trace({
+      {-1, 0, 0, 100, 80},
+      {0, 1, 10, 40, 0, 0},
+      {0, 2, 10, 90, 0, 0},
+  });
+  for (Span& s : t.spans) s.on_critical_path = true;
+  mark_critical_path(t);
+  EXPECT_TRUE(t.spans[0].on_critical_path);
+  EXPECT_FALSE(t.spans[1].on_critical_path);
+  EXPECT_TRUE(t.spans[2].on_critical_path);
+}
+
+TEST(CriticalPathMarks, EmptyTraceHasNoHops) {
+  Trace t;
+  mark_critical_path(t);
+  std::size_t hops = 0;
+  for_each_critical_hop(t, [&hops](const Span&) { ++hops; });
+  EXPECT_EQ(hops, 0u);
+  EXPECT_EQ(upstream_processing_time(t, ServiceId(0)), -1);
+}
+
+// Real traces from a synthesized 1000-service fleet: deep, wide span trees
+// with async callbacks, recorded by the tracer (so span ids increase in
+// storage order and the positional lookup never needs its fallback).
+TEST(CriticalPathMarks, SynthesizedThousandServiceTopologyTraces) {
+  topo::TopologyConfig cfg;
+  cfg.seed = 1;
+  cfg.services = 1000;
+  const topo::Topology topo = topo::synthesize(cfg);
+  ExperimentConfig ecfg;
+  ecfg.duration = sec(3);
+  ecfg.seed = 7;
+  ecfg.sla = topo.config.request_sla;
+  Experiment exp(topo.app, ecfg);
+  for (int tenant = 0; tenant < cfg.tenants; ++tenant) {
+    exp.open_loop(
+        WorkloadTrace(TraceShape::kSlowlyVarying, ecfg.duration, 5.0, 10.0),
+        topo.tenant_mix(tenant));
+  }
+  std::vector<Trace> traces;
+  exp.tracer().add_trace_listener(
+      [&traces](const Trace& t) { traces.push_back(t); });
+  exp.run();
+  ASSERT_GT(traces.size(), 10u);
+  std::size_t max_spans = 0;
+  std::size_t max_hops = 0;
+  for (const Trace& t : traces) {
+    max_spans = std::max(max_spans, t.spans.size());
+    max_hops = std::max(max_hops, extract_critical_path(t).hops.size());
+    expect_marks_match_extraction(t);
+  }
+  EXPECT_GT(max_spans, 20u);
+  EXPECT_GT(max_hops, 3u);
+  // The warehouse's copies carry the same marks.
+  std::size_t stored = 0;
+  exp.warehouse().for_each_in_window(0, kSimTimeNever, [&](const Trace& t) {
+    ++stored;
+    const CriticalPath cp = extract_critical_path(t);
+    std::size_t i = 0;
+    for_each_critical_hop(t, [&](const Span& s) {
+      ASSERT_LT(i, cp.hops.size());
+      EXPECT_EQ(s.id, cp.hops[i++].span);
+    });
+    EXPECT_EQ(i, cp.hops.size());
+  });
+  EXPECT_EQ(stored, exp.warehouse().size());
 }
 
 }  // namespace

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.h"
 #include "test_util.h"
+#include "trace/critical_path.h"
 
 namespace sora {
 namespace {
@@ -172,6 +176,105 @@ TEST(Deadline, MaxTracesBoundsFoldDeterministically) {
   const DeadlineResult exact =
       propagate_deadline(wh, 0, 100000, ServiceId(2), usec(500), o);
   EXPECT_EQ(exact.traces_used, 100u);
+}
+
+// Random span tree ending at `end`: parents precede children, random
+// services, durations, downstream waits, parallel groups and async edges.
+Trace random_trace(Rng& rng, std::uint64_t id, SimTime end) {
+  const std::size_t n = 1 + rng.uniform_int(12);
+  std::vector<SyntheticSpan> spans;
+  spans.push_back(SyntheticSpan{-1, rng.uniform_int(6), end - 1000, end,
+                                static_cast<SimTime>(rng.uniform_int(900))});
+  for (std::size_t i = 1; i < n; ++i) {
+    const SimTime arrival =
+        end - 990 + static_cast<SimTime>(rng.uniform_int(400));
+    const SimTime duration = 1 + static_cast<SimTime>(rng.uniform_int(500));
+    spans.push_back(SyntheticSpan{
+        static_cast<int>(rng.uniform_int(i)), rng.uniform_int(6), arrival,
+        arrival + duration, static_cast<SimTime>(rng.uniform_int(
+                                static_cast<std::uint64_t>(duration))),
+        static_cast<int>(rng.uniform_int(3))});
+  }
+  Trace t = testutil::make_trace(spans, id);
+  t.request_class = static_cast<int>(rng.uniform_int(2));
+  for (Span& s : t.spans) {
+    for (ChildCall& c : s.children) c.async = rng.uniform_int(5) == 0;
+  }
+  return t;
+}
+
+// The pre-marking algorithm: extract each window trace's path, sum the
+// upstream PT over the hop list in double, same systematic sampling.
+DeadlineResult oracle(const TraceWarehouse& wh, SimTime from, SimTime to,
+                      ServiceId critical, SimTime sla,
+                      const DeadlineOptions& o) {
+  std::vector<const Trace*> window;
+  wh.for_each_in_window(from, to, [&](const Trace& t) {
+    if (o.request_class < 0 || t.request_class == o.request_class) {
+      window.push_back(&t);
+    }
+  });
+  std::size_t stride = 1;
+  if (o.max_traces > 0) {
+    stride = std::max<std::size_t>(
+        1, (window.size() + o.max_traces - 1) / o.max_traces);
+  }
+  DeadlineResult r;
+  double sum = 0.0;
+  for (std::size_t i = 0; i < window.size(); i += stride) {
+    const SimTime up = upstream_processing_time(
+        extract_critical_path(*window[i]), critical);
+    if (up < 0) continue;
+    sum += static_cast<double>(up);
+    ++r.traces_used;
+  }
+  if (r.traces_used == 0) return r;
+  r.mean_upstream_pt =
+      static_cast<SimTime>(sum / static_cast<double>(r.traces_used));
+  const SimTime floor = std::max(
+      o.min_threshold,
+      static_cast<SimTime>(o.min_fraction_of_sla * static_cast<double>(sla)));
+  r.rt_threshold = std::max(floor, sla - r.mean_upstream_pt);
+  r.valid = true;
+  return r;
+}
+
+// propagate_deadline reads the critical-path marks the warehouse stamped at
+// store time; it must agree exactly with extracting every path afresh, over
+// random windows, classes, critical services and sampling bounds — with
+// eviction active, so part of the stored history is gone.
+TEST(Deadline, MarkedPathsMatchExtractionOracle) {
+  Rng rng(2024);
+  TraceWarehouse wh(400);
+  SimTime end = 2000;
+  for (std::uint64_t id = 1; id <= 500; ++id) {
+    end += 1 + static_cast<SimTime>(rng.uniform_int(50));
+    wh.store(random_trace(rng, id, end));
+  }
+  ASSERT_EQ(wh.total_evicted(), 100u);
+  std::size_t compared = 0;
+  for (int round = 0; round < 200; ++round) {
+    const SimTime from = static_cast<SimTime>(rng.uniform_int(
+        static_cast<std::uint64_t>(end)));
+    const SimTime to =
+        from + static_cast<SimTime>(rng.uniform_int(
+                   static_cast<std::uint64_t>(end)));
+    const ServiceId critical(rng.uniform_int(7));  // 6 = never on a path
+    DeadlineOptions o = usec_opts();
+    o.request_class = static_cast<int>(rng.uniform_int(3)) - 1;
+    const std::size_t bounds[] = {0, 1, 7, 64};
+    o.max_traces = bounds[rng.uniform_int(4)];
+    const SimTime sla = usec(200 + static_cast<SimTime>(rng.uniform_int(800)));
+    const DeadlineResult want = oracle(wh, from, to, critical, sla, o);
+    const DeadlineResult got =
+        propagate_deadline(wh, from, to, critical, sla, o);
+    EXPECT_EQ(got.valid, want.valid) << "round " << round;
+    EXPECT_EQ(got.traces_used, want.traces_used) << "round " << round;
+    EXPECT_EQ(got.mean_upstream_pt, want.mean_upstream_pt) << "round " << round;
+    EXPECT_EQ(got.rt_threshold, want.rt_threshold) << "round " << round;
+    if (want.valid) ++compared;
+  }
+  EXPECT_GT(compared, 50u);  // most rounds exercised a non-empty fold
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
-// Tests for the trace warehouse and the aggregate call-graph store.
+// Tests for the trace warehouse.
 #include "trace/warehouse.h"
 
 #include <gtest/gtest.h>
 
+#include "apps/sock_shop.h"
+#include "harness/experiment.h"
+#include "obs/profiler.h"
 #include "test_util.h"
+#include "trace/critical_path.h"
 
 namespace sora {
 namespace {
@@ -62,22 +66,113 @@ TEST(TraceWarehouse, AttachToTracer) {
   EXPECT_EQ(wh.size(), 1u);
 }
 
-TEST(CallGraphStore, CountsEdgesAndRoots) {
-  CallGraphStore store;
-  const Trace t = testutil::make_trace({
-      {-1, 0, 0, 100, 80},
-      {0, 1, 10, 90, 60},
-      {1, 2, 20, 80, 0},
-      {0, 3, 10, 30, 0},
+// The marked hops of a stored trace, in storage order.
+std::vector<SpanId> marked_hops(const Trace& t) {
+  std::vector<SpanId> ids;
+  for_each_critical_hop(t, [&ids](const Span& s) { ids.push_back(s.id); });
+  return ids;
+}
+
+std::vector<SpanId> extracted_hops(const Trace& t) {
+  std::vector<SpanId> ids;
+  for (const CriticalHop& h : extract_critical_path(t).hops) {
+    ids.push_back(h.span);
+  }
+  return ids;
+}
+
+// root -> {svc 1 (fast), svc 2 (slow) -> svc 3}, ending at `end`.
+Trace fanout_ending_at(SimTime end, std::uint64_t id) {
+  return testutil::make_trace(
+      {
+          {-1, 0, end - 100, end, 90},
+          {0, 1, end - 95, end - 80, 0, 0},
+          {0, 2, end - 95, end - 10, 60, 0},
+          {2, 3, end - 80, end - 20, 0},
+      },
+      id);
+}
+
+TEST(TraceWarehouse, StoredTracesAreMarked) {
+  TraceWarehouse wh(10);
+  Trace stale = fanout_ending_at(100, 1);
+  for (Span& s : stale.spans) s.on_critical_path = true;  // stale marks
+  wh.store(stale);
+  wh.store(fanout_ending_at(200, 2));
+  std::size_t seen = 0;
+  wh.for_each_in_window(0, 1000, [&](const Trace& t) {
+    ++seen;
+    EXPECT_EQ(marked_hops(t), extracted_hops(t));
+    EXPECT_EQ(marked_hops(t).size(), 3u);  // root, svc 2, svc 3
   });
-  store.ingest(t);
-  store.ingest(t);
-  EXPECT_EQ(store.root_count(ServiceId(0)), 2u);
-  EXPECT_EQ(store.edge_count(ServiceId(0), ServiceId(1)), 2u);
-  EXPECT_EQ(store.edge_count(ServiceId(1), ServiceId(2)), 2u);
-  EXPECT_EQ(store.edge_count(ServiceId(0), ServiceId(3)), 2u);
-  EXPECT_EQ(store.edge_count(ServiceId(2), ServiceId(0)), 0u);
-  EXPECT_EQ(store.num_edges(), 3u);
+  EXPECT_EQ(seen, 2u);
+}
+
+TEST(TraceWarehouse, StoreListenersSeeMarkedTraces) {
+  TraceWarehouse wh(10);
+  std::vector<SpanId> seen;
+  wh.add_store_listener([&seen](const Trace& t) { seen = marked_hops(t); });
+  const Trace t = fanout_ending_at(100, 1);
+  wh.store(t);
+  EXPECT_EQ(seen, extracted_hops(t));
+}
+
+TEST(TraceWarehouse, EvictionKeepsRemainingMarks) {
+  TraceWarehouse wh(2);
+  wh.store(fanout_ending_at(100, 1));
+  wh.store(trace_ending_at(200, 2));
+  wh.store(fanout_ending_at(300, 3));
+  wh.store(fanout_ending_at(400, 4));
+  EXPECT_EQ(wh.total_evicted(), 2u);
+  std::vector<SimTime> ends;
+  wh.for_each_in_window(0, 1000, [&](const Trace& t) {
+    ends.push_back(t.end);
+    EXPECT_EQ(marked_hops(t), extracted_hops(t));
+    EXPECT_EQ(upstream_processing_time(t, ServiceId(3)),
+              upstream_processing_time(extract_critical_path(t), ServiceId(3)));
+  });
+  EXPECT_EQ(ends, (std::vector<SimTime>{300, 400}));
+}
+
+// The critical path of every stored trace is extracted exactly once, at
+// store time: over a one-minute Figure-10 cart run with FIRM and Sora both
+// localizing and Sora propagating deadlines every round, the profiler's
+// `trace.critical_path` count equals the traces stored.
+TEST(TraceWarehouse, OneCriticalPathExtractionPerStoredTrace) {
+  obs::OverheadProfiler::global().reset();
+  sock_shop::Params params;
+  params.cart_cores = 2.0;
+  params.cart_threads = 5;
+  ExperimentConfig cfg;
+  cfg.duration = minutes(1);
+  cfg.sla = msec(400);
+  cfg.seed = 42;
+  Experiment exp(sock_shop::make_sock_shop(params), cfg);
+  exp.closed_loop(600, sec(1), RequestMix(sock_shop::kBrowse))
+      .follow_trace(
+          WorkloadTrace(TraceShape::kSteepTriPhase, cfg.duration, 600, 2400));
+  FirmOptions fo;
+  fo.slo_latency = cfg.sla;
+  fo.min_cores = 2.0;
+  fo.max_cores = 4.0;
+  auto& firm = exp.add_firm(fo);
+  firm.manage(exp.app().service("cart"));
+  SoraFrameworkOptions so;
+  so.sla = cfg.sla;
+  auto& fw = exp.add_sora(so);
+  fw.manage(ResourceKnob::entry(exp.app().service("cart")));
+  Experiment::link(firm, fw);
+  exp.run();
+
+  ASSERT_GT(exp.warehouse().total_stored(), 1000u);
+  std::uint64_t cp_calls = 0;
+  std::uint64_t deadline_calls = 0;
+  for (const obs::StageStats& s : obs::OverheadProfiler::global().stats()) {
+    if (s.stage == "trace.critical_path") cp_calls = s.calls;
+    if (s.stage == "sora.deadline_prop") deadline_calls = s.calls;
+  }
+  EXPECT_EQ(cp_calls, exp.warehouse().total_stored());
+  EXPECT_GT(deadline_calls, 0u);  // deadline propagation did run
 }
 
 }  // namespace
