@@ -45,10 +45,10 @@ Experiment::Experiment(ApplicationConfig app_config, ExperimentConfig config)
                                        config_.seed);
   // Traces that outlive their root (async callback edges) are reported by
   // whichever service closed last; the report rides the network back to
-  // the collector — one wire hop — before the trace listeners run.
+  // the collector — one wire hop — before the warehouse stores it.
   tracer_.set_deferred_delivery([this](Trace&& t) {
-    app_->deliver([this, done = std::move(t)]() mutable {
-      tracer_.deliver_trace(std::move(done));
+    app_->deliver([this, done = std::move(t)]() {
+      tracer_.deliver_trace(done);
     });
   });
   recorder_ = std::make_unique<LatencyRecorder>(sim_, config_.sla,
@@ -234,12 +234,7 @@ void Experiment::enable_slo_analytics(SloAnalyticsOptions options) {
       config_.sla, options.attribution_window,
       [this](ServiceId id) { return app_->service_name(id); });
 
-  // Stamp deadline/slack annotations before the warehouse (or any other
-  // listener) sees the trace, so stored spans carry their budget.
-  tracer_.set_trace_finalizer(
-      [this](Trace& t) { obs::annotate_budget(t, config_.sla); });
-
-  tracer_.add_trace_listener([this](const Trace& t) {
+  warehouse_.add_store_listener([this](const Trace& t) {
     // Traces with a shed hop never produced an end-user response; the
     // generator observer already recorded the rejection against the e2e
     // SLO, and budget attribution over a rejected trace is meaningless.
@@ -247,14 +242,12 @@ void Experiment::enable_slo_analytics(SloAnalyticsOptions options) {
     const obs::TraceBudget budget = obs::attribute_budget(t, config_.sla);
     attributor_->on_budget(budget, t.end);
     slo_monitor_->record("e2e", t.end, budget.met_sla);
-    if (slo_options_.per_service) {
-      // A hop is good when it stayed within its propagated budget — this is
-      // the per-service SLO signal (a leaf can be "bad" even on requests
-      // that squeaked in under the end-to-end SLA, and vice versa).
-      for (const obs::HopBudget& hop : budget.hops) {
-        slo_monitor_->record(app_->service_name(hop.service), t.end,
-                             hop.slack >= 0);
-      }
+    // A hop is good when it stayed within its propagated budget — this is
+    // the per-service SLO signal (a leaf can be "bad" even on requests that
+    // squeaked in under the end-to-end SLA, and vice versa).
+    for (const obs::HopBudget& hop : budget.hops) {
+      slo_monitor_->record(app_->service_name(hop.service), t.end,
+                           hop.slack >= 0);
     }
   });
 }

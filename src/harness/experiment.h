@@ -44,9 +44,6 @@ struct SloAnalyticsOptions {
   /// aligned with the control period so attribution lines up with the
   /// decision log.
   SimTime attribution_window = sec(15);
-  /// Also track one SLO entity per service, fed by latency-budget slack
-  /// (a hop is "bad" when it exhausted its propagated budget).
-  bool per_service = true;
 };
 
 struct ExperimentConfig {

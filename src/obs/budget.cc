@@ -27,8 +27,8 @@ TraceBudget attribute_budget(const Trace& trace, SimTime sla) {
   out.sla = sla;
   out.response = trace.response_time();
   out.met_sla = out.response <= sla;
-  // The tracer's own copy, before the warehouse marks its copy: walk the
-  // path directly.
+  // Walk the path rather than read the warehouse's marks, so hand-built,
+  // never-stored traces decompose too.
   SimTime upstream = 0;
   walk_critical_path(trace, [&](const Span& s) {
     HopBudget hb;
@@ -41,25 +41,6 @@ TraceBudget attribute_budget(const Trace& trace, SimTime sla) {
     upstream += hb.processing;
   });
   return out;
-}
-
-void annotate_budget(Trace& trace, SimTime sla) {
-  // Spans are stored in creation order, so every parent precedes its
-  // children: one forward pass suffices, and each parent is found by
-  // position among the spans before its child.
-  for (std::size_t i = 0; i < trace.spans.size(); ++i) {
-    Span& s = trace.spans[i];
-    SimTime deadline = sla;
-    if (s.parent.valid()) {
-      const std::size_t p = find_span(trace, s.parent, 0, i);
-      if (p != kNoSpan) {
-        const Span& parent = trace.spans[p];
-        deadline = parent.budget_deadline - parent.processing_time();
-      }
-    }
-    s.budget_deadline = deadline;
-    s.budget_slack = deadline - s.duration();
-  }
 }
 
 BudgetAttributor::BudgetAttributor(SimTime sla, SimTime window,
@@ -93,10 +74,6 @@ void BudgetAttributor::roll_window(SimTime trace_end) {
     flush(window_start_ + window_);
     window_start_ += window_;
   }
-}
-
-void BudgetAttributor::on_trace(const Trace& trace) {
-  on_budget(attribute_budget(trace, sla_), trace.end);
 }
 
 void BudgetAttributor::on_budget(const TraceBudget& budget,

@@ -3,12 +3,13 @@
 // The deadline-propagation rule (Section 3.2, Eq. 1-3) says a service's
 // local deadline is the end-to-end SLA minus the processing time its
 // ancestors already consumed. This module turns that rule into an
-// observability signal: every completed trace is decomposed along its span
-// tree into per-hop budget consumption (processing time), the propagated
-// deadline at that hop, and the remaining slack; per-service consumption is
-// then aggregated into fixed windows (one per control round) and exported as
-// TimeSeriesSink timelines — answering "which service ate the SLA budget
-// when the episode started?".
+// observability signal: every completed trace is decomposed along its
+// critical path into per-hop budget consumption (processing time), the
+// propagated deadline at that hop, and the remaining slack; per-service
+// consumption is then aggregated into fixed windows (one per control round)
+// and exported as TimeSeriesSink timelines — answering "which service ate
+// the SLA budget when the episode started?". The experiment harness feeds it
+// from a trace-warehouse store listener; nothing is written back onto spans.
 #pragma once
 
 #include <cstdint>
@@ -50,12 +51,6 @@ struct TraceBudget {
 /// Decompose `trace`'s critical path into per-hop budget consumption.
 TraceBudget attribute_budget(const Trace& trace, SimTime sla);
 
-/// Stamp budget_deadline/budget_slack on every span of `trace` (not just the
-/// critical path): a span's deadline is the SLA minus the processing time of
-/// its ancestor chain. Intended as a Tracer trace finalizer so annotated
-/// spans reach the warehouse and the Chrome-trace export.
-void annotate_budget(Trace& trace, SimTime sla);
-
 /// Aggregates per-trace attributions into fixed windows and per-service
 /// totals. Window boundaries follow trace completion times, so one window
 /// per control round lines attribution up with the decision log.
@@ -67,11 +62,8 @@ class BudgetAttributor {
   /// `namer` renders service ids in exports ("service-<id>" fallback).
   BudgetAttributor(SimTime sla, SimTime window, ServiceNamer namer = nullptr);
 
-  /// Attribute one completed trace into the current window.
-  void on_trace(const Trace& trace);
-
-  /// Accumulate an already-computed decomposition (avoids re-extracting the
-  /// critical path when the caller needs the TraceBudget too).
+  /// Accumulate one completed trace's decomposition (attribute_budget) into
+  /// the window containing `completed_at`.
   void on_budget(const TraceBudget& budget, SimTime completed_at);
 
   /// Close the window containing `up_to` (appends rows for every service

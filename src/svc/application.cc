@@ -58,12 +58,12 @@ Application::Application(Simulator& sim, Tracer& tracer,
     }
   });
   // Served-vs-rejected verdict for the injection callback (see
-  // last_trace_ok_ in the header for the ordering argument). A root
-  // listener, not a trace listener: trace assembly is deferred while async
-  // callback spans are still open, but the verdict must be fresh when the
-  // root's done() continuation fires — and a callback shed later must not
-  // flip the verdict of a response the user already received.
-  tracer_.add_root_listener(
+  // last_trace_ok_ in the header for the ordering argument). The root hook,
+  // not the trace sink: trace assembly is deferred while async callback
+  // spans are still open, but the verdict must be fresh when the root's
+  // done() continuation fires — and a callback shed later must not flip the
+  // verdict of a response the user already received.
+  tracer_.set_root_hook(
       [this](const Trace& trace) { last_trace_ok_ = !trace.rejected(); });
 }
 

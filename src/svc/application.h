@@ -109,10 +109,10 @@ class Application : public LoadTarget {
   std::uint64_t completed_ = 0;
   std::uint64_t shed_ = 0;  ///< front-door sheds (no trace ever created)
   /// Whether the most recently departed root was served end-to-end (no
-  /// hop rejected by admission). Root listeners run synchronously inside
-  /// the root finish_span, before the root's done() continuation, so this
-  /// is always fresh when the injection callback fires — even when async
-  /// callback spans keep the trace open past the root.
+  /// hop rejected by admission). The tracer's root hook runs synchronously
+  /// inside the root finish_span, before the root's done() continuation, so
+  /// this is always fresh when the injection callback fires — even when
+  /// async callback spans keep the trace open past the root.
   bool last_trace_ok_ = true;
 };
 

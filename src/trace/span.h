@@ -64,19 +64,7 @@ struct Span {
   /// false everywhere else. Sits in padding, so Span does not grow.
   bool on_critical_path = false;
 
-  // -- latency-budget annotation (stamped at trace completion when SLO
-  // analytics is enabled; see obs/budget.h) -----------------------------------
-  /// Propagated local deadline at this hop: the end-to-end SLA minus the
-  /// processing time of every ancestor (Eq. 1-3 generalized to the whole
-  /// span tree). kSimTimeNever when the trace was never annotated.
-  SimTime budget_deadline = kSimTimeNever;
-  /// budget_deadline - duration(): how much budget was left (negative =
-  /// this hop blew its share). Meaningless unless annotated.
-  SimTime budget_slack = 0;
-
   std::vector<ChildCall> children;
-
-  bool budget_annotated() const { return budget_deadline != kSimTimeNever; }
 
   /// Span response time as observed by the caller.
   SimTime duration() const { return departure - arrival; }

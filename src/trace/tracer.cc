@@ -71,9 +71,7 @@ void Tracer::finish_span(TraceId trace, SpanId id, SimTime departure) {
   }
 
   if (!open.root_finished || open.open_spans > 0) {
-    if (is_root) {
-      for (const auto& listener : root_listeners_) listener(open.trace);
-    }
+    if (is_root && root_hook_) root_hook_(open.trace);
     const SpanFate fate =
         span_interceptor_ ? span_interceptor_(s) : SpanFate::kDeliver;
     if (fate == SpanFate::kDeliver) {
@@ -98,9 +96,7 @@ void Tracer::finish_span(TraceId trace, SpanId id, SimTime departure) {
     }
   }
   assert(closing != nullptr);
-  if (is_root) {
-    for (const auto& listener : root_listeners_) listener(done);
-  }
+  if (is_root && root_hook_) root_hook_(done);
   const SpanFate fate =
       span_interceptor_ ? span_interceptor_(*closing) : SpanFate::kDeliver;
   if (fate == SpanFate::kDeliver) {
@@ -112,12 +108,7 @@ void Tracer::finish_span(TraceId trace, SpanId id, SimTime departure) {
     deferred_delivery_(std::move(done));
     return;
   }
-  deliver_trace(std::move(done));
-}
-
-void Tracer::deliver_trace(Trace&& done) {
-  if (trace_finalizer_) trace_finalizer_(done);
-  for (const auto& listener : trace_listeners_) listener(done);
+  deliver_trace(done);
 }
 
 }  // namespace sora

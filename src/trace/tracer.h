@@ -2,10 +2,11 @@
 //
 // The paper instruments every microservice with a Jaeger/Zipkin-compatible
 // agent and stores request/response timestamps per service. Here the tracer
-// is an in-process collector: services open and close spans; when the root
-// span closes, the assembled Trace is handed to the TraceWarehouse and to
-// any registered listeners (e.g. the Concurrency Estimator and metric
-// samplers).
+// is an in-process collector: services open and close spans; when the last
+// span of a trace closes, the assembled Trace goes to a single sink — the
+// TraceWarehouse (TraceWarehouse::attach), whose store listeners are every
+// per-trace consumer. Span listeners (metric samplers) see each visit as it
+// closes, and one root hook sees the response the instant the root departs.
 #pragma once
 
 #include <functional>
@@ -20,16 +21,17 @@ namespace sora {
 
 class Tracer {
  public:
-  using TraceListener = std::function<void(const Trace&)>;
+  /// Receives each assembled trace exactly once.
+  using TraceSink = std::function<void(const Trace&)>;
   /// Span listeners fire on every span completion (service visit), which is
   /// what the scatter samplers consume.
   using SpanListener = std::function<void(const Span&)>;
-  /// Root listeners fire the instant the ROOT span closes — the user-visible
-  /// response time — even when async callback spans keep the trace open
-  /// past it (assembly is then deferred until the last span closes). The
-  /// trace passed in may still gain spans afterwards; listeners must read
-  /// and return, not retain the reference or re-enter the tracer.
-  using RootListener = std::function<void(const Trace&)>;
+  /// The root hook fires the instant the ROOT span closes — the
+  /// user-visible response time — even when async callback spans keep the
+  /// trace open past it (assembly is then deferred until the last span
+  /// closes). The trace passed in may still gain spans afterwards; the hook
+  /// must read and return, not retain the reference or re-enter the tracer.
+  using RootHook = std::function<void(const Trace&)>;
   /// Hand-off for deferred assembly: when the last span of a trace closes
   /// after the root already departed (async callbacks outliving the
   /// response), the raw trace is passed here instead of being processed
@@ -65,33 +67,25 @@ class Tracer {
   Span& span(TraceId trace, SpanId id);
 
   /// Close a span. When the last open span of a trace closes (the root
-  /// itself on async-free traces), the trace is assembled, listeners run,
-  /// and the trace's storage is released. A root closing while async
-  /// callback spans are still open only fires the root listeners; assembly
-  /// waits for the stragglers.
+  /// itself on async-free traces), the trace is assembled, handed to the
+  /// sink, and its storage is released. A root closing while async callback
+  /// spans are still open only fires the root hook; assembly waits for the
+  /// stragglers.
   void finish_span(TraceId trace, SpanId id, SimTime departure);
 
-  void add_trace_listener(TraceListener cb) {
-    trace_listeners_.push_back(std::move(cb));
-  }
-  void add_root_listener(RootListener cb) {
-    root_listeners_.push_back(std::move(cb));
-  }
+  /// Install (or clear, with nullptr) the completed-trace sink.
+  void set_trace_sink(TraceSink fn) { trace_sink_ = std::move(fn); }
+  /// Install (or clear, with nullptr) the root hook.
+  void set_root_hook(RootHook fn) { root_hook_ = std::move(fn); }
   /// Install (or clear, with nullptr) the deferred-assembly hand-off.
   void set_deferred_delivery(DeferredDelivery fn) {
     deferred_delivery_ = std::move(fn);
   }
-  /// Assemble a trace whose spans have all closed: finalizer, then trace
-  /// listeners. Called by finish_span for
-  /// ordinary traces and by the deferred-delivery hook's continuation for
-  /// traces that outlived their root.
-  void deliver_trace(Trace&& t);
-  /// Install a finalizer that may mutate the assembled trace after the root
-  /// span closes but before any trace listener runs (used to stamp the
-  /// latency-budget annotations so the warehouse stores annotated spans).
-  /// Pass nullptr to clear.
-  void set_trace_finalizer(std::function<void(Trace&)> fn) {
-    trace_finalizer_ = std::move(fn);
+  /// Hand a trace whose spans have all closed to the sink. Called by
+  /// finish_span for ordinary traces and by the deferred-delivery hook's
+  /// continuation for traces that outlived their root.
+  void deliver_trace(const Trace& t) {
+    if (trace_sink_) trace_sink_(t);
   }
   void add_span_listener(SpanListener cb) {
     span_listeners_.push_back(std::move(cb));
@@ -127,12 +121,11 @@ class Tracer {
   IdGenerator<TraceId> trace_ids_;
   IdGenerator<SpanId> span_ids_;
   std::unordered_map<std::uint64_t, OpenTrace> open_;
-  std::function<void(Trace&)> trace_finalizer_;
+  TraceSink trace_sink_;
+  RootHook root_hook_;
   SpanInterceptor span_interceptor_;
   DeferredDelivery deferred_delivery_;
-  std::vector<TraceListener> trace_listeners_;
   std::vector<SpanListener> span_listeners_;
-  std::vector<RootListener> root_listeners_;
   std::uint64_t traces_completed_ = 0;
 };
 

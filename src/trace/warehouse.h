@@ -1,10 +1,14 @@
 // Trace warehouse: bounded store of recent completed traces.
 //
-// Stands in for the paper's Neo4j + per-service MongoDB trace stores: the
-// Concurrency Estimator pulls recent traces from here asynchronously for
-// critical-service localization and deadline propagation, both of which
-// read the critical-path marks stamped at store time. A ring buffer bounds
-// memory; queries filter by completion-time window.
+// Stands in for the paper's Neo4j + per-service MongoDB trace stores, and is
+// the only consumer of the tracer's completed traces (attach installs it as
+// the tracer's sink). Each stored trace has its critical path marked once;
+// every per-trace consumer — the critical-service localizers, SLO analytics
+// — is a store listener reading that marked copy, and the Concurrency
+// Estimator's deadline propagation queries the window. A ring buffer bounds
+// memory. Storage order is arrival order, which is not end-time order: a
+// trace that outlives its root arrives one network hop after its last async
+// span closes, while its end time is the root's departure.
 #pragma once
 
 #include <cstddef>
@@ -22,29 +26,24 @@ class TraceWarehouse {
   /// `capacity` bounds the number of retained traces (oldest evicted first).
   explicit TraceWarehouse(std::size_t capacity = 65536);
 
-  /// Wire the warehouse to a tracer. `sample_every_n` > 1 stores only every
-  /// n-th completed trace — the head-based sampling production tracing
-  /// systems use to bound collection overhead (the paper's Section 6
-  /// scalability concern). The ablation benches quantify what sampling
-  /// costs the localization/deadline phases.
-  void attach(Tracer& tracer, std::uint64_t sample_every_n = 1);
+  /// Install this warehouse as the tracer's completed-trace sink.
+  void attach(Tracer& tracer);
 
-  /// Store a completed trace (the tracer listener's path; tests call it
-  /// directly). This is where each trace's critical path is extracted, once:
-  /// its hops are marked Span::on_critical_path on the stored copy before
-  /// any store listener sees it.
-  void store(Trace trace);
+  /// Store a copy of a completed trace (the tracer sink's path; tests call
+  /// it directly). This is where each trace's critical path is extracted,
+  /// once: its hops are marked Span::on_critical_path on the stored copy
+  /// before any store listener sees it.
+  void store(const Trace& trace);
 
-  /// Observe every trace as it is stored (after sampling/eviction policy
-  /// admits it), critical path already marked. The critical-service
-  /// localizer streams its correlation accumulators from here so control
-  /// rounds no longer rescan the window.
+  /// Observe every trace as it is stored, critical path already marked. The
+  /// critical-service localizers stream their correlation accumulators from
+  /// here so control rounds no longer rescan the window, and SLO analytics
+  /// attributes each trace's budget from here.
   void add_store_listener(std::function<void(const Trace&)> fn) {
     store_listeners_.push_back(std::move(fn));
   }
 
-  /// Visit traces whose end time falls in [from, to]. Traces are visited
-  /// oldest-first.
+  /// Visit traces whose end time falls in [from, to], in storage order.
   void for_each_in_window(SimTime from, SimTime to,
                           const std::function<void(const Trace&)>& fn) const;
 
@@ -65,7 +64,7 @@ class TraceWarehouse {
 
  private:
   std::size_t capacity_;
-  std::deque<Trace> traces_;  // ordered by completion time
+  std::deque<Trace> traces_;  // arrival order (see the header comment)
   std::vector<std::function<void(const Trace&)>> store_listeners_;
   std::uint64_t total_stored_ = 0;
   std::uint64_t total_evicted_ = 0;

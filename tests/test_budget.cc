@@ -1,6 +1,5 @@
 // Tests for latency-budget attribution: per-hop deadline propagation on the
-// critical path, whole-tree span annotation, windowed aggregation, and the
-// CSV export.
+// critical path, windowed aggregation, and the CSV export.
 #include "obs/budget.h"
 
 #include <gtest/gtest.h>
@@ -8,7 +7,6 @@
 #include <sstream>
 
 #include "test_util.h"
-#include "trace/tracer.h"
 
 namespace sora {
 namespace {
@@ -61,44 +59,6 @@ TEST(BudgetAttribution, MissedSlaGivesNegativeSlack) {
   EXPECT_LT(b.hops[0].slack, 0);
 }
 
-TEST(BudgetAnnotation, StampsEverySpan) {
-  Trace t = make_trace({
-      {-1, 0, 0, 100, 80},
-      {0, 1, 10, 40, 0, 0},  // parallel loser: still annotated
-      {0, 2, 10, 90, 0, 0},
-  });
-  EXPECT_FALSE(t.spans[0].budget_annotated());
-  obs::annotate_budget(t, /*sla=*/200);
-  ASSERT_TRUE(t.spans[0].budget_annotated());
-  EXPECT_EQ(t.spans[0].budget_deadline, 200);
-  EXPECT_EQ(t.spans[0].budget_slack, 100);
-  // Both children inherit SLA minus root PT (20), on path or not.
-  EXPECT_EQ(t.spans[1].budget_deadline, 180);
-  EXPECT_EQ(t.spans[1].budget_slack, 180 - 30);
-  EXPECT_EQ(t.spans[2].budget_deadline, 180);
-  EXPECT_EQ(t.spans[2].budget_slack, 180 - 80);
-}
-
-TEST(BudgetAnnotation, RunsAsTracerFinalizer) {
-  // The finalizer hook annotates the assembled trace before listeners see
-  // it, so the warehouse (a listener) stores annotated spans.
-  Tracer tracer;
-  tracer.set_trace_finalizer(
-      [](Trace& t) { obs::annotate_budget(t, /*sla=*/5000); });
-  Trace seen;
-  tracer.add_trace_listener([&](const Trace& t) { seen = t; });
-
-  const TraceId tid = tracer.begin_trace(0, 0);
-  const SpanId root =
-      tracer.start_span(tid, SpanId{}, ServiceId(0), InstanceId(0), 0, 0);
-  tracer.finish_span(tid, root, 1000);
-
-  ASSERT_EQ(seen.spans.size(), 1u);
-  EXPECT_TRUE(seen.spans[0].budget_annotated());
-  EXPECT_EQ(seen.spans[0].budget_deadline, 5000);
-  EXPECT_EQ(seen.spans[0].budget_slack, 4000);
-}
-
 TEST(BudgetAttributor, AggregatesIntoWindows) {
   obs::BudgetAttributor attr(/*sla=*/150, /*window=*/1000);
   // Two traces in window [0, 1000), one in [1000, 2000).
@@ -125,7 +85,8 @@ TEST(BudgetAttributor, AggregatesIntoWindows) {
 
 TEST(BudgetAttributor, TopConsumerIsLargestTotalPt) {
   obs::BudgetAttributor attr(/*sla=*/150, /*window=*/1000);
-  attr.on_trace(chain_trace());
+  attr.on_budget(obs::attribute_budget(chain_trace(), attr.sla()),
+                 /*completed_at=*/100);
   attr.flush(1000);
   // Leaf (service-2) consumed PT 60 vs 20/20.
   EXPECT_EQ(attr.top_consumer(), "service-2");
@@ -139,14 +100,16 @@ TEST(BudgetAttributor, NamerRendersServices) {
   obs::BudgetAttributor attr(150, 1000, [](ServiceId id) {
     return id == ServiceId(2) ? std::string("leaf") : std::string();
   });
-  attr.on_trace(chain_trace());
+  attr.on_budget(obs::attribute_budget(chain_trace(), attr.sla()),
+                 /*completed_at=*/100);
   attr.flush(1000);
   EXPECT_EQ(attr.top_consumer(), "leaf");  // namer hit
 }
 
 TEST(BudgetAttributor, ViolationsCountBlownHops) {
   obs::BudgetAttributor attr(/*sla=*/70, /*window=*/1000);
-  attr.on_trace(chain_trace());
+  attr.on_budget(obs::attribute_budget(chain_trace(), attr.sla()),
+                 /*completed_at=*/100);
   attr.flush(1000);
   // front's slack is negative under a 70us SLA.
   std::ostringstream os;

@@ -30,12 +30,12 @@ struct SpanWithoutMark {
   SimTime downstream_wait = 0;
   bool failed = false;
   bool rejected = false;
-  SimTime budget_deadline = kSimTimeNever;
-  SimTime budget_slack = 0;
   std::vector<ChildCall> children;
 };
 static_assert(sizeof(Span) == sizeof(SpanWithoutMark),
               "Span::on_critical_path must not grow Span");
+static_assert(sizeof(void*) != 8 || sizeof(Span) == 112,
+              "Span is 112 bytes on 64-bit targets");
 
 // Marks a copy of `t` and checks the marked hops, read in storage order, are
 // exactly the hops extract_critical_path returns, in the same order, and
@@ -363,7 +363,7 @@ TEST(CriticalPathMarks, SynthesizedThousandServiceTopologyTraces) {
         topo.tenant_mix(tenant));
   }
   std::vector<Trace> traces;
-  exp.tracer().add_trace_listener(
+  exp.warehouse().add_store_listener(
       [&traces](const Trace& t) { traces.push_back(t); });
   exp.run();
   ASSERT_GT(traces.size(), 10u);

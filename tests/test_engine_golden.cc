@@ -1,16 +1,24 @@
-// Golden fixtures for the event engine: two end-to-end scenarios run for one
-// simulated minute on the default engine, fingerprinted at 17 significant
-// digits and compared line by line against tests/golden/<name>.txt.
+// Golden fixtures for the event engine: end-to-end scenarios run on the
+// default engine, fingerprinted at 17 significant digits and compared line
+// by line against tests/golden/<name>.txt.
 //
-//   cart_sora      — the Figure-10 leg: Sock Shop cart under Steep Tri Phase,
-//                    FIRM vertical scaling linked to Sora soft adaptation.
-//   social_faulted — Social Network home-timeline -> post-storage edge pool
-//                    under Sora, with an instance crash (in-flight dropped)
-//                    and a scatter-dropout window.
+//   cart_sora        — the Figure-10 leg (one simulated minute): Sock Shop
+//                      cart under Steep Tri Phase, FIRM vertical scaling
+//                      linked to Sora soft adaptation.
+//   social_faulted   — Social Network home-timeline -> post-storage edge pool
+//                      under Sora (one simulated minute), with an instance
+//                      crash (in-flight dropped) and a scatter-dropout window.
+//   synth_async_slo  — a small synthesized fleet where half the deep mid
+//                      services fire async callbacks (so many traces outlive
+//                      their root and reach the warehouse one hop late),
+//                      with SLO analytics on: pins the finished-trace
+//                      hand-off and everything fed from it.
 //
-// Each fingerprint covers the summary, the per-second cart and client
-// timelines, the localization verdict, the trace-warehouse digest, the
-// decision-log JSONL and the simulator's event-stream digest. Any change to
+// Each fingerprint covers the summary, the per-second tracked-service and
+// client timelines, the localization verdict, the trace-warehouse digest,
+// the decision-log JSONL and the simulator's event-stream digest;
+// synth_async_slo adds the SLO report, the budget-attribution CSV and the
+// end-to-end burn CSV. Any change to
 // event order, tie-breaking, RNG draw order or controller arithmetic shows up
 // as a first differing line.
 //
@@ -25,6 +33,7 @@
 
 #include "bench_util.h"
 #include "fault/fault_plan.h"
+#include "topo/synth.h"
 
 #ifndef SORA_GOLDEN_DIR
 #define SORA_GOLDEN_DIR "tests/golden"
@@ -142,6 +151,40 @@ std::string run_social_faulted() {
   return fingerprint(exp, "home-timeline");
 }
 
+std::string run_synth_async_slo() {
+  topo::TopologyConfig tc;
+  tc.seed = 3;
+  tc.services = 100;
+  tc.tenants = 2;
+  tc.async_cycle_fraction = 0.5;
+  const topo::Topology topo = topo::synthesize(tc);
+  ExperimentConfig cfg = golden_config();
+  cfg.duration = sec(20);
+  cfg.sla = msec(40);
+  Experiment exp(topo.app, cfg);
+  exp.sim().set_digest_enabled(true);
+  SloAnalyticsOptions slo;
+  slo.monitor.fast_window = sec(2);
+  slo.monitor.slow_window = sec(6);
+  slo.attribution_window = sec(5);
+  exp.enable_slo_analytics(slo);
+  for (int tenant = 0; tenant < tc.tenants; ++tenant) {
+    exp.open_loop(WorkloadTrace(TraceShape::kSteepTriPhase, cfg.duration,
+                                40.0, 160.0),
+                  topo.tenant_mix(tenant));
+  }
+  const std::string tracked = exp.app().service_name(ServiceId(0));
+  exp.track_service(tracked);
+  exp.run();
+  std::ostringstream os;
+  os.precision(17);
+  os << fingerprint(exp, tracked);
+  exp.export_slo_report_text(os, "synth");
+  exp.export_attribution_csv(os);
+  exp.export_burn_csv("e2e", os);
+  return os.str();
+}
+
 void expect_matches_golden(const std::string& name, const std::string& got) {
   const std::string path = std::string(SORA_GOLDEN_DIR) + "/" + name + ".txt";
   if (std::getenv("SORA_UPDATE_GOLDEN") != nullptr) {
@@ -177,6 +220,10 @@ TEST(EngineGolden, CartSora) {
 
 TEST(EngineGolden, SocialFaulted) {
   expect_matches_golden("social_faulted", run_social_faulted());
+}
+
+TEST(EngineGolden, SynthAsyncSlo) {
+  expect_matches_golden("synth_async_slo", run_synth_async_slo());
 }
 
 }  // namespace

@@ -8,9 +8,11 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "apps/sock_shop.h"
 #include "test_util.h"
+#include "trace/critical_path.h"
 
 namespace sora {
 namespace {
@@ -213,17 +215,25 @@ TEST(Experiment, SloAnalyticsDetectsEpisodesAndAttributes) {
   EXPECT_TRUE(top == "mid" || top == "leaf") << top;
   EXPECT_GT(exp.attribution().traces_attributed(), 0u);
 
-  // Stored spans carry the finalizer's budget annotation.
-  bool all_annotated = true;
-  std::size_t seen = 0;
+  // Attribution is a warehouse store listener: it saw every stored trace
+  // (none of the chain's are shed), and each stored copy is marked, with
+  // the marks naming exactly the hops attribution walked.
+  EXPECT_EQ(exp.attribution().traces_attributed(),
+            exp.warehouse().total_stored());
+  std::size_t checked = 0;
   exp.warehouse().for_each_in_window(0, kSimTimeNever, [&](const Trace& t) {
-    for (const Span& sp : t.spans) {
-      ++seen;
-      all_annotated = all_annotated && sp.budget_annotated();
+    std::vector<ServiceId> marked;
+    for_each_critical_hop(
+        t, [&marked](const Span& sp) { marked.push_back(sp.service); });
+    std::vector<ServiceId> walked;
+    for (const obs::HopBudget& hop : obs::attribute_budget(t, cfg.sla).hops) {
+      walked.push_back(hop.service);
     }
+    EXPECT_FALSE(marked.empty());
+    EXPECT_EQ(marked, walked);
+    ++checked;
   });
-  EXPECT_GT(seen, 0u);
-  EXPECT_TRUE(all_annotated);
+  EXPECT_GT(checked, 0u);
 
   std::ostringstream report, html, csv, burn;
   exp.export_slo_report_text(report, "chain");

@@ -6,7 +6,6 @@
 #include "svc/application.h"
 #include "test_util.h"
 #include "trace/tracer.h"
-#include "trace/warehouse.h"
 #include "workload/generator.h"
 
 namespace sora {
@@ -69,20 +68,6 @@ TEST(HillClimb, StopHaltsSteps) {
   const auto steps = tuner.steps_taken();
   f.sim.run_until(sec(60));
   EXPECT_EQ(tuner.steps_taken(), steps);
-}
-
-TEST(TraceSampling, WarehouseStoresEveryNth) {
-  Simulator sim;
-  Tracer tracer;
-  TraceWarehouse wh(1000);
-  wh.attach(tracer, 5);
-  for (int i = 0; i < 50; ++i) {
-    const TraceId tid = tracer.begin_trace(0, i);
-    const SpanId root =
-        tracer.start_span(tid, SpanId{}, ServiceId(0), InstanceId(0), 0, i);
-    tracer.finish_span(tid, root, i + 10);
-  }
-  EXPECT_EQ(wh.size(), 10u);
 }
 
 }  // namespace
