@@ -81,7 +81,7 @@ Trace make_deep_trace(int depth, std::uint64_t id) {
     s.downstream_wait = i + 1 < depth ? hi - lo - 40 : 0;
     if (i > 0) {
       t.spans[static_cast<std::size_t>(i - 1)].children.push_back(
-          ChildCall{s.id, 0, lo, hi});
+          ChildCall{static_cast<std::size_t>(i), 0, lo, hi});
     }
     t.spans.push_back(s);
     lo += 20;

@@ -122,11 +122,10 @@ void Application::inject(const RequestMeta& meta, Completion on_complete) {
   }
 
   const TraceId trace = tracer_.begin_trace(request.request_class, start);
-  const SpanId root =
-      tracer_.start_span(trace, SpanId{}, entry.id(), InstanceId{},
-                         request.request_class, start);
+  Span& root = tracer_.start_span(trace, nullptr, entry.id(),
+                                  request.request_class, start);
   entry.dispatch(
-      trace, root, request,
+      root, request,
       [this, start, cb = std::move(on_complete)] {
         ++completed_;
         cb(sim_.now() - start, last_trace_ok_);

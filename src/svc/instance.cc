@@ -24,8 +24,9 @@ int effective_pool_size(int configured) {
 /// Pooled: recycled through visit_free_ rather than heap-allocated per
 /// request, so capturing a raw Visit* is safe until finish() releases it.
 struct ServiceInstance::Visit {
-  TraceId trace;
-  SpanId span;
+  /// This visit's span. Open until finish()/abort_visit() closes it, and
+  /// spans live in a deque, so the pointer stays valid for the whole visit.
+  Span* span = nullptr;
   int request_class = 0;
   Priority priority = Priority::kHigh;
   SimTime deadline = 0;  ///< absolute; propagated to downstream calls
@@ -49,6 +50,7 @@ ServiceInstance::Visit* ServiceInstance::alloc_visit() {
 }
 
 void ServiceInstance::free_visit(Visit* v) {
+  v->span = nullptr;
   v->done.reset();
   v->behavior = nullptr;
   v->priority = Priority::kHigh;
@@ -99,15 +101,12 @@ const SoftResourcePool* ServiceInstance::edge_pool(int edge_index) const {
   return const_cast<ServiceInstance*>(this)->edge_pool(edge_index);
 }
 
-void ServiceInstance::serve(TraceId trace, SpanId span, const RequestMeta& meta,
-                            Done done) {
+void ServiceInstance::serve(Span& span, const RequestMeta& meta, Done done) {
   ++outstanding_;
-  Tracer& tracer = svc_.app().tracer();
-  tracer.span(trace, span).instance = id_;
+  span.instance = id_;
 
   Visit* v = alloc_visit();
-  v->trace = trace;
-  v->span = span;
+  v->span = &span;
   v->request_class = meta.request_class;
   v->priority = meta.priority;
   v->deadline = meta.deadline;
@@ -130,9 +129,7 @@ void ServiceInstance::on_admitted(Visit* v) {
     abort_visit(v);
     return;
   }
-  Simulator& sim = svc_.app().sim();
-  Tracer& tracer = svc_.app().tracer();
-  tracer.span(v->trace, v->span).admitted = sim.now();
+  v->span->admitted = svc_.app().sim().now();
 
   const SimTime demand =
       static_cast<SimTime>(v->behavior->request_sampler.sample(rng_));
@@ -169,33 +166,30 @@ void ServiceInstance::issue_call(Visit* v, std::size_t group_index,
   Service* target = call.target;
   assert(target != nullptr);
 
-  const SimTime issued = app.sim().now();
-  const SpanId child = tracer.start_span(v->trace, v->span, target->id(),
-                                         InstanceId{}, v->request_class,
-                                         issued);
-  Span& parent = tracer.span(v->trace, v->span);
-  parent.children.push_back(
-      ChildCall{child, static_cast<int>(group_index), issued, 0});
-  const std::size_t child_slot = parent.children.size() - 1;
+  Span* child = &tracer.start_span(v->span->trace, v->span, target->id(),
+                                   v->request_class, app.sim().now(),
+                                   static_cast<int>(group_index));
+  const std::size_t child_slot = v->span->children.size() - 1;
 
   SoftResourcePool* gate = edge_pool(call.edge_index);
 
   // Dispatch once the connection gate admits us; when the response returns,
   // release the connection, stamp the return time, and advance the group
-  // after all peer calls have finished.
+  // after all peer calls have finished. `child` stays valid across the
+  // request hop: the span is open until its own visit closes it, and a
+  // trace is never assembled while one of its spans is open.
   auto launch = [this, v, child, gate, target, group_index, child_slot] {
     // Request hop.
     svc_.app().deliver([this, v, child, gate, target, group_index,
                         child_slot] {
       target->dispatch(
-          v->trace, child,
+          *child,
           RequestMeta{v->request_class, v->priority, v->deadline},
           [this, v, gate, group_index, child_slot] {
             // Response hop, back to the caller.
             svc_.app().deliver([this, v, gate, group_index, child_slot] {
               if (gate != nullptr) gate->release();
-              Tracer& t = svc_.app().tracer();
-              Span& p = t.span(v->trace, v->span);
+              Span& p = *v->span;
               p.children[child_slot].returned = svc_.app().sim().now();
               if (--v->pending_calls == 0) {
                 p.downstream_wait += svc_.app().sim().now() - v->blocked_since;
@@ -225,16 +219,13 @@ void ServiceInstance::issue_async_callbacks(Visit* v) {
   const SimTime now = app.sim().now();
   for (const CompiledAsyncCall& cb : v->behavior->async_callbacks) {
     Service* target = cb.target;
-    const SpanId child = tracer.start_span(v->trace, v->span, target->id(),
-                                           InstanceId{}, cb.request_class, now);
-    Span& parent = tracer.span(v->trace, v->span);
-    parent.children.push_back(
-        ChildCall{child, /*parallel_group=*/-1, now, 0, /*async=*/true});
+    Span* child = &tracer.start_span(v->span->trace, v->span, target->id(),
+                                     cb.request_class, now,
+                                     /*parallel_group=*/-1, /*async=*/true);
     // No deadline: the user's response already departed, so there is
     // nothing left for the callback to be late for.
-    app.deliver([target, trace = v->trace, child, cls = cb.request_class,
-                 prio = cb.priority] {
-      target->dispatch(trace, child, RequestMeta{cls, prio, 0}, [] {});
+    app.deliver([target, child, cls = cb.request_class, prio = cb.priority] {
+      target->dispatch(*child, RequestMeta{cls, prio, 0}, [] {});
     });
   }
 }
@@ -242,7 +233,7 @@ void ServiceInstance::issue_async_callbacks(Visit* v) {
 void ServiceInstance::finish(Visit* v) {
   Application& app = svc_.app();
   if (!v->behavior->async_callbacks.empty()) issue_async_callbacks(v);
-  app.tracer().finish_span(v->trace, v->span, app.sim().now());
+  app.tracer().finish_span(*v->span, app.sim().now());
   svc_.note_completion();
   svc_.note_request_departure(app.sim().now() - v->arrived, true);
   entry_pool_.release();
@@ -256,8 +247,8 @@ void ServiceInstance::finish(Visit* v) {
 
 void ServiceInstance::abort_visit(Visit* v) {
   Application& app = svc_.app();
-  app.tracer().span(v->trace, v->span).failed = true;
-  app.tracer().finish_span(v->trace, v->span, app.sim().now());
+  v->span->failed = true;
+  app.tracer().finish_span(*v->span, app.sim().now());
   svc_.note_request_departure(app.sim().now() - v->arrived, false);
   entry_pool_.release();
   --outstanding_;

@@ -90,20 +90,16 @@ const CompiledBehavior& Service::behavior(int request_class) const {
 
 ServiceInstance& Service::pick_replica(Priority priority) {
   assert(active_count_ > 0 && "dispatch to service with no active replicas");
-  // Collect outstanding counts of active replicas in order.
-  pick_outstanding_.clear();
-  pick_index_.clear();
-  for (std::size_t i = 0; i < instances_.size(); ++i) {
-    if (instances_[i]->active()) {
-      pick_outstanding_.push_back(instances_[i]->outstanding());
-      pick_index_.push_back(i);
-    }
+  std::uint64_t& next = rr_next_[static_cast<std::size_t>(priority)];
+  std::uint64_t turn = next++ % static_cast<std::uint64_t>(active_count_);
+  for (auto& inst : instances_) {
+    if (inst->active() && turn-- == 0) return *inst;
   }
-  const std::size_t pick = lb_.pick(pick_outstanding_, priority);
-  return *instances_[pick_index_[pick]];
+  assert(false && "active_count_ out of sync with the replicas");
+  return *instances_.front();
 }
 
-void Service::dispatch(TraceId trace, SpanId span, const RequestMeta& meta,
+void Service::dispatch(Span& span, const RequestMeta& meta,
                        UniqueFunction done, bool pre_admitted) {
   if (admission_ != nullptr && !pre_admitted) {
     const SimTime now = app_.sim().now();
@@ -111,17 +107,15 @@ void Service::dispatch(TraceId trace, SpanId span, const RequestMeta& meta,
     if (!d.admit) {
       // Shed a mid-chain call: close the caller-opened span as a rejected
       // error response. The caller sees an (instant) error return.
-      Tracer& tracer = app_.tracer();
-      Span& s = tracer.span(trace, span);
-      s.failed = true;
-      s.rejected = true;
-      tracer.finish_span(trace, span, now);
+      span.failed = true;
+      span.rejected = true;
+      app_.tracer().finish_span(span, now);
       done();
       return;
     }
     admission_->on_admit(now);
   }
-  pick_replica(meta.priority).serve(trace, span, meta, std::move(done));
+  pick_replica(meta.priority).serve(span, meta, std::move(done));
 }
 
 void Service::note_request_departure(SimTime rtt, bool ok) {

@@ -20,7 +20,6 @@
 #include "obs/metrics.h"
 #include "svc/config.h"
 #include "svc/instance.h"
-#include "svc/load_balancer.h"
 
 namespace sora {
 
@@ -79,8 +78,8 @@ class Service {
   /// rejected error response (failed + rejected) and invokes `done`.
   /// `pre_admitted` is set by Application::inject for root requests it
   /// already admitted at the front door.
-  void dispatch(TraceId trace, SpanId span, const RequestMeta& meta,
-                UniqueFunction done, bool pre_admitted = false);
+  void dispatch(Span& span, const RequestMeta& meta, UniqueFunction done,
+                bool pre_admitted = false);
 
   // -- admission control -------------------------------------------------------
 
@@ -172,8 +171,6 @@ class Service {
 
   std::uint64_t completions() const { return completions_; }
 
-  LoadBalancer& load_balancer() { return lb_; }
-
   /// Index of the edge pool for `target` in each instance's pool vector;
   /// -1 if that target has no gate configured.
   int edge_index_of(const std::string& target) const;
@@ -187,6 +184,9 @@ class Service {
  private:
   friend class ServiceInstance;
 
+  /// Round robin over the active replicas, in instance order. Kubernetes
+  /// services route round-robin-ish, and the paper's HPA experiments rely
+  /// on the imbalance it produces right after a scale-out (Section 5.3).
   ServiceInstance& pick_replica(Priority priority);
   void note_completion() { ++completions_; }
   void refresh_samplers();
@@ -207,7 +207,9 @@ class Service {
 
   std::vector<std::unique_ptr<ServiceInstance>> instances_;
   int active_count_ = 0;
-  LoadBalancer lb_;
+  /// Next round-robin turn, one counter per priority class: batch traffic
+  /// cannot skew the replica sequence the high-priority stream sees.
+  std::uint64_t rr_next_[kNumPriorities] = {};
   std::unique_ptr<AdmissionController> admission_;
 
   double cpu_limit_;
@@ -217,11 +219,6 @@ class Service {
 
   std::uint64_t completions_ = 0;
   IdGenerator<InstanceId>* instance_ids_ = nullptr;  // owned by Application
-
-  // Scratch buffers reused by pick_replica() to keep the per-dispatch hot
-  // path free of allocations.
-  std::vector<int> pick_outstanding_;
-  std::vector<std::size_t> pick_index_;
 };
 
 }  // namespace sora

@@ -2,27 +2,6 @@
 
 namespace sora {
 
-std::size_t find_span(const Trace& trace, SpanId id, std::size_t first,
-                      std::size_t last) {
-  // Hand-rolled lower bound: the range need not actually be sorted, and a
-  // miss on unsorted ids just falls through to the scan below.
-  std::size_t lo = first;
-  std::size_t hi = last;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (trace.spans[mid].id.value() < id.value()) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo < last && trace.spans[lo].id == id) return lo;
-  for (std::size_t i = 0; i < trace.spans.size(); ++i) {
-    if (trace.spans[i].id == id) return i;
-  }
-  return kNoSpan;
-}
-
 std::size_t critical_child(const Trace& trace, std::size_t index) {
   // Descend into the child visit of maximal duration: it dominates the
   // downstream wall time of this span. Async callback children are
@@ -32,9 +11,11 @@ std::size_t critical_child(const Trace& trace, std::size_t index) {
   SimTime best = -1;
   for (const ChildCall& call : trace.spans[index].children) {
     if (call.async) continue;
-    const std::size_t c =
-        find_span(trace, call.child, index + 1, trace.spans.size());
-    if (c == kNoSpan) continue;  // child span missing (defensive)
+    const std::size_t c = call.child;
+    // A recorded child always sits after its caller; any other link comes
+    // from a corrupt hand-built trace. Skipping it bounds the index and
+    // makes every step of the walk move forward.
+    if (c <= index || c >= trace.spans.size()) continue;
     const SimTime d = trace.spans[c].duration();
     if (d > best) {
       best = d;

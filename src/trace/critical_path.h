@@ -43,19 +43,13 @@ struct CriticalPath {
   }
 };
 
-/// Returned by the span lookups below when there is no such span.
+/// Returned by critical_child at the deepest hop.
 inline constexpr std::size_t kNoSpan = static_cast<std::size_t>(-1);
-
-/// Position of the span `id` in `trace.spans`, or kNoSpan. A Tracer stores
-/// spans in creation order with increasing ids, so [first, last) is binary
-/// searched by id; on a miss (hand-built traces whose ids are out of
-/// order, or a dropped span) the whole trace is scanned linearly.
-std::size_t find_span(const Trace& trace, SpanId id, std::size_t first,
-                      std::size_t last);
 
 /// Position of the critical-path hop below the span at `index`: its
 /// synchronous child of largest duration (the first listed wins a tie), or
-/// kNoSpan at the deepest hop.
+/// kNoSpan at the deepest hop. Child links that do not point forward are
+/// skipped, so the walk stays in bounds and always ends.
 std::size_t critical_child(const Trace& trace, std::size_t index);
 
 /// Walk the critical path of `trace` (marked or not), calling fn(const

@@ -7,6 +7,7 @@
 // processing time PT_si (Section 3.2, Eq. 1-3) and the critical path.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -24,7 +25,7 @@ namespace sora {
 /// the caller never waits on them, so they contribute nothing to its
 /// downstream_wait and are skipped by critical-path extraction.
 struct ChildCall {
-  SpanId child;
+  std::size_t child = 0;  ///< Position of the callee's span in Trace::spans.
   int parallel_group = 0;
   SimTime issued = 0;    ///< When the caller initiated the call.
   SimTime returned = 0;  ///< When the response came back (0 for async).
@@ -75,9 +76,10 @@ struct Span {
 };
 
 /// A completed request trace: the root span plus all descendants.
-/// Spans are stored in creation order; spans[0] is the root. A deque rather
-/// than a vector: opening a span must not invalidate references to spans a
-/// service already holds (Tracer::span) while its visit is in flight.
+/// Spans are stored in creation order, so spans[0] is the root and every
+/// ChildCall::child points forward. A deque rather than a vector: opening a
+/// span must not invalidate the Span& a visit holds while it is in flight
+/// (Tracer::start_span).
 struct Trace {
   TraceId id;
   int request_class = 0;

@@ -14,50 +14,36 @@ TraceId Tracer::begin_trace(int request_class, SimTime now) {
   return id;
 }
 
-SpanId Tracer::start_span(TraceId trace, SpanId parent, ServiceId service,
-                          InstanceId instance, int request_class,
-                          SimTime arrival) {
+Span& Tracer::start_span(TraceId trace, Span* parent, ServiceId service,
+                         int request_class, SimTime arrival,
+                         int parallel_group, bool async) {
   auto it = open_.find(trace.value());
   assert(it != open_.end() && "start_span on unknown trace");
   OpenTrace& open = it->second;
+  auto& spans = open.trace.spans;
 
-  const SpanId id = span_ids_.next();
-  Span s;
-  s.id = id;
+  Span& s = spans.emplace_back();
+  s.id = span_ids_.next();
   s.trace = trace;
-  s.parent = parent;
   s.service = service;
-  s.instance = instance;
   s.request_class = request_class;
   s.arrival = arrival;
   s.admitted = arrival;
   s.departure = arrival;
-  open.trace.spans.push_back(std::move(s));
-  ++open.open_spans;
-  return id;
-}
-
-Span& Tracer::find_span(OpenTrace& open, SpanId id) {
-  auto& spans = open.trace.spans;
-  for (std::size_t i = spans.size(); i-- > 0;) {
-    if (spans[i].id == id) return spans[i];
+  if (parent != nullptr) {
+    s.parent = parent->id;
+    parent->children.push_back(
+        ChildCall{spans.size() - 1, parallel_group, arrival, 0, async});
   }
-  assert(false && "span lookup on unknown span");
-  return spans.front();
+  ++open.open_spans;
+  return s;
 }
 
-Span& Tracer::span(TraceId trace, SpanId id) {
-  auto it = open_.find(trace.value());
-  assert(it != open_.end() && "span() on unknown trace");
-  return find_span(it->second, id);
-}
-
-void Tracer::finish_span(TraceId trace, SpanId id, SimTime departure) {
-  auto it = open_.find(trace.value());
+void Tracer::finish_span(Span& s, SimTime departure) {
+  auto it = open_.find(s.trace.value());
   assert(it != open_.end() && "finish_span on unknown trace");
   OpenTrace& open = it->second;
 
-  Span& s = find_span(open, id);
   s.departure = departure;
   assert(open.open_spans > 0);
   --open.open_spans;
@@ -87,20 +73,13 @@ void Tracer::finish_span(TraceId trace, SpanId id, SimTime departure) {
   open_.erase(it);
   ++traces_completed_;
 
-  // `s` moved with the trace; relocate the closing span for its report.
-  Span* closing = nullptr;
-  for (Span& sp : done.spans) {
-    if (sp.id == id) {
-      closing = &sp;
-      break;
-    }
-  }
-  assert(closing != nullptr);
+  // `s` still names the closing span, now inside `done`: moving a deque
+  // hands its element blocks over without relocating any element.
   if (is_root && root_hook_) root_hook_(done);
   const SpanFate fate =
-      span_interceptor_ ? span_interceptor_(*closing) : SpanFate::kDeliver;
+      span_interceptor_ ? span_interceptor_(s) : SpanFate::kDeliver;
   if (fate == SpanFate::kDeliver) {
-    for (const auto& listener : span_listeners_) listener(*closing);
+    for (const auto& listener : span_listeners_) listener(s);
   }
   if (!is_root && deferred_delivery_) {
     // The trace outlived its root (async callbacks): hand it off so the

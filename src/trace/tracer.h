@@ -55,23 +55,22 @@ class Tracer {
   /// Start a new trace for a request of the given class. Returns its id.
   TraceId begin_trace(int request_class, SimTime now);
 
-  /// Open a span under `trace`. `parent` is invalid for the root span.
-  /// `arrival` is when the request message reached the service.
-  SpanId start_span(TraceId trace, SpanId parent, ServiceId service,
-                    InstanceId instance, int request_class, SimTime arrival);
-
-  /// Mutable access to an open span (to stamp admitted/downstream_wait and
-  /// append child calls). Must not be called after the span is finished.
-  /// The returned reference stays valid while the trace is open (spans live
-  /// in a deque).
-  Span& span(TraceId trace, SpanId id);
+  /// Open a span under `trace` and return it. `parent` is null for the root
+  /// span; otherwise the new span is recorded on it as a ChildCall issued at
+  /// `arrival` in `parallel_group` (async: a fire-and-forget callback).
+  /// `arrival` is when the request message reached the service. The
+  /// reference stays valid until the span is finished (spans live in a
+  /// deque), so callers stamp it directly.
+  Span& start_span(TraceId trace, Span* parent, ServiceId service,
+                   int request_class, SimTime arrival, int parallel_group = 0,
+                   bool async = false);
 
   /// Close a span. When the last open span of a trace closes (the root
   /// itself on async-free traces), the trace is assembled, handed to the
   /// sink, and its storage is released. A root closing while async callback
   /// spans are still open only fires the root hook; assembly waits for the
   /// stragglers.
-  void finish_span(TraceId trace, SpanId id, SimTime departure);
+  void finish_span(Span& s, SimTime departure);
 
   /// Install (or clear, with nullptr) the completed-trace sink.
   void set_trace_sink(TraceSink fn) { trace_sink_ = std::move(fn); }
@@ -112,11 +111,6 @@ class Tracer {
     /// async callbacks — when the last closes, the trace assembles.
     bool root_finished = false;
   };
-
-  /// Find a span inside an open trace by id. Traces hold a handful of
-  /// spans, so a backwards linear scan (most recently opened first) beats
-  /// a per-trace hash index.
-  static Span& find_span(OpenTrace& open, SpanId id);
 
   IdGenerator<TraceId> trace_ids_;
   IdGenerator<SpanId> span_ids_;

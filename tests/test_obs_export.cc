@@ -86,8 +86,7 @@ Trace make_trace(std::uint64_t id, SimTime start) {
   root.admitted = start + usec(200);
   root.departure = t.end;
   root.downstream_wait = msec(8);
-  root.children.push_back(
-      ChildCall{SpanId(id * 10 + 1), 0, start + msec(1), start + msec(9)});
+  root.children.push_back(ChildCall{1, 0, start + msec(1), start + msec(9)});
 
   Span child;
   child.id = SpanId(id * 10 + 1);

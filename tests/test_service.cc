@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "svc/application.h"
 #include "test_util.h"
 #include "trace/tracer.h"
@@ -134,6 +136,76 @@ TEST(Service, UnlimitedEntryPool) {
   Fixture f(std::move(cfg));
   Service* svc = f.app.service("svc");
   EXPECT_GE(svc->instance(0).entry_pool().capacity(), 1'000'000);
+}
+
+// Sends one request at a time through a single-service application and
+// reports the index of the replica that served it.
+struct RoutingProbe {
+  Fixture f{testutil::single_service()};
+  Service* svc = f.app.service("svc");
+  std::vector<std::size_t> served;  // replica index of each finished visit
+
+  RoutingProbe() {
+    f.tracer.add_span_listener([this](const Span& s) {
+      for (std::size_t i = 0; i < svc->total_replicas(); ++i) {
+        if (svc->instance(i).id() == s.instance) served.push_back(i);
+      }
+    });
+  }
+  std::size_t send(Priority p = Priority::kHigh) {
+    const std::size_t before = served.size();
+    f.app.inject(RequestMeta{0, p, 0}, [](SimTime, bool) {});
+    f.sim.run_all();
+    return served.size() == before + 1 ? served.back() : std::size_t{99};
+  }
+};
+
+// Round robin rotates over the replicas in instance order.
+TEST(LoadBalancer, RoundRobinCycles) {
+  RoutingProbe probe;
+  probe.svc->scale_replicas(3);
+  EXPECT_EQ(probe.send(), 0u);
+  EXPECT_EQ(probe.send(), 1u);
+  EXPECT_EQ(probe.send(), 2u);
+  EXPECT_EQ(probe.send(), 0u);
+}
+
+// A replica that goes down mid-rotation is skipped; the rotation walks the
+// remaining active replicas in instance order.
+TEST(LoadBalancer, RoundRobinHandlesShrinkingSet) {
+  RoutingProbe probe;
+  probe.svc->scale_replicas(3);
+  EXPECT_EQ(probe.send(), 0u);
+  EXPECT_EQ(probe.send(), 1u);
+  ASSERT_TRUE(probe.svc->crash_replica(1, /*drop_inflight=*/false));
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(probe.send(), 0u);
+    EXPECT_EQ(probe.send(), 2u);
+  }
+  ASSERT_TRUE(probe.svc->restore_replica(1));
+  EXPECT_EQ(probe.send(), 1u);  // turn 10 lands on 10 % 3 = 1
+}
+
+TEST(LoadBalancer, SingleReplica) {
+  RoutingProbe probe;
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(probe.send(Priority::kHigh), 0u);
+    EXPECT_EQ(probe.send(Priority::kBatch), 0u);
+  }
+}
+
+// Each priority class has its own rotation, so batch requests interleaved
+// with high-priority ones do not shift the high-priority sequence.
+TEST(Service, RoundRobinKeepsOneRotationPerPriority) {
+  RoutingProbe probe;
+  probe.svc->scale_replicas(3);
+  EXPECT_EQ(probe.send(Priority::kHigh), 0u);
+  EXPECT_EQ(probe.send(Priority::kBatch), 0u);
+  EXPECT_EQ(probe.send(Priority::kHigh), 1u);
+  EXPECT_EQ(probe.send(Priority::kBatch), 1u);
+  EXPECT_EQ(probe.send(Priority::kBatch), 2u);
+  EXPECT_EQ(probe.send(Priority::kHigh), 2u);
+  EXPECT_EQ(probe.send(Priority::kHigh), 0u);
 }
 
 }  // namespace

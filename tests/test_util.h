@@ -148,8 +148,7 @@ inline Trace make_trace(const std::vector<SyntheticSpan>& spans,
   for (std::size_t i = 0; i < spans.size(); ++i) {
     if (spans[i].parent_index < 0) continue;
     Span& parent = t.spans[static_cast<std::size_t>(spans[i].parent_index)];
-    parent.children.push_back(ChildCall{t.spans[i].id,
-                                        spans[i].parallel_group,
+    parent.children.push_back(ChildCall{i, spans[i].parallel_group,
                                         spans[i].arrival,
                                         spans[i].departure});
   }

@@ -110,9 +110,7 @@ TEST(TraceWarehouse, AttachToTracer) {
   TraceWarehouse wh(10);
   wh.attach(tracer);
   const TraceId tid = tracer.begin_trace(0, 0);
-  const SpanId root =
-      tracer.start_span(tid, SpanId{}, ServiceId(0), InstanceId(0), 0, 0);
-  tracer.finish_span(tid, root, 50);
+  tracer.finish_span(tracer.start_span(tid, nullptr, ServiceId(0), 0, 0), 50);
   EXPECT_EQ(wh.size(), 1u);
 }
 
