@@ -1,6 +1,5 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/log.h"
@@ -21,6 +20,8 @@ void Simulator::publish_metrics(obs::MetricsRegistry& metrics) const {
       static_cast<double>(events_executed()));
   metrics.counter("sim.events_cancelled").set_total(
       static_cast<double>(events_cancelled()));
+  metrics.counter("sim.events_rescheduled").set_total(
+      static_cast<double>(events_rescheduled()));
   metrics.gauge("sim.events_pending").set(
       static_cast<double>(events_pending()));
   metrics.gauge("sim.now_us").set(static_cast<double>(now()));
@@ -39,31 +40,67 @@ std::uint32_t Simulator::alloc_slot() {
 void Simulator::release_slot(std::uint32_t slot) {
   EventRecord& rec = records_[slot];
   rec.cb.reset();
-  ++rec.gen;  // invalidates outstanding handles and heap entries
-  rec.queued = false;
+  ++rec.gen;  // invalidates outstanding handles
+  rec.heap_pos = kNilSlot;
   rec.next_free = free_head_;
   free_head_ = slot;
 }
 
 void Simulator::cancel_slot(std::uint32_t slot, std::uint32_t gen) {
   if (!slot_live(slot, gen)) return;
-  const bool was_queued = records_[slot].queued;
+  const std::uint32_t pos = records_[slot].heap_pos;
+  if (pos != kNilSlot) erase_at(pos);  // periodic anchors own no entry
   release_slot(slot);  // frees the callback's captures immediately
   ++events_cancelled_;
-  if (was_queued) {
-    ++stale_in_heap_;
-    if (heap_.size() >= kCompactMinHeap && stale_in_heap_ * 2 > heap_.size()) {
-      compact();
-    }
+}
+
+bool Simulator::reschedule(const EventHandle& h, SimTime at) {
+  assert(at >= now_ && "cannot schedule in the past");
+  if (h.sim_ != this || !slot_live(h.slot_, h.gen_)) return false;
+  const std::uint32_t pos = records_[h.slot_].heap_pos;
+  if (pos == kNilSlot) return false;  // periodic chain anchor
+  HeapEntry e = heap_[pos];
+  e.at = at;
+  e.seq = next_seq_++;
+  resift(pos, e);
+  ++events_rescheduled_;
+  return true;
+}
+
+void Simulator::sift_up(std::size_t pos, const HeapEntry& e) {
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!fires_before(e, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
+  }
+  place(pos, e);
+}
+
+void Simulator::sift_down(std::size_t pos, const HeapEntry& e) {
+  const std::size_t n = heap_.size();
+  while (2 * pos + 1 < n) {
+    std::size_t child = 2 * pos + 1;
+    if (child + 1 < n && fires_before(heap_[child + 1], heap_[child])) ++child;
+    if (!fires_before(heap_[child], e)) break;
+    place(pos, heap_[child]);
+    pos = child;
+  }
+  place(pos, e);
+}
+
+void Simulator::resift(std::size_t pos, const HeapEntry& e) {
+  if (pos > 0 && fires_before(e, heap_[(pos - 1) / 2])) {
+    sift_up(pos, e);
+  } else {
+    sift_down(pos, e);
   }
 }
 
-void Simulator::compact() {
-  std::erase_if(heap_, [this](const HeapEntry& e) {
-    return records_[e.slot].gen != e.gen;
-  });
-  std::make_heap(heap_.begin(), heap_.end(), FiresAfter{});
-  stale_in_heap_ = 0;
+void Simulator::erase_at(std::size_t pos) {
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (pos < heap_.size()) resift(pos, last);
 }
 
 EventHandle Simulator::schedule_at(SimTime at, Callback cb) {
@@ -71,10 +108,10 @@ EventHandle Simulator::schedule_at(SimTime at, Callback cb) {
   const std::uint32_t slot = alloc_slot();
   EventRecord& rec = records_[slot];
   rec.cb = std::move(cb);
-  rec.queued = true;
-  heap_.push_back(HeapEntry{at, next_seq_++, slot, rec.gen});
-  std::push_heap(heap_.begin(), heap_.end(), FiresAfter{});
-  return EventHandle(this, slot, rec.gen);
+  const std::uint32_t gen = rec.gen;
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, HeapEntry{at, next_seq_++, slot});
+  return EventHandle(this, slot, gen);
 }
 
 EventHandle Simulator::schedule_periodic(SimTime period, Callback cb) {
@@ -106,21 +143,9 @@ void Simulator::schedule_tick(SimTime period, std::uint32_t chain_slot,
   });
 }
 
-const Simulator::HeapEntry* Simulator::live_top() {
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    if (records_[top.slot].gen == top.gen) return &top;
-    std::pop_heap(heap_.begin(), heap_.end(), FiresAfter{});
-    heap_.pop_back();
-    --stale_in_heap_;
-  }
-  return nullptr;
-}
-
 void Simulator::execute_top() {
   const HeapEntry top = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), FiresAfter{});
-  heap_.pop_back();
+  erase_at(0);
   now_ = top.at;
   if (digest_enabled_) [[unlikely]] {
     fold_digest(static_cast<std::uint64_t>(top.at), top.seq);
@@ -147,20 +172,18 @@ void Simulator::fold_digest(std::uint64_t at, std::uint64_t seq) {
 }
 
 bool Simulator::step() {
-  if (live_top() == nullptr) return false;
+  if (heap_.empty()) return false;
   execute_top();
   return true;
 }
 
 void Simulator::run_until(SimTime until) {
-  for (const HeapEntry* top; (top = live_top()) != nullptr && top->at <= until;) {
-    execute_top();
-  }
+  while (!heap_.empty() && heap_.front().at <= until) execute_top();
   if (now_ < until) now_ = until;
 }
 
 void Simulator::run_all() {
-  while (live_top() != nullptr) execute_top();
+  while (!heap_.empty()) execute_top();
 }
 
 }  // namespace sora

@@ -13,11 +13,11 @@
 // Hot-path layout: event callbacks live in a slab of pooled records indexed
 // by a free list, so steady-state scheduling performs no heap allocation
 // (callback captures up to UniqueFunction::kInlineSize bytes included). The
-// heap itself stores 24-byte (time, seq, slot, generation) entries.
-// Cancellation bumps the slot's generation counter and frees the record
-// immediately — including its callback captures — leaving only a stale heap
-// entry behind, which is skipped on pop; when more than half of the heap is
-// stale it is compacted in place.
+// heap itself stores 24-byte (time, seq, slot) entries, and each record
+// tracks the position of its entry. That makes both cancel and reschedule
+// O(log n) in place: cancel erases the entry (and frees the record with its
+// callback captures immediately), reschedule re-keys it and keeps the
+// callback. The heap never holds a dead entry, so every pop is a live event.
 #pragma once
 
 #include <cassert>
@@ -35,7 +35,8 @@ class MetricsRegistry;
 
 class Simulator;
 
-/// Handle to a scheduled event, usable to cancel it before it fires.
+/// Handle to a scheduled event, usable to cancel or reschedule it before it
+/// fires.
 /// A handle is a (slot, generation) ticket into the owning simulator's event
 /// slab; it is cheap to copy and must not outlive the Simulator.
 class EventHandle {
@@ -82,8 +83,19 @@ class Simulator {
   }
 
   /// Schedule `cb` every `period` starting at now()+period, until the
-  /// returned handle is cancelled or the simulation ends.
+  /// returned handle is cancelled or the simulation ends. A periodic handle
+  /// can be cancelled but not rescheduled.
   EventHandle schedule_periodic(SimTime period, Callback cb);
+
+  /// Move the pending one-shot event behind `h` to absolute time `at`
+  /// (must be >= now()), keeping its callback. The event takes a fresh
+  /// sequence number, exactly as cancel + schedule_at would, so it fires
+  /// after every event already scheduled for `at` and the executed stream
+  /// (order, digest(), events_executed()) is the same as that pair's.
+  /// Returns false and changes nothing when `h` is not pending (default,
+  /// fired, cancelled, or its own event's callback is running) or is a
+  /// periodic handle.
+  bool reschedule(const EventHandle& h, SimTime at);
 
   /// Run until the event queue is empty or `until` is reached. Events at
   /// exactly `until` are executed. Advances now() to `until` (or the last
@@ -109,12 +121,14 @@ class Simulator {
   std::uint64_t digest() const { return digest_; }
 
   std::uint64_t events_executed() const { return events_executed_; }
-  /// Scheduled-and-not-yet-fired events (cancelled events excluded).
-  std::size_t events_pending() const { return heap_.size() - stale_in_heap_; }
+  /// Scheduled-and-not-yet-fired events.
+  std::size_t events_pending() const { return heap_.size(); }
   /// Events cancelled before firing over the simulator's lifetime.
   std::uint64_t events_cancelled() const { return events_cancelled_; }
-  /// Raw heap entries including stale (cancelled) ones. Exposed for
-  /// compaction regression tests.
+  /// Successful reschedule() calls over the simulator's lifetime.
+  std::uint64_t events_rescheduled() const { return events_rescheduled_; }
+  /// Heap entries; equal to events_pending(). Kept for perfbench's
+  /// heap-size probe.
   std::size_t heap_entries() const { return heap_.size(); }
 
   /// Publish event-loop state (events executed/cancelled, queue depth, sim
@@ -126,36 +140,32 @@ class Simulator {
   friend class EventHandle;
 
   static constexpr std::uint32_t kNilSlot = UINT32_MAX;
-  /// Below this heap size, stale entries are too cheap to be worth a
-  /// compaction pass.
-  static constexpr std::size_t kCompactMinHeap = 64;
 
   /// Pooled per-event state. `gen` identifies the current occupancy of the
-  /// slot: heap entries and handles carry the generation they were issued
-  /// under and become stale when it changes.
+  /// slot: handles carry the generation they were issued under and become
+  /// stale when it changes.
   struct EventRecord {
     Callback cb;
     std::uint32_t gen = 0;
     std::uint32_t next_free = kNilSlot;
-    /// One-shot events own a heap entry; periodic chain anchors do not.
-    bool queued = false;
+    /// Index of this event's entry in heap_; kNilSlot for free slots and
+    /// periodic chain anchors, which own no entry.
+    std::uint32_t heap_pos = kNilSlot;
   };
 
   struct HeapEntry {
     SimTime at;
     std::uint64_t seq;  // tie-break: FIFO among same-time events
     std::uint32_t slot;
-    std::uint32_t gen;
   };
 
-  /// Heap comparator: true when `a` fires after `b` (std::*_heap with this
-  /// ordering keeps the earliest (time, seq) event on top).
-  struct FiresAfter {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
+  /// Heap order: the earliest (time, seq) event is on top. Keys are unique
+  /// (seq is never reused), so pop order depends only on the key set, not
+  /// on the heap's shape.
+  static bool fires_before(const HeapEntry& a, const HeapEntry& b) {
+    if (a.at != b.at) return a.at < b.at;
+    return a.seq < b.seq;
+  }
 
   std::uint32_t alloc_slot();
   void release_slot(std::uint32_t slot);
@@ -164,13 +174,21 @@ class Simulator {
   }
   void cancel_slot(std::uint32_t slot, std::uint32_t gen);
 
-  /// Discard stale entries from the top of the heap; returns the earliest
-  /// live entry, or nullptr when the queue is (effectively) empty.
-  const HeapEntry* live_top();
-  /// Pop and execute the top entry (must be live).
+  /// Write `e` at heap index `pos` and record that index in its event.
+  void place(std::size_t pos, const HeapEntry& e) {
+    heap_[pos] = e;
+    records_[e.slot].heap_pos = static_cast<std::uint32_t>(pos);
+  }
+  /// Hole technique: `pos` is a hole that `e` fills once the entries it
+  /// passes have moved down (sift_up) or up (sift_down) into it.
+  void sift_up(std::size_t pos, const HeapEntry& e);
+  void sift_down(std::size_t pos, const HeapEntry& e);
+  /// Put `e` at hole `pos`, sifting whichever way its key requires.
+  void resift(std::size_t pos, const HeapEntry& e);
+  /// Remove the entry at `pos`; the last entry fills the hole.
+  void erase_at(std::size_t pos);
+  /// Pop and execute the top entry (heap must be non-empty).
   void execute_top();
-  /// Drop all stale entries and restore the heap invariant.
-  void compact();
 
   void schedule_tick(SimTime period, std::uint32_t chain_slot,
                      std::uint32_t chain_gen);
@@ -183,12 +201,12 @@ class Simulator {
   std::vector<HeapEntry> heap_;
   std::vector<EventRecord> records_;
   std::uint32_t free_head_ = kNilSlot;
-  std::size_t stale_in_heap_ = 0;
   SimTime now_ = 0;
   std::uint64_t digest_ = 1469598103934665603ULL;  // FNV-1a offset basis
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_executed_ = 0;
   std::uint64_t events_cancelled_ = 0;
+  std::uint64_t events_rescheduled_ = 0;
   bool digest_enabled_ = false;
 };
 

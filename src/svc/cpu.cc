@@ -57,14 +57,20 @@ void CpuScheduler::advance() {
 }
 
 void CpuScheduler::reschedule() {
-  completion_event_.cancel();
-  if (jobs_.empty()) return;
+  if (jobs_.empty()) {
+    completion_event_.cancel();
+    return;
+  }
   const double remaining_v = jobs_.begin()->first - v_;
   const double r = rate(static_cast<int>(jobs_.size()));
   const double dt = std::max(remaining_v, 0.0) / r;
-  const SimTime delay = std::max<SimTime>(
+  const SimTime at = sim_.now() + std::max<SimTime>(
       0, static_cast<SimTime>(std::ceil(dt)));
-  completion_event_ = sim_.schedule_after(delay, [this] { complete_front(); });
+  // Move the live completion event in place; only after it fired (the
+  // complete_front path) is there none to move.
+  if (!sim_.reschedule(completion_event_, at)) {
+    completion_event_ = sim_.schedule_at(at, [this] { complete_front(); });
+  }
 }
 
 void CpuScheduler::complete_front() {

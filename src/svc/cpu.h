@@ -69,7 +69,8 @@ class CpuScheduler {
 
   /// Fold elapsed wall time into virtual time and the busy integral.
   void advance();
-  /// (Re)schedule the completion event for the earliest-finishing job.
+  /// Move the completion event to the earliest-finishing job (schedule a new
+  /// one only when it already fired; cancel it when no job is left).
   void reschedule();
   void complete_front();
 

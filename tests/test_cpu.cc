@@ -106,6 +106,36 @@ TEST(CpuScheduler, SetCoresSpeedsUpInFlight) {
   EXPECT_NEAR(static_cast<double>(done_at), 2500.0, 3.0);
 }
 
+// Arrivals and a core change move the one live completion event in place:
+// the queue holds exactly that event while jobs run, and nothing is ever
+// cancelled.
+TEST(CpuScheduler, ArrivalsAndCoreChangeMoveOneCompletionEvent) {
+  Simulator sim;
+  CpuScheduler cpu(sim, 1.0, 0.0);
+  std::vector<SimTime> done(3, -1);
+  for (int i = 0; i < 3; ++i) {
+    cpu.submit(1000 * (i + 1), [&done, &sim, i] { done[i] = sim.now(); });
+    EXPECT_EQ(sim.events_pending(), 1u);
+  }
+  // Three jobs share one core at 1/3 each: by t=1500 each has 500us of
+  // service. Two cores then run all three at 2/3: job 0's last 500us end at
+  // t=2250. The other two run at full speed from there: job 1 (1000us left)
+  // ends at t=3250 and job 2 (2000us left) at t=4250.
+  sim.run_until(1500);
+  cpu.set_cores(2.0);
+  EXPECT_EQ(sim.events_pending(), 1u);
+  while (sim.step()) {
+    if (cpu.active_jobs() > 0) {
+      EXPECT_EQ(sim.events_pending(), 1u);
+    }
+  }
+  EXPECT_EQ(sim.events_cancelled(), 0u);
+  EXPECT_EQ(sim.events_rescheduled(), 3u);  // two arrivals + set_cores
+  EXPECT_NEAR(static_cast<double>(done[0]), 2250.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(done[1]), 3250.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(done[2]), 4250.0, 2.0);
+}
+
 TEST(CpuScheduler, BusyIntegralSingleJob) {
   Simulator sim;
   CpuScheduler cpu(sim, 4.0, 0.0);

@@ -60,7 +60,8 @@ std::string fingerprint(Experiment& exp, const std::string& tracked) {
   os << "warehouse " << exp.warehouse().digest() << '|'
      << exp.warehouse().total_stored() << '\n';
   os << "sim " << exp.sim().digest() << '|' << exp.sim().events_executed()
-     << '|' << exp.sim().events_cancelled() << '\n';
+     << '|' << exp.sim().events_cancelled() << '|'
+     << exp.sim().events_rescheduled() << '\n';
   for (const ServiceTimelinePoint& p : exp.timeline(tracked)) {
     os << tracked << ' ' << p.at << ',' << p.util_pct << ',' << p.limit_pct
        << ',' << p.replicas << ',' << p.entry_capacity << ','

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace sora {
 namespace {
@@ -282,9 +286,10 @@ TEST(Simulator, HandleGenerationStress) {
   EXPECT_EQ(sim.events_cancelled(), 1000u);
 }
 
-// Cancelling most of a large queue triggers in-place heap compaction; the
-// survivors must still fire in exact (time, FIFO) order.
-TEST(Simulator, CompactionPreservesOrder) {
+// Cancelling most of a large queue removes each entry in place; the heap
+// shrinks immediately and the survivors still fire in exact (time, FIFO)
+// order.
+TEST(Simulator, CancelInPlacePreservesOrder) {
   Simulator sim;
   std::vector<int> fired;
   std::vector<EventHandle> handles;
@@ -292,7 +297,7 @@ TEST(Simulator, CompactionPreservesOrder) {
     handles.push_back(
         sim.schedule_at(1000 - i, [&fired, i] { fired.push_back(i); }));
   }
-  // Cancel all but every 8th event: well past the >50% stale threshold.
+  // Cancel all but every 8th event, from all depths of the heap.
   std::uint64_t expected_cancelled = 0;
   for (int i = 0; i < 512; ++i) {
     if (i % 8 != 0) {
@@ -311,8 +316,8 @@ TEST(Simulator, CompactionPreservesOrder) {
   EXPECT_EQ(sim.events_pending(), 0u);
 }
 
-// Compaction during execution: cancel from inside a callback, then keep
-// scheduling; counters and order must stay consistent.
+// In-place removal during execution: cancel from inside a callback, then
+// keep scheduling; counters and order must stay consistent.
 TEST(Simulator, CancelInsideCallbackWithChurn) {
   Simulator sim;
   std::vector<int> order;
@@ -322,6 +327,7 @@ TEST(Simulator, CancelInsideCallbackWithChurn) {
   }
   sim.schedule_at(50, [&] {
     for (EventHandle& h : doomed) h.cancel();
+    EXPECT_EQ(sim.events_pending(), 0u);
     order.push_back(1);
     sim.schedule_after(10, [&] { order.push_back(2); });
   });
@@ -350,44 +356,163 @@ TEST(Simulator, PeriodicSlotReuseAcrossGenerations) {
   EXPECT_EQ(second_count, 5);  // ticks at 40, 45, 50, 55, 60
 }
 
-// The stale-entry compactor fires only past the exact 50% boundary:
-// heap >= kCompactMinHeap entries AND stale * 2 > heap size. At a 64-entry
-// heap, 32 cancellations sit exactly at half — no compaction; the 33rd
-// crosses the boundary and sweeps every stale entry in one pass.
-TEST(Simulator, HeapCompactionAtExactHalfStaleBoundary) {
+// One simulator driven through a seeded stream of schedule, cancel,
+// reschedule and run operations. With `in_place` every move is
+// Simulator::reschedule; otherwise it is cancel + schedule_at of an
+// equivalent callback. All random draws happen before that branch, so both
+// modes see the same operation stream.
+struct ChurnResult {
+  std::vector<int> fired;
+  std::vector<std::size_t> pending;  // events_pending() after each operation
+  std::uint64_t digest = 0;
+  std::uint64_t executed = 0;
+  std::uint64_t cancelled = 0;
+  std::uint64_t rescheduled = 0;
+  std::uint64_t moves = 0;    // moves of a pending event
+  std::uint64_t refused = 0;  // moves of a handle with no pending event
+};
+
+ChurnResult run_churn(bool in_place) {
   Simulator sim;
+  sim.set_digest_enabled(true);
+  Rng rng(0x50a7ULL);
+  ChurnResult r;
   std::vector<EventHandle> handles;
-  for (int i = 0; i < 64; ++i) {
-    handles.push_back(sim.schedule_at(1000 + i, [] {}));
+  std::vector<SimTime> when;  // each handle's latest scheduled time
+  const auto make_cb = [&sim, &r](int id) {
+    return [&sim, &r, id] {
+      r.fired.push_back(id);
+      // Some events schedule a follow-up, possibly at the same instant.
+      if (id % 5 == 0) {
+        sim.schedule_after(id % 3, [&r, id] { r.fired.push_back(-id); });
+      }
+    };
+  };
+  // Moves and cancels pick among the 64 newest handles, most still pending.
+  const auto pick = [&rng, &handles] {
+    const std::size_t n = handles.size();
+    return n - 1 - rng.uniform_int(std::min<std::size_t>(n, 64));
+  };
+  // Times are multiples of 10 so same-time ties are common.
+  const auto draw_time = [&rng](SimTime from, std::uint64_t steps) {
+    return from + 10 * static_cast<SimTime>(rng.uniform_int(steps));
+  };
+  for (int op = 0; op < 12000; ++op) {
+    const std::uint64_t kind = rng.uniform_int(100);
+    if (kind < 35 || handles.empty()) {
+      const int id = static_cast<int>(handles.size());
+      const SimTime at = draw_time(sim.now(), 100);
+      handles.push_back(sim.schedule_at(at, make_cb(id)));
+      when.push_back(at);
+    } else if (kind < 45) {
+      handles[pick()].cancel();
+    } else if (kind < 80) {
+      const std::size_t k = pick();
+      const SimTime now = sim.now();
+      const SimTime base = std::max(when[k], now);
+      SimTime at = base;  // mode 2: same time, behind its own tie group
+      switch (rng.uniform_int(4)) {
+        case 0:  // earlier (or unchanged when already due now)
+          at = now + static_cast<SimTime>(
+                         rng.uniform_int(static_cast<std::uint64_t>(base - now) + 1));
+          break;
+        case 1:  // later
+          at = base + 1 + static_cast<SimTime>(rng.uniform_int(500));
+          break;
+        case 3:  // onto another event's time
+          at = std::max(when[pick()], now);
+          break;
+        default:
+          break;
+      }
+      const bool was_pending = handles[k].pending();
+      if (in_place) {
+        EXPECT_EQ(sim.reschedule(handles[k], at), was_pending);
+      } else if (was_pending) {
+        handles[k].cancel();
+        handles[k] = sim.schedule_at(at, make_cb(static_cast<int>(k)));
+      }
+      if (was_pending) {
+        when[k] = at;
+        ++r.moves;
+      } else {
+        ++r.refused;
+      }
+    } else if (kind < 90) {
+      sim.step();
+    } else {
+      sim.run_until(draw_time(sim.now(), 4));
+    }
+    r.pending.push_back(sim.events_pending());
   }
-  ASSERT_EQ(sim.heap_entries(), 64u);  // == kCompactMinHeap
-  for (int i = 0; i < 32; ++i) handles[static_cast<std::size_t>(i)].cancel();
-  // 32 stale of 64 is exactly half, not "more than half": stale entries stay.
-  EXPECT_EQ(sim.heap_entries(), 64u);
-  EXPECT_EQ(sim.events_pending(), 32u);
-  handles[32].cancel();
-  // 33 of 64 crosses the boundary: only the 31 live entries survive.
-  EXPECT_EQ(sim.heap_entries(), 31u);
-  EXPECT_EQ(sim.events_pending(), 31u);
-  EXPECT_EQ(sim.events_cancelled(), 33u);
   sim.run_all();
-  EXPECT_EQ(sim.events_executed(), 31u);
+  r.digest = sim.digest();
+  r.executed = sim.events_executed();
+  r.cancelled = sim.events_cancelled();
+  r.rescheduled = sim.events_rescheduled();
+  return r;
 }
 
-// Below kCompactMinHeap a stale majority never triggers compaction — the
-// pass would cost more than popping the stale entries at run time.
-TEST(Simulator, NoCompactionBelowMinHeapSize) {
-  Simulator sim;
-  std::vector<EventHandle> handles;
-  for (int i = 0; i < 63; ++i) {
-    handles.push_back(sim.schedule_at(1000 + i, [] { FAIL(); }));
-  }
-  for (EventHandle& h : handles) h.cancel();
-  EXPECT_EQ(sim.heap_entries(), 63u);  // all stale, all still queued
-  EXPECT_EQ(sim.events_pending(), 0u);
-  sim.run_all();
-  EXPECT_EQ(sim.heap_entries(), 0u);
-  EXPECT_EQ(sim.events_executed(), 0u);
+// reschedule() must be indistinguishable from cancel + schedule_at: same
+// fire order, same queue depth after every operation, same (time, seq)
+// digest and executed count.
+TEST(Simulator, RescheduleMatchesCancelPlusSchedule) {
+  const ChurnResult moved = run_churn(true);
+  const ChurnResult redone = run_churn(false);
+  EXPECT_GT(moved.moves, 2000u);
+  EXPECT_GT(moved.refused, 500u);
+  EXPECT_GT(moved.fired.size(), 3000u);
+  EXPECT_EQ(moved.fired, redone.fired);
+  EXPECT_EQ(moved.pending, redone.pending);
+  EXPECT_EQ(moved.digest, redone.digest);
+  EXPECT_EQ(moved.executed, redone.executed);
+  EXPECT_EQ(moved.rescheduled, moved.moves);
+  EXPECT_EQ(redone.rescheduled, 0u);
+  EXPECT_EQ(redone.cancelled, moved.cancelled + moved.moves);
+}
+
+// reschedule() returns false and consumes nothing (no event, no sequence
+// number) for a default, fired, cancelled or periodic handle, and for a
+// handle used inside its own callback. The same run without those calls
+// must digest equal.
+TEST(Simulator, RescheduleRefusesHandlesWithoutAPendingEvent) {
+  const auto scenario = [](bool probe) {
+    Simulator sim;
+    sim.set_digest_enabled(true);
+    std::vector<int> fired;
+    const auto refuse = [&sim, probe](const EventHandle& h, SimTime at) {
+      if (probe) {
+        EXPECT_FALSE(sim.reschedule(h, at));
+      }
+    };
+    refuse(EventHandle{}, 5);
+    EventHandle spent = sim.schedule_at(1, [&] { fired.push_back(1); });
+    sim.run_until(2);
+    refuse(spent, 5);
+    EventHandle dropped = sim.schedule_at(10, [&] { fired.push_back(2); });
+    dropped.cancel();
+    refuse(dropped, 20);
+    EventHandle periodic =
+        sim.schedule_periodic(10, [&] { fired.push_back(3); });
+    refuse(periodic, 3);
+    EventHandle self;
+    self = sim.schedule_at(7, [&] {
+      fired.push_back(4);
+      refuse(self, 8);
+    });
+    sim.run_until(25);
+    EXPECT_TRUE(periodic.pending());
+    periodic.cancel();
+    sim.schedule_at(30, [&] { fired.push_back(5); });
+    sim.schedule_at(30, [&] { fired.push_back(6); });
+    sim.run_all();
+    EXPECT_EQ(sim.events_rescheduled(), 0u);
+    return std::make_pair(fired, sim.digest());
+  };
+  const auto probed = scenario(true);
+  // Periodic ticks at 12 and 22 are undisturbed by the refused move.
+  EXPECT_EQ(probed.first, (std::vector<int>{1, 4, 3, 3, 5, 6}));
+  EXPECT_EQ(probed, scenario(false));
 }
 
 }  // namespace
