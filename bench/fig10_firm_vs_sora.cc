@@ -114,10 +114,10 @@ int main_impl(int argc, char** argv) {
   }
 
   // Section 6 overhead claim: the whole adaptation loop is cheap. The
-  // profiler accumulated host wall-clock cost per control-plane stage
-  // during the Sora run (deltas are attributed per Experiment).
+  // Sora run's simulator accumulated host wall-clock cost per control-plane
+  // stage in its own stage table.
   std::cout << "\n=== Controller overhead, Sora run (host wall clock) ===\n";
-  obs::OverheadProfiler::print(sora.summary.controller_overhead, std::cout);
+  obs::StageTable::print(sora.summary.controller_overhead, std::cout);
 
   if (!cfg.telemetry_dir.empty()) {
     std::cout << "\nTelemetry exported to " << cfg.telemetry_dir

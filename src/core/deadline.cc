@@ -10,7 +10,7 @@ namespace sora {
 DeadlineResult propagate_deadline(const TraceWarehouse& warehouse, SimTime from,
                                   SimTime to, ServiceId critical, SimTime sla,
                                   const DeadlineOptions& options) {
-  SORA_PROFILE_STAGE("sora.deadline_prop");
+  SORA_PROFILE_STAGE(obs::Stage::kSoraDeadlineProp);
   DeadlineResult result;
   // Systematic sampling bound: count the matching traces first, then fold
   // every stride-th one.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/profiler.h"
 #include "sim/simulator.h"
 #include "svc/application.h"
 #include "trace/critical_path.h"
@@ -94,7 +93,6 @@ void CriticalServiceLocalizer::begin_window() {
 }
 
 CriticalServiceReport CriticalServiceLocalizer::analyze() {
-  SORA_PROFILE_STAGE("sora.localization");
   CriticalServiceReport report;
   const SimTime now = app_.sim().now();
   const SimTime elapsed = now - window_start_;

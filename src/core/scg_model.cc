@@ -27,7 +27,7 @@ double ScgModel::sample_value(const SamplePoint& p) const {
 
 std::vector<CurvePoint> ScgModel::aggregate(
     std::span<const SamplePoint> samples) const {
-  SORA_PROFILE_STAGE("scg.aggregate");
+  SORA_PROFILE_STAGE(obs::Stage::kScgAggregate);
   // Filter out idle buckets, then bin by rounded concurrency and average
   // ("for a specific server concurrency Q_n we calculate the average
   // goodput GP_n", Section 3.2).
@@ -61,7 +61,7 @@ std::vector<CurvePoint> ScgModel::aggregate(
 
 ConcurrencyEstimate ScgModel::estimate(
     std::span<const SamplePoint> samples) const {
-  SORA_PROFILE_STAGE("scg.estimate");
+  SORA_PROFILE_STAGE(obs::Stage::kScgEstimate);
   ConcurrencyEstimate est;
   est.points_used = samples.size();
 
@@ -98,7 +98,7 @@ ConcurrencyEstimate ScgModel::estimate(
       std::min<int>(options_.max_degree, static_cast<int>(xs.size()) - 2);
   for (int degree = options_.min_degree; degree <= max_degree; ++degree) {
     const PolyFitResult fit = [&] {
-      SORA_PROFILE_STAGE("scg.polyfit");
+      SORA_PROFILE_STAGE(obs::Stage::kScgPolyfit);
       return polyfit(xs, ys, degree);
     }();
     if (!fit.ok) continue;
@@ -110,7 +110,7 @@ ConcurrencyEstimate ScgModel::estimate(
       fit_peak = std::max(fit_peak, smooth[i]);
     }
     auto knee = [&] {
-      SORA_PROFILE_STAGE("scg.kneedle");
+      SORA_PROFILE_STAGE(obs::Stage::kScgKneedle);
       return kneedle(xs, smooth, options_.kneedle);
     }();
     // Reject knees below the saturation plateau (see min_knee_fraction).

@@ -71,14 +71,17 @@ std::vector<SoraFramework::KnobKnee> SoraFramework::current_knees() const {
 }
 
 void SoraFramework::control_round() {
-  SORA_PROFILE_STAGE("sora.control_round");
+  SORA_PROFILE_STAGE(obs::Stage::kSoraControlRound);
   round();
 }
 
 void SoraFramework::observe(SimTime now) {
   (void)now;
   // Critical Service Localization Phase.
-  last_report_ = localizer_.analyze();
+  {
+    SORA_PROFILE_STAGE(obs::Stage::kSoraLocalization);
+    last_report_ = localizer_.analyze();
+  }
   localizer_.begin_window();
 
   // Resolve the localization verdict once; every knob's record shares it.

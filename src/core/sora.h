@@ -104,9 +104,6 @@ class SoraFramework : public Controller {
   /// "relocalize" record documents why.
   void on_topology_changed(Service* service, const std::string& why) override;
 
-  /// Backwards-compatible alias for name() (pre-Controller callers).
-  const char* controller_name() const { return name(); }
-
   // -- introspection -----------------------------------------------------------
 
   ConcurrencyEstimator& estimator() { return estimator_; }

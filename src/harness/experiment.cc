@@ -53,7 +53,6 @@ Experiment::Experiment(ApplicationConfig app_config, ExperimentConfig config)
   });
   recorder_ = std::make_unique<LatencyRecorder>(sim_, config_.sla,
                                                 config_.timeline_bucket);
-  profile_baseline_ = obs::OverheadProfiler::global().stats();
 }
 
 Experiment::~Experiment() = default;
@@ -280,15 +279,15 @@ void Experiment::start_all() {
   for (auto& gen : open_loops_) gen->start();
   for (auto& gen : closed_loops_) gen->start();
   for (auto& src : workload_sources_) src->start();
-  // One loop drives every control plane, through the shared Controller
-  // contract, in start order: frameworks first (preserving the historical
-  // same-timestamp ordering between paired control planes), then hardware
-  // scalers, then the bi-level/gradient controllers.
-  control_loop_.clear();
-  for (auto& fw : frameworks_) control_loop_.add(fw.get());
-  for (auto& sc : scalers_) control_loop_.add(sc.get());
-  for (auto& c : controllers_) control_loop_.add(c.get());
-  control_loop_.start_all();
+  // Every control plane starts through the shared Controller contract, in
+  // this order: frameworks first (preserving the historical same-timestamp
+  // ordering between paired control planes), then hardware scalers, then
+  // the bi-level/gradient controllers.
+  std::vector<Controller*> controllers;
+  for (auto& fw : frameworks_) controllers.push_back(fw.get());
+  for (auto& sc : scalers_) controllers.push_back(sc.get());
+  for (auto& c : controllers_) controllers.push_back(c.get());
+  for (Controller* c : controllers) c->start();
   if (fault_plan_.has_value()) {
     // Built here, not in enable_faults(): the hooks must see every control
     // plane added to the experiment, whatever the call order was.
@@ -297,7 +296,7 @@ void Experiment::start_all() {
     hooks.app = app_.get();
     hooks.tracer = &tracer_;
     hooks.log = &decision_log_;
-    hooks.controllers = control_loop_.controllers();
+    hooks.controllers = std::move(controllers);
     for (auto& fw : frameworks_) hooks.frameworks.push_back(fw.get());
     fault_injector_ = std::make_unique<FaultInjector>(
         std::move(*fault_plan_), std::move(hooks), config_.seed);
@@ -388,8 +387,7 @@ ExperimentSummary Experiment::summary() const {
   s.good_fraction = recorder_->good_fraction();
   s.slo_episodes =
       slo_monitor_ != nullptr ? slo_monitor_->episodes().size() : 0;
-  s.controller_overhead =
-      obs::OverheadProfiler::global().stats_since(profile_baseline_);
+  s.controller_overhead = sim_.stages().stats();
   return s;
 }
 

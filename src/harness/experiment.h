@@ -20,7 +20,6 @@
 #include "autoscale/vpa.h"
 #include "core/sora.h"
 #include "fault/injector.h"
-#include "harness/control_loop.h"
 #include "metrics/latency_recorder.h"
 #include "obs/budget.h"
 #include "obs/chrome_trace.h"
@@ -89,9 +88,10 @@ struct ExperimentSummary {
   /// SLO violation episodes detected by the monitor (0 when SLO analytics
   /// was not enabled).
   std::size_t slo_episodes = 0;
-  /// Wall-clock cost of the control-plane stages incurred during this
-  /// experiment (delta since the Experiment was constructed); substantiates
-  /// the paper's §6 overhead claim. Sim results are unaffected.
+  /// Wall-clock cost of the profiled stages this experiment's simulation
+  /// ran (its Simulator's own stage table, exact under concurrent sweeps);
+  /// substantiates the paper's §6 overhead claim. Sim results are
+  /// unaffected.
   std::vector<obs::StageStats> controller_overhead;
 };
 
@@ -141,12 +141,6 @@ class Experiment {
   const std::vector<std::unique_ptr<SoraFramework>>& frameworks() const {
     return frameworks_;
   }
-
-  /// The loop driving every control plane added to this experiment
-  /// (populated at start_all(), in start order: soft-resource frameworks,
-  /// hardware scalers, then the bi-level/gradient controllers). Fault
-  /// injection and the ctl plane take their controller lists from here.
-  const ControlLoop& control_loop() const { return control_loop_; }
 
   // -- admission control ---------------------------------------------------------
 
@@ -282,7 +276,6 @@ class Experiment {
   std::vector<std::unique_ptr<SoraFramework>> frameworks_;
   std::vector<std::unique_ptr<Autoscaler>> scalers_;
   std::vector<std::unique_ptr<Controller>> controllers_;
-  ControlLoop control_loop_;
 
   std::vector<Tracked> tracked_;
   EventHandle track_tick_;
@@ -300,9 +293,6 @@ class Experiment {
   std::unique_ptr<obs::SloMonitor> slo_monitor_;
   std::unique_ptr<obs::BudgetAttributor> attributor_;
   EventHandle slo_tick_;
-  // Profiler state at construction; summary() reports the delta, so
-  // back-to-back experiments in one process attribute costs correctly.
-  std::vector<obs::StageStats> profile_baseline_;
 
   // Declared last: the plane's server thread reads state owned by the
   // members above, so it must be torn down first.

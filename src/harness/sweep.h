@@ -2,10 +2,10 @@
 //
 // Every figure/table bench is a sweep of independent Experiment runs
 // (different knob settings and/or seeds). Each run owns its Simulator,
-// Tracer and Application, so runs share no mutable state and can execute
-// on worker threads; the process-wide pieces they do touch (the SORA_LOG
-// clock, the log sink, the overhead profiler) are thread-safe or
-// thread-local. SweepRunner fans runs out across a thread pool and returns
+// Tracer and Application (and, through its Simulator, its stage profile),
+// so runs share no mutable state and can execute on worker threads; the
+// process-wide pieces they do touch (the SORA_LOG clock, the log sink) are
+// thread-safe or thread-local. SweepRunner fans runs out across a thread pool and returns
 // results **in index order**, so a parallel sweep emits byte-identical
 // tables to a serial one — determinism comes from per-run seeds, not from
 // scheduling.

@@ -1,68 +1,53 @@
 #include "obs/profiler.h"
 
-#include <algorithm>
 #include <iomanip>
 
 namespace sora::obs {
 
-OverheadProfiler& OverheadProfiler::global() {
-  static OverheadProfiler instance;
-  return instance;
+namespace {
+
+thread_local StageTable* t_installed = nullptr;
+thread_local StageTable t_fallback;
+
+}  // namespace
+
+const char* stage_name(Stage stage) {
+  switch (stage) {
+    case Stage::kScgAggregate: return "scg.aggregate";
+    case Stage::kScgEstimate: return "scg.estimate";
+    case Stage::kScgKneedle: return "scg.kneedle";
+    case Stage::kScgPolyfit: return "scg.polyfit";
+    case Stage::kSoraControlRound: return "sora.control_round";
+    case Stage::kSoraDeadlineProp: return "sora.deadline_prop";
+    case Stage::kSoraLocalization: return "sora.localization";
+    case Stage::kTraceCriticalPath: return "trace.critical_path";
+  }
+  return "unknown";
 }
 
-void OverheadProfiler::record(const char* stage, double us) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  auto it = stages_.find(std::string_view(stage));
-  if (it == stages_.end()) it = stages_.emplace(stage, StageStats{stage}).first;
-  StageStats& s = it->second;
-  ++s.calls;
-  s.total_us += us;
-  s.max_us = std::max(s.max_us, us);
-}
-
-std::vector<StageStats> OverheadProfiler::stats() const {
-  const std::lock_guard<std::mutex> lock(mu_);
+std::vector<StageStats> StageTable::stats() const {
   std::vector<StageStats> out;
-  out.reserve(stages_.size());
-  for (const auto& [_, s] : stages_) out.push_back(s);
-  return out;
-}
-
-std::vector<StageStats> OverheadProfiler::stats_since(
-    const std::vector<StageStats>& baseline) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<StageStats> out;
-  for (const auto& [name, s] : stages_) {
-    StageStats delta = s;
-    for (const StageStats& b : baseline) {
-      if (b.stage == name) {
-        delta.calls -= b.calls;
-        delta.total_us -= b.total_us;
-        // max is not subtractable; keep the overall max as an upper bound.
-        break;
-      }
-    }
-    if (delta.calls > 0) out.push_back(std::move(delta));
+  for (std::size_t i = 0; i < kStageCount; ++i) {
+    const Cell& c = cells_[i];
+    if (c.calls == 0) continue;
+    out.push_back(StageStats{stage_name(static_cast<Stage>(i)), c.calls,
+                             c.total_us, c.max_us});
   }
   return out;
 }
 
-double OverheadProfiler::total_us(const std::vector<StageStats>& stats,
-                                  const std::string& prefix) {
-  double total = 0.0;
-  for (const StageStats& s : stats) {
-    if (s.stage.rfind(prefix, 0) == 0) total += s.total_us;
-  }
-  return total;
+StageTable& StageTable::current() {
+  return t_installed != nullptr ? *t_installed : t_fallback;
 }
 
-void OverheadProfiler::reset() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  stages_.clear();
+StageTable::Install::Install(StageTable& table) : previous_(t_installed) {
+  t_installed = &table;
 }
 
-void OverheadProfiler::print(const std::vector<StageStats>& stats,
-                             std::ostream& os) {
+StageTable::Install::~Install() { t_installed = previous_; }
+
+void StageTable::print(const std::vector<StageStats>& stats,
+                       std::ostream& os) {
   os << std::left << std::setw(28) << "stage" << std::right << std::setw(10)
      << "calls" << std::setw(14) << "mean [us]" << std::setw(14) << "max [us]"
      << std::setw(14) << "total [ms]" << '\n';

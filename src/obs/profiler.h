@@ -8,32 +8,45 @@
 // durations. Simulation results are unaffected: the profiler measures host
 // time and never feeds back into sim time.
 //
-// A process-global instance keeps the hot control path free of plumbing.
-// Each Simulator is single-threaded, but independent experiments may run
-// concurrently on sweep-worker threads (harness::SweepRunner), so the
-// per-stage accumulators are guarded by a mutex. Most stages fire once per
-// control round; the busiest, `trace.critical_path`, fires once per stored
-// trace (the warehouse's store-time marking pass), so record() takes the
-// lock and looks the stage up without allocating. Harness consumers
-// (ExperimentSummary, bench/micro_model_cost) snapshot-and-diff around the
-// region they attribute; note that under a parallel sweep the global
-// profiler aggregates stages from all concurrently running experiments, so
-// per-experiment deltas are attributable only in serial runs. The profiler
-// depends on nothing else and is compiled into sora_common, so every layer,
-// the trace warehouse included, can time its stages.
+// The stages form a closed enum, and a StageTable is a fixed array of
+// accumulators indexed by it: no lock, no string keys, no allocation. Each
+// Simulator owns one table and installs it as its thread's current table
+// while it runs events, so every stage a simulation's events execute is
+// attributed to that simulation alone, whatever else runs concurrently on
+// other threads (harness::SweepRunner). A stage timed while no simulator is
+// running (direct calls in unit tests, micro-benchmarks, standalone probes)
+// lands in a per-thread fallback table. The profiler depends on nothing else
+// and is compiled into sora_common, so every layer, the trace warehouse
+// included, can time its stages.
 #pragma once
 
+#include <array>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <mutex>
 #include <ostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace sora::obs {
+
+/// Every profiled stage, declared in name order so that stats() comes out
+/// sorted by name.
+enum class Stage : std::uint8_t {
+  kScgAggregate,
+  kScgEstimate,
+  kScgKneedle,
+  kScgPolyfit,
+  kSoraControlRound,
+  kSoraDeadlineProp,
+  kSoraLocalization,
+  kTraceCriticalPath,
+};
+inline constexpr std::size_t kStageCount =
+    static_cast<std::size_t>(Stage::kTraceCriticalPath) + 1;
+
+/// The stage's report name ("trace.critical_path", ...).
+const char* stage_name(Stage stage);
 
 /// Accumulated wall-clock cost of one named stage.
 struct StageStats {
@@ -47,60 +60,72 @@ struct StageStats {
   }
 };
 
-class OverheadProfiler {
+/// Per-stage accumulators for one simulation (or one thread's fallback).
+class StageTable {
  public:
   using clock = std::chrono::steady_clock;
 
-  /// The process-global profiler used by the SORA_PROFILE_STAGE macro.
-  static OverheadProfiler& global();
+  void record(Stage stage, double us) {
+    Cell& c = cells_[static_cast<std::size_t>(stage)];
+    ++c.calls;
+    c.total_us += us;
+    if (us > c.max_us) c.max_us = us;
+  }
 
-  /// RAII stage timer; records into the profiler on destruction.
+  /// Stats of every stage called at least once, sorted by stage name.
+  std::vector<StageStats> stats() const;
+
+  /// The table SORA_PROFILE_STAGE records into on the calling thread: the
+  /// installed one, or the thread's fallback table when none is.
+  static StageTable& current();
+
+  /// RAII: makes `table` the calling thread's current table and restores
+  /// the previous one on destruction.
+  class Install {
+   public:
+    explicit Install(StageTable& table);
+    ~Install();
+    Install(const Install&) = delete;
+    Install& operator=(const Install&) = delete;
+
+   private:
+    StageTable* previous_;
+  };
+
+  /// RAII stage timer; on destruction it records into the table that was
+  /// current when it was constructed.
   class Scope {
    public:
-    Scope(OverheadProfiler& profiler, const char* stage)
-        : profiler_(&profiler), stage_(stage), start_(clock::now()) {}
+    explicit Scope(Stage stage)
+        : table_(&current()), stage_(stage), start_(clock::now()) {}
     ~Scope() {
-      const double us =
-          std::chrono::duration<double, std::micro>(clock::now() - start_)
-              .count();
-      profiler_->record(stage_, us);
+      table_->record(stage_, std::chrono::duration<double, std::micro>(
+                                 clock::now() - start_)
+                                 .count());
     }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
 
    private:
-    OverheadProfiler* profiler_;
-    const char* stage_;
+    StageTable* table_;
+    Stage stage_;
     clock::time_point start_;
   };
-
-  void record(const char* stage, double us);
-
-  /// Per-stage stats, sorted by stage name (deterministic output order).
-  std::vector<StageStats> stats() const;
-  /// Stats relative to an earlier snapshot (per-region attribution).
-  std::vector<StageStats> stats_since(const std::vector<StageStats>& baseline)
-      const;
-  /// Sum of total_us across stages in `stats` whose name starts with
-  /// `prefix` ("" = all).
-  static double total_us(const std::vector<StageStats>& stats,
-                         const std::string& prefix = "");
-
-  void reset();
 
   /// Render a fixed-width per-stage table (benches, debug output).
   static void print(const std::vector<StageStats>& stats, std::ostream& os);
 
  private:
-  mutable std::mutex mu_;
-  // Transparent comparator: record() looks stages up by string_view and
-  // builds the key string only the first time a stage is seen.
-  std::map<std::string, StageStats, std::less<>> stages_;
+  struct Cell {
+    std::uint64_t calls = 0;
+    double total_us = 0.0;
+    double max_us = 0.0;
+  };
+  std::array<Cell, kStageCount> cells_{};
 };
 
 }  // namespace sora::obs
 
-/// Time the enclosing scope as `stage` on the global profiler.
-#define SORA_PROFILE_STAGE(stage)                                \
-  ::sora::obs::OverheadProfiler::Scope sora_profile_scope_##__LINE__( \
-      ::sora::obs::OverheadProfiler::global(), stage)
+/// Time the enclosing scope as `stage` (an obs::Stage) on the current table.
+#define SORA_PROFILE_STAGE(stage) \
+  ::sora::obs::StageTable::Scope sora_profile_scope_##__LINE__(stage)

@@ -173,16 +173,19 @@ void Simulator::fold_digest(std::uint64_t at, std::uint64_t seq) {
 
 bool Simulator::step() {
   if (heap_.empty()) return false;
+  const obs::StageTable::Install stages(stages_);
   execute_top();
   return true;
 }
 
 void Simulator::run_until(SimTime until) {
+  const obs::StageTable::Install stages(stages_);
   while (!heap_.empty() && heap_.front().at <= until) execute_top();
   if (now_ < until) now_ = until;
 }
 
 void Simulator::run_all() {
+  const obs::StageTable::Install stages(stages_);
   while (!heap_.empty()) execute_top();
 }
 

@@ -26,6 +26,7 @@
 
 #include "common/function.h"
 #include "common/time.h"
+#include "obs/profiler.h"
 
 namespace sora {
 
@@ -97,6 +98,10 @@ class Simulator {
   /// periodic handle.
   bool reschedule(const EventHandle& h, SimTime at);
 
+  // The three run entry points install stages() as the calling thread's
+  // current stage table while events execute, so the control-path stages
+  // those events time are attributed to this simulation alone.
+
   /// Run until the event queue is empty or `until` is reached. Events at
   /// exactly `until` are executed. Advances now() to `until` (or the last
   /// executed event time if the queue drains first and it is later).
@@ -107,6 +112,9 @@ class Simulator {
 
   /// Execute at most one event; returns false if the queue is empty.
   bool step();
+
+  /// Wall-clock cost of the profiled stages this simulation's events ran.
+  const obs::StageTable& stages() const { return stages_; }
 
   // --- Introspection ----------------------------------------------------
 
@@ -208,6 +216,7 @@ class Simulator {
   std::uint64_t events_cancelled_ = 0;
   std::uint64_t events_rescheduled_ = 0;
   bool digest_enabled_ = false;
+  obs::StageTable stages_;
 };
 
 inline bool EventHandle::pending() const {

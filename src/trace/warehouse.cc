@@ -19,7 +19,7 @@ void TraceWarehouse::store(const Trace& trace) {
   // RSS +3%).
   traces_.push_back(trace);
   {
-    SORA_PROFILE_STAGE("trace.critical_path");
+    SORA_PROFILE_STAGE(obs::Stage::kTraceCriticalPath);
     mark_critical_path(traces_.back());
   }
   ++total_stored_;

@@ -184,10 +184,9 @@ TEST(TraceWarehouse, EvictionKeepsRemainingMarks) {
 
 // The critical path of every stored trace is extracted exactly once, at
 // store time: over a one-minute Figure-10 cart run with FIRM and Sora both
-// localizing and Sora propagating deadlines every round, the profiler's
+// localizing and Sora propagating deadlines every round, the experiment's
 // `trace.critical_path` count equals the traces stored.
 TEST(TraceWarehouse, OneCriticalPathExtractionPerStoredTrace) {
-  obs::OverheadProfiler::global().reset();
   sock_shop::Params params;
   params.cart_cores = 2.0;
   params.cart_threads = 5;
@@ -215,7 +214,7 @@ TEST(TraceWarehouse, OneCriticalPathExtractionPerStoredTrace) {
   ASSERT_GT(exp.warehouse().total_stored(), 1000u);
   std::uint64_t cp_calls = 0;
   std::uint64_t deadline_calls = 0;
-  for (const obs::StageStats& s : obs::OverheadProfiler::global().stats()) {
+  for (const obs::StageStats& s : exp.summary().controller_overhead) {
     if (s.stage == "trace.critical_path") cp_calls = s.calls;
     if (s.stage == "sora.deadline_prop") deadline_calls = s.calls;
   }
