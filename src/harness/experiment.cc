@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 
 #include "common/log.h"
@@ -57,18 +58,20 @@ Experiment::Experiment(ApplicationConfig app_config, ExperimentConfig config)
 
 Experiment::~Experiment() = default;
 
+void Experiment::record_completion(SimTime, int, SimTime rt, bool ok) {
+  recorder_->record(rt, ok);
+  if (!ok && slo_monitor_ != nullptr) {
+    slo_monitor_->record("e2e", sim_.now(), false);
+  }
+}
+
 OpenLoopGenerator& Experiment::open_loop(const WorkloadTrace& trace,
                                          RequestMix mix) {
   auto gen = std::make_unique<OpenLoopGenerator>(
       sim_, *app_, trace,
       config_.seed ^ (0x9d5ab1c2e3f40517ULL + open_loops_.size()));
   gen->set_mix(std::move(mix));
-  gen->set_observer([this](SimTime, int, SimTime rt, bool ok) {
-    recorder_->record(rt, ok);
-    if (!ok && slo_monitor_ != nullptr) {
-      slo_monitor_->record("e2e", sim_.now(), false);
-    }
-  });
+  gen->set_observer(std::bind_front(&Experiment::record_completion, this));
   open_loops_.push_back(std::move(gen));
   return *open_loops_.back();
 }
@@ -79,12 +82,7 @@ ClosedLoopGenerator& Experiment::closed_loop(int users, SimTime think_mean,
       sim_, *app_, users, think_mean,
       config_.seed ^ (0x5bd1e995a7c4f832ULL + closed_loops_.size()));
   gen->set_mix(std::move(mix));
-  gen->set_observer([this](SimTime, int, SimTime rt, bool ok) {
-    recorder_->record(rt, ok);
-    if (!ok && slo_monitor_ != nullptr) {
-      slo_monitor_->record("e2e", sim_.now(), false);
-    }
-  });
+  gen->set_observer(std::bind_front(&Experiment::record_completion, this));
   closed_loops_.push_back(std::move(gen));
   return *closed_loops_.back();
 }
@@ -93,12 +91,7 @@ WorkloadSource& Experiment::set_workload_source(
     std::unique_ptr<WorkloadSource> source) {
   source->bind(sim_, *app_,
                config_.seed ^ (0xa0761d6478bd642fULL + workload_sources_.size()),
-               [this](SimTime, int, SimTime rt, bool ok) {
-                 recorder_->record(rt, ok);
-                 if (!ok && slo_monitor_ != nullptr) {
-                   slo_monitor_->record("e2e", sim_.now(), false);
-                 }
-               });
+               std::bind_front(&Experiment::record_completion, this));
   workload_sources_.push_back(std::move(source));
   return *workload_sources_.back();
 }

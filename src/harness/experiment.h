@@ -200,10 +200,11 @@ class Experiment {
 
   // -- streaming SLO analytics --------------------------------------------------
 
-  /// Turn on the streaming SLO layer. Call before the run starts. Every
-  /// completed trace is budget-annotated (spans gain deadline/slack), fed to
-  /// the burn-rate monitor and the per-service budget attributor; episodes
-  /// are appended to the decision log.
+  /// Turn on the streaming SLO layer. Call before the run starts. A
+  /// warehouse store listener attributes each non-rejected trace's latency
+  /// budget and feeds it to the burn-rate monitor and the per-service budget
+  /// attributor; shed requests count against the e2e SLO through the
+  /// completion observer. Episodes are appended to the decision log.
   void enable_slo_analytics(SloAnalyticsOptions options = {});
   bool slo_analytics_enabled() const { return slo_monitor_ != nullptr; }
   obs::SloMonitor& slo_monitor() { return *slo_monitor_; }
@@ -262,6 +263,10 @@ class Experiment {
   };
 
   void sample_tracked();
+  /// Every generator's and workload source's completion observer: records
+  /// the response time and counts a shed request against the e2e SLO.
+  void record_completion(SimTime injected_at, int request_class, SimTime rt,
+                         bool ok);
 
   ExperimentConfig config_;
   Simulator sim_;
