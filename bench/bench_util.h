@@ -193,7 +193,7 @@ inline CartTraceResult run_cart_trace(const CartTraceConfig& cfg) {
                                 RequestMix(sock_shop::kBrowse));
   users.follow_trace(trace);
 
-  Autoscaler* scaler = nullptr;
+  Controller* scaler = nullptr;
   switch (cfg.scaler) {
     case HardwareScaler::kFirm: {
       FirmOptions fo;

@@ -59,9 +59,9 @@ int main() {
             << "ms): " << fmt(s.goodput_rps) << " req/s\n";
 
   std::cout << "\nhardware scale events:\n";
-  for (const ScaleEvent& ev : firm.history()) {
-    std::cout << "  t=" << fmt(to_sec(ev.at), 0) << "s cart cores "
-              << ev.old_cores << " -> " << ev.new_cores << "\n";
+  for (const ControlAction& a : firm.actions()) {
+    std::cout << "  t=" << fmt(to_sec(a.at), 0) << "s cart cores "
+              << a.old_cores << " -> " << a.new_cores << "\n";
   }
   std::cout << "\nsoft-resource adaptations:\n";
   int shown = 0;

@@ -123,8 +123,7 @@ void AutothrottleController::observe(SimTime now) {
   window_start_ = now;
 }
 
-std::vector<ControlAction> AutothrottleController::decide(SimTime now) {
-  std::vector<ControlAction> actions;
+void AutothrottleController::decide(SimTime now) {
   const std::size_t n = managed_.size();
   if (n == 0) {
     obs::ControlDecisionRecord rec;
@@ -132,7 +131,7 @@ std::vector<ControlAction> AutothrottleController::decide(SimTime now) {
     rec.action = "round";
     rec.reason = "allocator round completed with no managed services";
     record_decision(std::move(rec));
-    return actions;
+    return;
   }
 
   if (window_spans_ < options_.min_spans) {
@@ -152,7 +151,7 @@ std::vector<ControlAction> AutothrottleController::decide(SimTime now) {
       rec.observed_p99_ms = observed_p99_ms_[i];
       record_decision(std::move(rec));
     }
-    return actions;
+    return;
   }
 
   // Slow level: carve the end-to-end budget into per-service credits.
@@ -169,7 +168,7 @@ std::vector<ControlAction> AutothrottleController::decide(SimTime now) {
   }
   std::vector<double> next =
       allocate_latency_targets(demand, burn, budget_ms, options_.min_target_ms);
-  if (next.size() != n) return actions;  // fail closed (cannot happen here)
+  if (next.size() != n) return;  // fail closed (cannot happen here)
 
   for (std::size_t i = 0; i < n; ++i) {
     Service& svc = *managed_[i];
@@ -189,7 +188,7 @@ std::vector<ControlAction> AutothrottleController::decide(SimTime now) {
       act.target = svc.name();
       act.latency_target_ms = target;
       act.reason = "allocated latency credit from demand share and burn rate";
-      actions.push_back(std::move(act));
+      emit(std::move(act));
     }
     targets_ms_[i] = target;
 
@@ -223,7 +222,7 @@ std::vector<ControlAction> AutothrottleController::decide(SimTime now) {
         act.target = svc.name();
         act.admission_target = cap;
         act.reason = rec.reason;
-        actions.push_back(std::move(act));
+        emit(std::move(act));
         SORA_INFO << "autothrottle " << svc.name() << " cap " << old_cap
                   << " -> " << cap << " (p99 " << p99 << "ms, target "
                   << target << "ms)";
@@ -233,7 +232,6 @@ std::vector<ControlAction> AutothrottleController::decide(SimTime now) {
     }
     record_decision(std::move(rec));
   }
-  return actions;
 }
 
 }  // namespace sora

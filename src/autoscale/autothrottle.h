@@ -80,11 +80,6 @@ class AutothrottleController : public Controller {
   void manage(Service* service);
 
   const char* name() const override { return "autothrottle"; }
-  ControllerNeeds needs() const override {
-    ControllerNeeds n;
-    n.traces = true;
-    return n;
-  }
   /// Per service and round: one latency-target assignment plus one cap
   /// publication.
   std::size_t max_actions_per_round() const override {
@@ -100,7 +95,7 @@ class AutothrottleController : public Controller {
  protected:
   void begin() override { window_start_ = sim().now(); }
   void observe(SimTime now) override;
-  std::vector<ControlAction> decide(SimTime now) override;
+  void decide(SimTime now) override;
 
  private:
   Application& app_;

@@ -33,7 +33,7 @@ void Controller::stop() {
   tick_.cancel();
 }
 
-std::vector<ControlAction> Controller::round() {
+std::span<const ControlAction> Controller::round() {
   ++rounds_;
   const SimTime now = sim_.now();
 
@@ -62,21 +62,40 @@ std::vector<ControlAction> Controller::round() {
   }
 
   observe(now);
-  std::vector<ControlAction> acts = decide(now);
-
-  for (ControlAction& a : acts) {
-    a.at = now;
-    a.round = rounds_;
-    if (a.reason.empty()) a.reason = "no rationale produced";
-    if (metrics_ != nullptr) {
+  const std::size_t first = actions_.size();
+  decide(now);
+  const auto emitted = std::span<const ControlAction>(actions_).subspan(first);
+  // Counted once decide() is done rather than in emit(): the registry lists
+  // series in creation order, and this keeps "control.actions" behind every
+  // series decide() itself creates, wherever in decide() an action fell.
+  if (metrics_ != nullptr) {
+    for (const ControlAction& a : emitted) {
       metrics_
           ->counter("control.actions",
                     {{"controller", name()}, {"kind", to_string(a.kind)}})
           .add();
     }
   }
-  actions_.insert(actions_.end(), acts.begin(), acts.end());
-  return acts;
+  return emitted;
+}
+
+void Controller::emit(ControlAction action) {
+  action.at = sim_.now();
+  action.round = rounds_;
+  if (action.reason.empty()) action.reason = "no rationale produced";
+  if (metrics_ != nullptr && (action.kind == ControlAction::Kind::kCores ||
+                              action.kind == ControlAction::Kind::kReplicas)) {
+    metrics_
+        ->counter("scale.events",
+                  {{"controller", name()},
+                   {"service", action.target},
+                   {"kind", action.kind == ControlAction::Kind::kReplicas
+                                ? "horizontal"
+                                : "vertical"}})
+        .add();
+  }
+  actions_.push_back(std::move(action));
+  for (const ActionListener& fn : listeners_) fn(actions_.back());
 }
 
 void Controller::record_decision(obs::ControlDecisionRecord rec) {

@@ -1,28 +1,34 @@
 // The Controller interface: one contract for every control plane.
 //
-// Sora/ConScale, the hardware autoscalers (FIRM/HPA/VPA) and the new
-// bi-level (Autothrottle) and gradient-descent (LSRAM) baselines all follow
-// the same round structure — observe telemetry gathered since the previous
-// round, decide, and emit a list of applied actions — but each used to
-// hand-roll its own periodic scheduling, stall short-circuit, round
-// counting and decision-log wiring. This base class owns all of that once:
+// Sora/ConScale, the hardware autoscalers (FIRM/HPA/VPA) and the bi-level
+// (Autothrottle) and gradient-descent (LSRAM) baselines all follow the same
+// round structure — observe telemetry gathered since the previous round,
+// decide, and emit the actions applied — so this base class owns the
+// periodic scheduling, stall short-circuit, round counting, decision-log
+// wiring and the action path once:
 //
 //   round():  bump round counter
 //             -> stalled?  append one auditable "stalled" record and return
 //             -> observe(now)  (virtual: ingest the telemetry window)
-//             -> decide(now)   (virtual: act; return the ControlAction list)
-//             -> contract enforcement: stamp round/time, guarantee a
-//                non-empty reason on every action, meter, retain history
+//             -> decide(now)   (virtual: act; emit() each applied action)
+//             -> count the round's actions ("control.actions")
 //
-// Controllers declare their telemetry needs up front (scatter samples,
-// traces, metrics windows) so harnesses can validate wiring and the
-// conformance suite (tests/test_controller_conformance.cc) can assert the
-// shared contract uniformly: byte-identical reruns per seed, no actions
-// before warm-up, bounded actions per round, graceful stalls and topology
-// changes, and schema-valid decision records for every emitted action.
+//   emit():   stamp round/time, guarantee a non-empty reason, count
+//             hardware scales ("scale.events"), append to actions(), call
+//             the action listeners
+//
+// emit() is the only way an action leaves a controller, so actions(), the
+// metrics and the listeners see the same sequence (Experiment::link is a
+// listener that forwards hardware scales to Sora). The conformance suite
+// (tests/test_controller_conformance.cc) asserts the shared contract
+// uniformly: byte-identical reruns per seed, no actions before warm-up,
+// bounded actions per round, graceful stalls and topology changes, and
+// schema-valid decision records for every emitted action.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,21 +41,10 @@ namespace sora {
 
 class Service;
 
-/// Telemetry a controller consumes each round, declared up front. The
-/// harness uses this to validate wiring (e.g. a traces-needing controller
-/// requires a TraceWarehouse) and the conformance suite asserts the
-/// declaration is honest (a controller that declares no needs must still
-/// produce schema-valid rounds when every feed is empty).
-struct ControllerNeeds {
-  bool scatter_samples = false;  ///< per-knob scatter windows (estimator)
-  bool traces = false;           ///< completed traces (warehouse window)
-  bool metrics_window = false;   ///< CPU utilization / metrics snapshots
-};
-
-/// One action a controller's decide phase applied this round, in a
-/// controller-agnostic shape. The detailed evidence lives in the decision
-/// log; the action list is the machine-checkable contract surface (bounded
-/// per round, never before warm-up, always carrying a reason).
+/// One action a controller's decide phase applied, in a controller-agnostic
+/// shape: the only record of it. The detailed evidence lives in the
+/// decision log; the action list is the machine-checkable contract surface
+/// (bounded per round, never before warm-up, always carrying a reason).
 struct ControlAction {
   enum class Kind {
     kPoolResize,       ///< soft-resource pool size change (old/new_size)
@@ -59,10 +54,10 @@ struct ControlAction {
     kLatencyTarget,    ///< assigned per-service latency target
   };
   Kind kind = Kind::kPoolResize;
-  SimTime at = 0;           ///< stamped by Controller::round()
-  std::uint64_t round = 0;  ///< stamped by Controller::round()
+  SimTime at = 0;           ///< stamped by Controller::emit()
+  std::uint64_t round = 0;  ///< stamped by Controller::emit()
   std::string target;       ///< knob label or service name
-  std::string reason;       ///< mandatory; round() fills a default if empty
+  std::string reason;       ///< mandatory; emit() fills a default if empty
   int old_size = 0;
   int new_size = 0;
   double old_cores = 0.0;
@@ -89,9 +84,6 @@ class Controller {
   /// "firm", "autothrottle", ...).
   virtual const char* name() const = 0;
 
-  /// Declared telemetry needs (see ControllerNeeds).
-  virtual ControllerNeeds needs() const = 0;
-
   /// Contract: the most actions one round may emit (typically a small
   /// multiple of the managed target count). The conformance suite asserts
   /// every round stays within it.
@@ -106,9 +98,10 @@ class Controller {
   void stop();
   bool running() const { return running_; }
 
-  /// Run one control round now. Exposed for tests and harness-driven
-  /// stepping; the scheduled periodic calls exactly this.
-  std::vector<ControlAction> round();
+  /// Run one control round now and return the actions it emitted (a view
+  /// into actions(), valid until the next emit). Exposed for tests and
+  /// harness-driven stepping; the scheduled periodic calls exactly this.
+  std::span<const ControlAction> round();
 
   /// Topology changed outside this controller (replica crash/restore, PR-4
   /// fault hooks). Default: no-op. Implementations discard evidence that
@@ -129,6 +122,16 @@ class Controller {
   /// Attach a metrics registry (round/stall/action counters).
   void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
   obs::MetricsRegistry* metrics() const { return metrics_; }
+
+  /// Observe every action as emit() applies it, already stamped and
+  /// appended to actions(). A listener runs inside the emitting decide(),
+  /// before that controller's own decision record for the action, so a
+  /// linked framework's reaction (Sora's proportional re-adaptation) lands
+  /// in the decision log ahead of the scaler's record.
+  using ActionListener = std::function<void(const ControlAction&)>;
+  void add_action_listener(ActionListener fn) {
+    listeners_.push_back(std::move(fn));
+  }
 
   /// Fault-injection hook: while stalled, round() skips observe/decide and
   /// appends a single "stalled" record instead, leaving telemetry windows
@@ -158,10 +161,14 @@ class Controller {
   /// (trace windows, utilization epochs). Not called while stalled.
   virtual void observe(SimTime now) { (void)now; }
 
-  /// Decide phase: act on the observed evidence and return the actions
-  /// applied this round (empty = hold). Implementations append their
-  /// evidence-rich decision records via record_decision().
-  virtual std::vector<ControlAction> decide(SimTime now) = 0;
+  /// Decide phase: act on the observed evidence and emit() each action
+  /// applied (none = hold). Implementations append their evidence-rich
+  /// decision records via record_decision().
+  virtual void decide(SimTime now) = 0;
+
+  /// Record one applied action (see the header comment): "scale.events"
+  /// carries labels controller/service/kind.
+  void emit(ControlAction action);
 
   /// Append a decision record: stamps the controller name and current
   /// round, and — the invariant every controller shares — fills a default
@@ -177,6 +184,7 @@ class Controller {
   bool stalled_ = false;
   std::uint64_t rounds_ = 0;
   std::vector<ControlAction> actions_;
+  std::vector<ActionListener> listeners_;
   obs::DecisionLog* decision_log_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
 };

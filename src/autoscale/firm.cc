@@ -12,7 +12,7 @@ namespace sora {
 
 FirmAutoscaler::FirmAutoscaler(Simulator& sim, Application& app,
                                TraceWarehouse& warehouse, FirmOptions options)
-    : Autoscaler(sim, options.period),
+    : Controller(sim, options.period),
       app_(app),
       warehouse_(warehouse),
       options_(options),
@@ -54,8 +54,7 @@ void FirmAutoscaler::observe(SimTime now) {
   window_start_ = now;
 }
 
-std::vector<ControlAction> FirmAutoscaler::decide(SimTime now) {
-  std::vector<ControlAction> actions;
+void FirmAutoscaler::decide(SimTime now) {
   const double p99 = observed_p99_;
 
   Service* critical = app_.service(last_report_.critical);
@@ -65,7 +64,7 @@ std::vector<ControlAction> FirmAutoscaler::decide(SimTime now) {
   }
   if (critical == nullptr) {
     util_.epoch();
-    return actions;
+    return;
   }
 
   const double util = util_.utilization(*critical);
@@ -116,14 +115,6 @@ std::vector<ControlAction> FirmAutoscaler::decide(SimTime now) {
 
   if (desired != current) {
     critical->set_cpu_limit(desired);
-    ScaleEvent ev;
-    ev.service = critical;
-    ev.kind = ScaleEvent::Kind::kVertical;
-    ev.old_replicas = ev.new_replicas = critical->active_replicas();
-    ev.old_cores = current;
-    ev.new_cores = desired;
-    ev.at = now;
-    notify(ev);
     rec.action = desired > current ? "scale_up" : "scale_down";
     rec.new_cores = desired;
     ControlAction act;
@@ -133,14 +124,13 @@ std::vector<ControlAction> FirmAutoscaler::decide(SimTime now) {
     act.old_cores = current;
     act.new_cores = desired;
     act.old_replicas = act.new_replicas = critical->active_replicas();
-    actions.push_back(std::move(act));
+    emit(std::move(act));
     SORA_INFO << "FIRM " << critical->name() << " cores " << current << " -> "
               << desired << " (p99 " << to_msec(static_cast<SimTime>(p99))
               << "ms, util " << util << ")";
   }
   record_decision(std::move(rec));
   util_.epoch();
-  return actions;
 }
 
 }  // namespace sora

@@ -14,9 +14,10 @@
 
 #include <vector>
 
-#include "autoscale/autoscaler.h"
+#include "autoscale/controller.h"
 #include "core/localization.h"
 #include "sim/simulator.h"
+#include "svc/utilization.h"
 #include "trace/warehouse.h"
 
 namespace sora {
@@ -34,7 +35,7 @@ struct FirmOptions {
   LocalizerOptions localizer;
 };
 
-class FirmAutoscaler : public Autoscaler {
+class FirmAutoscaler : public Controller {
  public:
   FirmAutoscaler(Simulator& sim, Application& app, TraceWarehouse& warehouse,
                  FirmOptions options);
@@ -44,12 +45,6 @@ class FirmAutoscaler : public Autoscaler {
   void manage(Service* service);
 
   const char* name() const override { return "firm"; }
-  ControllerNeeds needs() const override {
-    ControllerNeeds n;
-    n.traces = true;
-    n.metrics_window = true;
-    return n;
-  }
   std::size_t max_actions_per_round() const override { return 1; }
 
   /// Most recent localization verdict (diagnostics).
@@ -58,7 +53,7 @@ class FirmAutoscaler : public Autoscaler {
  protected:
   void begin() override;
   void observe(SimTime now) override;
-  std::vector<ControlAction> decide(SimTime now) override;
+  void decide(SimTime now) override;
 
  private:
   bool allowed(const Service& svc) const;

@@ -12,7 +12,7 @@ namespace sora {
 HorizontalPodAutoscaler::HorizontalPodAutoscaler(Simulator& sim,
                                                  Application& app,
                                                  HpaOptions options)
-    : Autoscaler(sim, options.period),
+    : Controller(sim, options.period),
       app_(app),
       options_(options),
       util_(app) {}
@@ -21,8 +21,7 @@ void HorizontalPodAutoscaler::manage(Service* service) {
   managed_.push_back(Managed{service, 0, 0});
 }
 
-std::vector<ControlAction> HorizontalPodAutoscaler::decide(SimTime now) {
-  std::vector<ControlAction> actions;
+void HorizontalPodAutoscaler::decide(SimTime now) {
   for (Managed& m : managed_) {
     Service& svc = *m.service;
     const double util = util_.utilization(svc);
@@ -46,25 +45,10 @@ std::vector<ControlAction> HorizontalPodAutoscaler::decide(SimTime now) {
     if (desired > current) {
       m.low_periods = 0;
       svc.scale_replicas(desired);
-      ScaleEvent ev;
-      ev.service = &svc;
-      ev.kind = ScaleEvent::Kind::kHorizontal;
-      ev.old_replicas = current;
-      ev.new_replicas = desired;
-      ev.old_cores = ev.new_cores = svc.cpu_limit();
-      ev.at = now;
-      notify(ev);
       rec.action = "scale_out";
       rec.reason = "utilization above target";
       rec.new_replicas = desired;
-      ControlAction act;
-      act.kind = ControlAction::Kind::kReplicas;
-      act.target = svc.name();
-      act.reason = rec.reason;
-      act.old_replicas = current;
-      act.new_replicas = desired;
-      act.old_cores = act.new_cores = svc.cpu_limit();
-      actions.push_back(std::move(act));
+      emit_replicas(svc, current, desired, rec.reason);
       SORA_INFO << "HPA scale-out " << svc.name() << " " << current << " -> "
                 << desired << " (util " << util << ")";
     } else if (desired < current) {
@@ -74,25 +58,10 @@ std::vector<ControlAction> HorizontalPodAutoscaler::decide(SimTime now) {
       if (m.low_periods >= options_.downscale_stabilization_periods) {
         const int target = std::max(desired, m.pending_down);
         svc.scale_replicas(target);
-        ScaleEvent ev;
-        ev.service = &svc;
-        ev.kind = ScaleEvent::Kind::kHorizontal;
-        ev.old_replicas = current;
-        ev.new_replicas = target;
-        ev.old_cores = ev.new_cores = svc.cpu_limit();
-        ev.at = now;
-        notify(ev);
         rec.action = "scale_in";
         rec.reason = "stabilized low desired replica count";
         rec.new_replicas = target;
-        ControlAction act;
-        act.kind = ControlAction::Kind::kReplicas;
-        act.target = svc.name();
-        act.reason = rec.reason;
-        act.old_replicas = current;
-        act.new_replicas = target;
-        act.old_cores = act.new_cores = svc.cpu_limit();
-        actions.push_back(std::move(act));
+        emit_replicas(svc, current, target, rec.reason);
         SORA_INFO << "HPA scale-in " << svc.name() << " " << current << " -> "
                   << target << " (util " << util << ")";
         m.low_periods = 0;
@@ -110,7 +79,18 @@ std::vector<ControlAction> HorizontalPodAutoscaler::decide(SimTime now) {
     record_decision(std::move(rec));
   }
   util_.epoch();
-  return actions;
+}
+
+void HorizontalPodAutoscaler::emit_replicas(const Service& svc, int from,
+                                            int to, const std::string& why) {
+  ControlAction act;
+  act.kind = ControlAction::Kind::kReplicas;
+  act.target = svc.name();
+  act.reason = why;
+  act.old_replicas = from;
+  act.new_replicas = to;
+  act.old_cores = act.new_cores = svc.cpu_limit();
+  emit(std::move(act));
 }
 
 }  // namespace sora

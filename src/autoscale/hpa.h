@@ -7,12 +7,12 @@
 // downscale stabilization.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
-#include "autoscale/autoscaler.h"
+#include "autoscale/controller.h"
 #include "sim/simulator.h"
+#include "svc/utilization.h"
 
 namespace sora {
 
@@ -27,7 +27,7 @@ struct HpaOptions {
   double tolerance = 0.1;
 };
 
-class HorizontalPodAutoscaler : public Autoscaler {
+class HorizontalPodAutoscaler : public Controller {
  public:
   HorizontalPodAutoscaler(Simulator& sim, Application& app, HpaOptions options);
 
@@ -35,18 +35,13 @@ class HorizontalPodAutoscaler : public Autoscaler {
   void manage(Service* service);
 
   const char* name() const override { return "k8s-hpa"; }
-  ControllerNeeds needs() const override {
-    ControllerNeeds n;
-    n.metrics_window = true;
-    return n;
-  }
   std::size_t max_actions_per_round() const override {
     return managed_.size();
   }
 
  protected:
   void begin() override { util_.epoch(); }
-  std::vector<ControlAction> decide(SimTime now) override;
+  void decide(SimTime now) override;
 
  private:
   struct Managed {
@@ -54,6 +49,10 @@ class HorizontalPodAutoscaler : public Autoscaler {
     int low_periods = 0;
     int pending_down = 0;
   };
+
+  /// Emit the kReplicas action for a scale from `from` to `to` replicas.
+  void emit_replicas(const Service& svc, int from, int to,
+                     const std::string& why);
 
   Application& app_;
   HpaOptions options_;

@@ -77,15 +77,14 @@ void LsramController::observe(SimTime now) {
   window_start_ = now;
 }
 
-std::vector<ControlAction> LsramController::decide(SimTime now) {
-  std::vector<ControlAction> actions;
+void LsramController::decide(SimTime now) {
   if (knobs_.empty()) {
     obs::ControlDecisionRecord rec;
     rec.at = now;
     rec.action = "round";
     rec.reason = "gradient round completed with no managed knobs";
     record_decision(std::move(rec));
-    return actions;
+    return;
   }
 
   for (std::size_t i = 0; i < knobs_.size(); ++i) {
@@ -138,7 +137,7 @@ std::vector<ControlAction> LsramController::decide(SimTime now) {
       act.reason = rec.reason;
       act.old_size = current;
       act.new_size = desired;
-      actions.push_back(std::move(act));
+      emit(std::move(act));
       SORA_INFO << "lsram " << knob.label() << " size " << current << " -> "
                 << desired << " (J " << objective << ", viol " << viol_frac
                 << ")";
@@ -148,7 +147,6 @@ std::vector<ControlAction> LsramController::decide(SimTime now) {
     }
     record_decision(std::move(rec));
   }
-  return actions;
 }
 
 void LsramController::on_topology_changed(Service* service,

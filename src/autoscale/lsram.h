@@ -85,11 +85,6 @@ class LsramController : public Controller {
   void manage(const ResourceKnob& knob);
 
   const char* name() const override { return "lsram"; }
-  ControllerNeeds needs() const override {
-    ControllerNeeds n;
-    n.traces = true;
-    return n;
-  }
   std::size_t max_actions_per_round() const override { return knobs_.size(); }
 
   void on_topology_changed(Service* service, const std::string& why) override;
@@ -97,7 +92,7 @@ class LsramController : public Controller {
  protected:
   void begin() override { window_start_ = sim().now(); }
   void observe(SimTime now) override;
-  std::vector<ControlAction> decide(SimTime now) override;
+  void decide(SimTime now) override;
 
  private:
   Application& app_;

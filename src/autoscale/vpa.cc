@@ -10,7 +10,7 @@ namespace sora {
 
 VerticalPodAutoscaler::VerticalPodAutoscaler(Simulator& sim, Application& app,
                                              VpaOptions options)
-    : Autoscaler(sim, options.period),
+    : Controller(sim, options.period),
       app_(app),
       options_(options),
       util_(app) {}
@@ -19,8 +19,7 @@ void VerticalPodAutoscaler::manage(Service* service) {
   managed_.push_back(Managed{service, 0});
 }
 
-std::vector<ControlAction> VerticalPodAutoscaler::decide(SimTime now) {
-  std::vector<ControlAction> actions;
+void VerticalPodAutoscaler::decide(SimTime now) {
   for (Managed& m : managed_) {
     Service& svc = *m.service;
     const double util = util_.utilization(svc);
@@ -57,14 +56,6 @@ std::vector<ControlAction> VerticalPodAutoscaler::decide(SimTime now) {
 
     if (desired != current) {
       svc.set_cpu_limit(desired);
-      ScaleEvent ev;
-      ev.service = &svc;
-      ev.kind = ScaleEvent::Kind::kVertical;
-      ev.old_replicas = ev.new_replicas = svc.active_replicas();
-      ev.old_cores = current;
-      ev.new_cores = desired;
-      ev.at = now;
-      notify(ev);
       rec.action = desired > current ? "scale_up" : "scale_down";
       rec.new_cores = desired;
       ControlAction act;
@@ -74,14 +65,13 @@ std::vector<ControlAction> VerticalPodAutoscaler::decide(SimTime now) {
       act.old_cores = current;
       act.new_cores = desired;
       act.old_replicas = act.new_replicas = svc.active_replicas();
-      actions.push_back(std::move(act));
+      emit(std::move(act));
       SORA_INFO << "VPA " << svc.name() << " cores " << current << " -> "
                 << desired << " (util " << util << ")";
     }
     record_decision(std::move(rec));
   }
   util_.epoch();
-  return actions;
 }
 
 }  // namespace sora

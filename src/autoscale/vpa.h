@@ -8,8 +8,9 @@
 
 #include <vector>
 
-#include "autoscale/autoscaler.h"
+#include "autoscale/controller.h"
 #include "sim/simulator.h"
+#include "svc/utilization.h"
 
 namespace sora {
 
@@ -24,25 +25,20 @@ struct VpaOptions {
   int downscale_stabilization_periods = 4;
 };
 
-class VerticalPodAutoscaler : public Autoscaler {
+class VerticalPodAutoscaler : public Controller {
  public:
   VerticalPodAutoscaler(Simulator& sim, Application& app, VpaOptions options);
 
   void manage(Service* service);
 
   const char* name() const override { return "k8s-vpa"; }
-  ControllerNeeds needs() const override {
-    ControllerNeeds n;
-    n.metrics_window = true;
-    return n;
-  }
   std::size_t max_actions_per_round() const override {
     return managed_.size();
   }
 
  protected:
   void begin() override { util_.epoch(); }
-  std::vector<ControlAction> decide(SimTime now) override;
+  void decide(SimTime now) override;
 
  private:
   struct Managed {

@@ -54,7 +54,7 @@ LocalizerCrossCheck cross_validate(
 CriticalServiceLocalizer::CriticalServiceLocalizer(Application& app,
                                                    TraceWarehouse& warehouse,
                                                    LocalizerOptions options)
-    : app_(app), warehouse_(warehouse), options_(options) {
+    : app_(app), warehouse_(warehouse), options_(options), util_(app) {
   warehouse_.add_store_listener([this](const Trace& t) {
     if (t.end >= window_start_) accumulate(t);
   });
@@ -75,13 +75,11 @@ void CriticalServiceLocalizer::accumulate(const Trace& t) {
 
 void CriticalServiceLocalizer::begin_window() {
   window_start_ = app_.sim().now();
-  const std::size_t n = app_.services().size();
-  busy_snapshot_.resize(n);
-  accum_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    busy_snapshot_[i] = app_.services()[i]->cpu_busy_integral();
-    accum_[i].reset();
-  }
+  util_.epoch();
+  // Indexed by ServiceId value (the service set is fixed after
+  // construction), allocated once and reset in place each window.
+  accum_.resize(app_.services().size());
+  for (CorrelationAccumulator& acc : accum_) acc.reset();
   // Restart the streaming state. Traces already in the warehouse whose
   // completion falls at or after the new window start stay in scope (the
   // boundary is inclusive, matching the old rescanning behaviour), so fold
@@ -94,8 +92,6 @@ void CriticalServiceLocalizer::begin_window() {
 
 CriticalServiceReport CriticalServiceLocalizer::analyze() {
   CriticalServiceReport report;
-  const SimTime now = app_.sim().now();
-  const SimTime elapsed = now - window_start_;
   LocalizerRoundCost cost;
   cost.traces_folded = window_traces_;
   cost.hops_folded = window_hops_;
@@ -108,13 +104,7 @@ CriticalServiceReport CriticalServiceLocalizer::analyze() {
     const auto& svc = app_.services()[i];
     ServiceDiagnostics& d = diag_[i];
     d.service = svc->id();
-    if (elapsed > 0) {
-      const double busy0 = i < busy_snapshot_.size() ? busy_snapshot_[i] : 0.0;
-      const double busy = svc->cpu_busy_integral() - busy0;
-      const double capacity =
-          svc->cpu_capacity() * static_cast<double>(elapsed);
-      d.utilization = capacity > 0.0 ? busy / capacity : 0.0;
-    }
+    d.utilization = util_.utilization(*svc);
     if (d.utilization > top_util) {
       top_util = d.utilization;
       report.by_utilization = svc->id();

@@ -22,6 +22,7 @@
 
 #include "common/ids.h"
 #include "common/time.h"
+#include "svc/utilization.h"
 #include "trace/warehouse.h"
 
 namespace sora {
@@ -176,13 +177,9 @@ class CriticalServiceLocalizer {
   LocalizerOptions options_;
 
   SimTime window_start_ = 0;
-  // Dense per-service state indexed by ServiceId value (the service set is
-  // fixed after construction). Dense vectors iterate in ascending-id order
-  // exactly like the std::maps they replaced, so reports — and therefore
-  // decision logs — stay byte-identical; what changes is the per-round
-  // cost: the buffers are allocated once and reset in place each window
-  // instead of being torn down and re-grown node by node.
-  std::vector<double> busy_snapshot_;
+  // Step 1's window: its own epoch, opened by begin_window(), independent
+  // of any scaler's tracker over the same application.
+  UtilizationTracker util_;
   // Streaming PCC(PT_si, RT_CP) state for the current window. Fed by the
   // warehouse store listener (trace-completion context); read by analyze()
   // in control-round context.

@@ -105,8 +105,7 @@ void SoraFramework::observe(SimTime now) {
   }
 }
 
-std::vector<ControlAction> SoraFramework::decide(SimTime now) {
-  std::vector<ControlAction> actions;
+void SoraFramework::decide(SimTime now) {
   obs::MetricsRegistry& metrics = app_.metrics();
   obs::DecisionLog* log = decision_log();
 
@@ -162,7 +161,7 @@ std::vector<ControlAction> SoraFramework::decide(SimTime now) {
         pub.target = knee_svc->name();
         pub.admission_target = est.knee_concurrency;
         pub.reason = "published fitted knee to admission controller";
-        actions.push_back(std::move(pub));
+        emit(std::move(pub));
       }
     }
     const double good_fraction = estimator_.good_fraction(knob);
@@ -179,7 +178,7 @@ std::vector<ControlAction> SoraFramework::decide(SimTime now) {
       act.reason = action.reason;
       act.old_size = action.old_size;
       act.new_size = action.new_size;
-      actions.push_back(std::move(act));
+      emit(std::move(act));
     }
 
     const obs::MetricLabels knob_labels{{"knob", knob.label()}};
@@ -248,7 +247,6 @@ std::vector<ControlAction> SoraFramework::decide(SimTime now) {
     rec.reason = "control round completed with no managed knobs";
     record_decision(std::move(rec));
   }
-  return actions;
 }
 
 void SoraFramework::on_topology_changed(Service* service,

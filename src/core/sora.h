@@ -78,22 +78,18 @@ class SoraFramework : public Controller {
   /// "sora" for the SCG model, "conscale" for the SCT baseline; used as the
   /// controller tag in decision records and metric labels.
   const char* name() const override;
-  ControllerNeeds needs() const override {
-    ControllerNeeds n;
-    n.scatter_samples = true;
-    n.traces = true;
-    return n;
-  }
   /// Per knob and round: at most one pool resize plus one knee publication
   /// to the admission layer.
   std::size_t max_actions_per_round() const override {
     return knobs_.size() * 2;
   }
 
-  /// Notify the framework that a hardware autoscaler changed `service`
-  /// (wired by the harness to Autoscaler::add_scale_listener). Performs the
-  /// immediate proportional re-adaptation of Section 4.1 and resets the
-  /// affected knobs' learned curves.
+  /// Notify the framework that a hardware autoscaler changed `service`.
+  /// Experiment::link calls this from the scaler's action listener for
+  /// every kCores/kReplicas action, inside the scaler's emit(), so the
+  /// "proportional" records written here precede the scaler's own record.
+  /// Performs the immediate proportional re-adaptation of Section 4.1 and
+  /// resets the affected knobs' learned curves.
   void on_hardware_scaled(Service* service, double old_cores, double new_cores,
                           int old_replicas, int new_replicas);
 
@@ -106,6 +102,7 @@ class SoraFramework : public Controller {
 
   // -- introspection -----------------------------------------------------------
 
+  Application& app() { return app_; }
   ConcurrencyEstimator& estimator() { return estimator_; }
   ConcurrencyAdapter& adapter() { return adapter_; }
   const CriticalServiceReport& last_report() const { return last_report_; }
@@ -135,7 +132,7 @@ class SoraFramework : public Controller {
   void begin() override;
   void tick() override { control_round(); }
   void observe(SimTime now) override;
-  std::vector<ControlAction> decide(SimTime now) override;
+  void decide(SimTime now) override;
 
  private:
   Application& app_;

@@ -4,7 +4,7 @@
 #include <string>
 #include <utility>
 
-#include "autoscale/autoscaler.h"
+#include "autoscale/controller.h"
 #include "common/log.h"
 #include "core/estimator.h"
 #include "core/sora.h"

@@ -148,10 +148,15 @@ LsramController& Experiment::add_lsram(LsramOptions options) {
   return *ptr;
 }
 
-void Experiment::link(Autoscaler& scaler, SoraFramework& framework) {
-  scaler.add_scale_listener([&framework](const ScaleEvent& ev) {
-    framework.on_hardware_scaled(ev.service, ev.old_cores, ev.new_cores,
-                                 ev.old_replicas, ev.new_replicas);
+void Experiment::link(Controller& scaler, SoraFramework& framework) {
+  scaler.add_action_listener([&framework](const ControlAction& a) {
+    if (a.kind != ControlAction::Kind::kCores &&
+        a.kind != ControlAction::Kind::kReplicas) {
+      return;
+    }
+    framework.on_hardware_scaled(framework.app().service(a.target),
+                                 a.old_cores, a.new_cores, a.old_replicas,
+                                 a.new_replicas);
   });
 }
 
@@ -273,9 +278,10 @@ void Experiment::start_all() {
   for (auto& gen : closed_loops_) gen->start();
   for (auto& src : workload_sources_) src->start();
   // Every control plane starts through the shared Controller contract, in
-  // this order: frameworks first (preserving the historical same-timestamp
-  // ordering between paired control planes), then hardware scalers, then
-  // the bi-level/gradient controllers.
+  // this order: frameworks first, so at a shared timestamp a framework's
+  // round runs before its linked scaler's (whose emit() then calls into the
+  // framework mid-round), then hardware scalers, then the
+  // bi-level/gradient controllers. Decision logs depend on this order.
   std::vector<Controller*> controllers;
   for (auto& fw : frameworks_) controllers.push_back(fw.get());
   for (auto& sc : scalers_) controllers.push_back(sc.get());

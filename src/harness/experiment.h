@@ -132,9 +132,13 @@ class Experiment {
   AutothrottleController& add_autothrottle(AutothrottleOptions options = {});
   LsramController& add_lsram(LsramOptions options = {});
 
-  /// Forward an autoscaler's scale events into a framework (Sora's
-  /// Reallocation Module coordination).
-  static void link(Autoscaler& scaler, SoraFramework& framework);
+  /// Forward a hardware scaler's kCores/kReplicas actions into a framework
+  /// (Sora's Reallocation Module coordination): an action listener on
+  /// `scaler` looks the action's target service up by name and calls
+  /// SoraFramework::on_hardware_scaled. It runs inside the scaler's emit(),
+  /// so the framework's "proportional" records land in the decision log
+  /// ahead of the scaler's scale record.
+  static void link(Controller& scaler, SoraFramework& framework);
 
   /// Frameworks added so far, in add order (the causal profiler reads the
   /// first framework's localization report for cross-validation).
@@ -279,7 +283,7 @@ class Experiment {
   std::vector<std::unique_ptr<ClosedLoopGenerator>> closed_loops_;
   std::vector<std::unique_ptr<WorkloadSource>> workload_sources_;
   std::vector<std::unique_ptr<SoraFramework>> frameworks_;
-  std::vector<std::unique_ptr<Autoscaler>> scalers_;
+  std::vector<std::unique_ptr<Controller>> scalers_;
   std::vector<std::unique_ptr<Controller>> controllers_;
 
   std::vector<Tracked> tracked_;

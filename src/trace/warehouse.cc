@@ -65,10 +65,4 @@ std::uint64_t TraceWarehouse::digest() const {
   return h;
 }
 
-std::size_t TraceWarehouse::count_in_window(SimTime from, SimTime to) const {
-  std::size_t n = 0;
-  for_each_in_window(from, to, [&n](const Trace&) { ++n; });
-  return n;
-}
-
 }  // namespace sora

@@ -2,13 +2,22 @@
 //
 // Stands in for the paper's Neo4j + per-service MongoDB trace stores, and is
 // the only consumer of the tracer's completed traces (attach installs it as
-// the tracer's sink). Each stored trace has its critical path marked once;
-// every per-trace consumer — the critical-service localizers, SLO analytics
-// — is a store listener reading that marked copy, and the Concurrency
-// Estimator's deadline propagation queries the window. A ring buffer bounds
-// memory. Storage order is arrival order, which is not end-time order: a
-// trace that outlives its root arrives one network hop after its last async
-// span closes, while its end time is the root's departure.
+// the tracer's sink). Each stored trace has its critical path marked once.
+// On the control path it is read two ways:
+//   * store listeners see each trace once, as it is stored: the
+//     critical-service localizers' correlation accumulators and SLO
+//     analytics;
+//   * five sites rescan the retained ring every round through
+//     for_each_in_window: FIRM's end-to-end p99, LSRAM's per-knob violation
+//     counts, Autothrottle's per-service p99, Sora's deadline propagation
+//     (core/deadline.cc), and CriticalServiceLocalizer::begin_window's
+//     re-fold after a window restart.
+// Off the control path, the Chrome trace export and causal alignment read
+// whole traces from the ring.
+// A ring buffer bounds memory. Storage order is arrival order, which is not
+// end-time order: a trace that outlives its root arrives one network hop
+// after its last async span closes, while its end time is the root's
+// departure.
 #pragma once
 
 #include <cstddef>
@@ -46,9 +55,6 @@ class TraceWarehouse {
   /// Visit traces whose end time falls in [from, to], in storage order.
   void for_each_in_window(SimTime from, SimTime to,
                           const std::function<void(const Trace&)>& fn) const;
-
-  /// Count of traces ending in [from, to].
-  std::size_t count_in_window(SimTime from, SimTime to) const;
 
   /// Order-sensitive FNV-1a fingerprint of every retained trace (ids, span
   /// services, message timestamps, failure flags; not the critical-path

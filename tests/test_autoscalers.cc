@@ -5,6 +5,7 @@
 #include "autoscale/hpa.h"
 #include "autoscale/vpa.h"
 #include "svc/application.h"
+#include "svc/utilization.h"
 #include "test_util.h"
 #include "trace/tracer.h"
 #include "workload/generator.h"
@@ -22,6 +23,15 @@ struct Fixture {
     warehouse.attach(tracer);
   }
 };
+
+std::vector<ControlAction> of_kind(const std::vector<ControlAction>& actions,
+                                   ControlAction::Kind kind) {
+  std::vector<ControlAction> out;
+  for (const ControlAction& a : actions) {
+    if (a.kind == kind) out.push_back(a);
+  }
+  return out;
+}
 
 /// Single CPU-bound service that one replica/core cannot handle.
 ApplicationConfig hot_app(double cores = 1.0) {
@@ -57,10 +67,11 @@ TEST(Hpa, ScalesOutUnderLoad) {
   hpa.stop();
 
   EXPECT_GT(f.app.service("svc")->active_replicas(), 1);
-  ASSERT_FALSE(hpa.history().empty());
-  EXPECT_EQ(hpa.history().front().kind, ScaleEvent::Kind::kHorizontal);
-  EXPECT_GT(hpa.history().front().new_replicas,
-            hpa.history().front().old_replicas);
+  const std::vector<ControlAction> scales =
+      of_kind(hpa.actions(), ControlAction::Kind::kReplicas);
+  ASSERT_FALSE(scales.empty());
+  EXPECT_EQ(scales.size(), hpa.actions().size());
+  EXPECT_GT(scales.front().new_replicas, scales.front().old_replicas);
 }
 
 TEST(Hpa, ScalesInAfterLoadDropsWithStabilization) {
@@ -112,8 +123,10 @@ TEST(Vpa, ScalesUpCores) {
   f.sim.run_until(sec(60));
   EXPECT_GT(f.app.service("svc")->cpu_limit(), 1.0);
   EXPECT_LE(f.app.service("svc")->cpu_limit(), 4.0);
-  ASSERT_FALSE(vpa.history().empty());
-  EXPECT_EQ(vpa.history().front().kind, ScaleEvent::Kind::kVertical);
+  const std::vector<ControlAction> scales =
+      of_kind(vpa.actions(), ControlAction::Kind::kCores);
+  ASSERT_FALSE(scales.empty());
+  EXPECT_EQ(scales.size(), vpa.actions().size());
 }
 
 TEST(Vpa, ScalesDownWhenIdleWithStabilization) {
@@ -173,25 +186,6 @@ TEST(Firm, ManagedListRestrictsScaling) {
   EXPECT_DOUBLE_EQ(f.app.service("front")->cpu_limit(), 4.0);
   EXPECT_DOUBLE_EQ(f.app.service("leaf")->cpu_limit(), 4.0);
   EXPECT_GE(f.app.service("mid")->cpu_limit(), 4.0);
-}
-
-TEST(Autoscaler, ListenersReceiveEvents) {
-  Fixture f(hot_app(1.0));
-  VpaOptions opts;
-  opts.period = sec(5);
-  VerticalPodAutoscaler vpa(f.sim, f.app, opts);
-  vpa.manage(f.app.service("svc"));
-  int events = 0;
-  vpa.add_scale_listener([&](const ScaleEvent& ev) {
-    ++events;
-    EXPECT_EQ(ev.service, f.app.service("svc"));
-  });
-  vpa.start();
-  ClosedLoopGenerator users(f.sim, f.app, 50, msec(50), 9);
-  users.start();
-  f.sim.run_until(sec(60));
-  EXPECT_GT(events, 0);
-  EXPECT_EQ(static_cast<std::size_t>(events), vpa.history().size());
 }
 
 }  // namespace

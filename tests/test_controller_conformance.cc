@@ -5,12 +5,14 @@
 // Experiment harness. The suite pins the shared Controller contract:
 // byte-identical reruns per seed, no actions before the first control
 // period, bounded actions per round, graceful stalled rounds and topology
-// changes, and schema-valid decision records. A final non-parameterized
-// test pins the base-class reason guard every controller inherits.
+// changes, and schema-valid decision records. The non-parameterized tests
+// pin what every controller inherits from the base: the reason guard and
+// the emit() action path that feeds actions() and the action listeners.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -105,9 +107,6 @@ TEST_P(ControllerConformance, ReportsNameAndBoundedContract) {
   Rig rig = make_rig(GetParam(), 42);
   EXPECT_EQ(std::string(rig.ctl->name()), GetParam());
   EXPECT_GT(rig.ctl->max_actions_per_round(), 0u);
-  const ControllerNeeds needs = rig.ctl->needs();
-  // Every controller in this suite consumes at least one telemetry feed.
-  EXPECT_TRUE(needs.scatter_samples || needs.traces || needs.metrics_window);
 }
 
 TEST_P(ControllerConformance, ByteIdenticalRerunsPerSeed) {
@@ -215,18 +214,17 @@ class BareController : public Controller {
  public:
   using Controller::Controller;
   const char* name() const override { return "bare"; }
-  ControllerNeeds needs() const override { return {}; }
   std::size_t max_actions_per_round() const override { return 1; }
 
  protected:
-  std::vector<ControlAction> decide(SimTime) override {
+  void decide(SimTime) override {
     obs::ControlDecisionRecord rec;
     rec.action = "hold";
     record_decision(rec);  // no reason on purpose
     ControlAction a;
     a.kind = ControlAction::Kind::kPoolResize;
     a.target = "svc/threads";
-    return {a};  // no reason on purpose
+    emit(a);  // no reason on purpose
   }
 };
 
@@ -260,6 +258,74 @@ TEST(ControllerReasonGuard, StallRecordIsAppendedByTheBase) {
   ctl.set_stalled(false);
   EXPECT_EQ(ctl.round().size(), 1u);
   EXPECT_EQ(ctl.rounds(), 2u);
+}
+
+// -- the action path: emit() feeds actions() and the listeners alike ---------
+
+/// Emits `round` actions in its round-th round, targets "a<round>.<i>".
+class CountingController : public Controller {
+ public:
+  using Controller::Controller;
+  const char* name() const override { return "counting"; }
+  std::size_t max_actions_per_round() const override { return 8; }
+
+ protected:
+  void decide(SimTime) override {
+    for (std::uint64_t i = 0; i < rounds(); ++i) {
+      ControlAction a;
+      a.kind = ControlAction::Kind::kCores;
+      a.target = "a" + std::to_string(rounds()) + "." + std::to_string(i);
+      a.reason = "scripted";
+      emit(a);
+    }
+  }
+};
+
+TEST(ControllerActionListener, SeesEachEmittedActionOnceStampedInOrder) {
+  Simulator sim;
+  CountingController ctl(sim, sec(1));
+  std::vector<ControlAction> seen;
+  ctl.add_action_listener([&](const ControlAction& a) {
+    // Already stamped and already in the history when the listener runs.
+    EXPECT_EQ(a.at, sim.now());
+    EXPECT_EQ(a.round, ctl.rounds());
+    ASSERT_FALSE(ctl.actions().empty());
+    EXPECT_EQ(ctl.actions().back().target, a.target);
+    seen.push_back(a);
+  });
+  ctl.start();
+  sim.run_until(sec(2));  // rounds 1 and 2: 1 + 2 actions
+  ASSERT_EQ(seen.size(), 3u);
+
+  ctl.set_stalled(true);
+  sim.run_until(sec(3));  // round 3 stalls: nothing emitted
+  EXPECT_EQ(ctl.rounds(), 3u);
+  EXPECT_EQ(seen.size(), 3u);
+  EXPECT_EQ(ctl.actions().size(), 3u);
+
+  ctl.set_stalled(false);
+  const std::span<const ControlAction> fourth = ctl.round();  // 4 actions
+  ASSERT_EQ(fourth.size(), 4u);
+  EXPECT_EQ(fourth.front().target, "a4.0");
+  EXPECT_EQ(fourth.back().target, "a4.3");
+  ctl.stop();
+
+  const std::vector<std::string> want{"a1.0", "a2.0", "a2.1", "a4.0",
+                                      "a4.1", "a4.2", "a4.3"};
+  ASSERT_EQ(seen.size(), want.size());
+  ASSERT_EQ(ctl.actions().size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(seen[i].target, want[i]);
+    EXPECT_EQ(ctl.actions()[i].target, want[i]);
+    EXPECT_EQ(ctl.actions()[i].round, seen[i].round);
+    EXPECT_EQ(ctl.actions()[i].at, seen[i].at);
+  }
+  EXPECT_EQ(seen[0].round, 1u);
+  EXPECT_EQ(seen[0].at, sec(1));
+  EXPECT_EQ(seen[2].round, 2u);
+  EXPECT_EQ(seen[2].at, sec(2));
+  EXPECT_EQ(seen[3].round, 4u);
+  EXPECT_EQ(seen[3].at, sec(3));
 }
 
 }  // namespace

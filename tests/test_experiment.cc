@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -86,7 +87,7 @@ TEST(Experiment, UnknownServiceThrows) {
   EXPECT_THROW(exp.timeline("front"), std::invalid_argument);
 }
 
-TEST(Experiment, LinkForwardsScaleEvents) {
+TEST(Experiment, LinkForwardsScaleActions) {
   ExperimentConfig cfg;
   cfg.duration = sec(60);
   Experiment exp(testutil::single_service(1.0, 10, 4000, 2000, 0.4), cfg);
@@ -106,12 +107,49 @@ TEST(Experiment, LinkForwardsScaleEvents) {
   // VPA scaled up; the linked framework must have reacted with proportional
   // soft-resource rescales (the final size depends on where the SCG knee
   // settles once the hardware stabilizes).
-  ASSERT_FALSE(vpa.history().empty());
+  bool scaled = false;
+  for (const ControlAction& a : vpa.actions()) {
+    if (a.kind == ControlAction::Kind::kCores) scaled = true;
+  }
+  ASSERT_TRUE(scaled);
   bool proportional = false;
   for (const AdaptAction& a : sora.adapter().history()) {
     if (a.type == AdaptAction::Type::kProportional) proportional = true;
   }
   EXPECT_TRUE(proportional);
+}
+
+// The scaler's listener fires inside its emit(), before its own decision
+// record: Sora's proportional re-adaptation is logged immediately ahead of
+// the scale it reacts to.
+TEST(Experiment, LinkRecordsProportionalBeforeScaleUp) {
+  ExperimentConfig cfg;
+  Experiment exp(testutil::single_service(1.0, 10, 4000, 2000, 0.4), cfg);
+  VpaOptions vpa_opts;
+  vpa_opts.high_utilization = -1.0;  // any utilization reads as too high
+  auto& vpa = exp.add_vpa(vpa_opts);
+  vpa.manage(exp.app().service("svc"));
+  auto& sora = exp.add_sora();
+  sora.manage(ResourceKnob::entry(exp.app().service("svc")));
+  Experiment::link(vpa, sora);
+
+  const std::span<const ControlAction> acts = vpa.round();
+  ASSERT_EQ(acts.size(), 1u);
+  EXPECT_EQ(acts[0].kind, ControlAction::Kind::kCores);
+  EXPECT_EQ(acts[0].target, "svc");
+  EXPECT_DOUBLE_EQ(acts[0].old_cores, 1.0);
+  EXPECT_DOUBLE_EQ(acts[0].new_cores, 2.0);
+
+  const auto& recs = exp.decision_log().records();
+  ASSERT_EQ(recs.size(), 2u);
+  EXPECT_EQ(recs[0].controller, "sora");
+  EXPECT_EQ(recs[0].action, "proportional");
+  EXPECT_EQ(recs[0].target, "svc/threads");
+  EXPECT_DOUBLE_EQ(recs[0].old_cores, 1.0);
+  EXPECT_DOUBLE_EQ(recs[0].new_cores, 2.0);
+  EXPECT_EQ(recs[1].controller, "k8s-vpa");
+  EXPECT_EQ(recs[1].action, "scale_up");
+  EXPECT_EQ(recs[1].target, "svc");
 }
 
 TEST(Experiment, ZeroRequestRunPropagatesNoSample) {
