@@ -5,7 +5,7 @@
 // machine-checkable VERDICT lines for the overload operating point
 // (peak load ~2x the cart knee).
 //
-// Smoke mode (--smoke or SORA_TOURNAMENT_SMOKE=1): a 1-minute 2x2 slice
+// Smoke mode (--smoke): a 1-minute 2x2 slice
 // (sora + k8s-hpa, one trace, faults x admission) for CI gating.
 #include "bench_util.h"
 
@@ -95,9 +95,6 @@ int main(int argc, char** argv) {
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
-  if (const char* env = std::getenv("SORA_TOURNAMENT_SMOKE")) {
-    if (env[0] != '\0' && env[0] != '0') smoke = true;
   }
   return sora::bench::main_impl(smoke);
 }

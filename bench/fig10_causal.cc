@@ -24,7 +24,8 @@
 //
 //   argv[1]  telemetry dir (default telemetry/fig10_causal, "-" = none)
 //   argv[2]  run length in minutes (default 3)
-//   SORA_CAUSAL_THREADS    counterfactual fan width (default 4)
+//   SORA_SWEEP_THREADS     counterfactual fan width (default: hardware
+//                          concurrency)
 //   SORA_CAUSAL_HOLD_SEC   keep serving /causalz this long after finishing
 #include <chrono>
 #include <cstdlib>
@@ -99,10 +100,7 @@ int main_impl(int argc, char** argv) {
   if (argc > 2) cfg.duration = minutes(std::max(1, std::atoi(argv[2])));
   print_ctl_hint();
 
-  int threads = 4;
-  if (const char* env = std::getenv("SORA_CAUSAL_THREADS")) {
-    threads = std::max(1, std::atoi(env));
-  }
+  const int threads = SweepRunner::default_worker_count();
 
   const std::vector<Regime> regimes = {
       {"calibrated", cfg.peak_users},
@@ -121,7 +119,6 @@ int main_impl(int argc, char** argv) {
     opts.speedup_factors = {0.75, 0.9};
     opts.pool_delta = 2;
     opts.services = {"front-end", "cart", "catalogue"};
-    opts.threads = threads;
     opts.scenario = regime.name;
     labs.push_back(std::make_unique<CausalLab>(make_builder(rc), opts));
     std::cout << "\n[" << regime.name << "] profiling (checkpoint "

@@ -5,6 +5,18 @@
 
 namespace sora {
 
+/// AIMD additive increase credited per uncongested departure (scaled by
+/// 1/limit, the classic one-per-window rule).
+constexpr double kAimdIncrease = 1.0;
+/// Gradient policy: EWMA smoothing factor for the long-term RTT average
+/// (per departure).
+constexpr double kGradientSmoothing = 0.1;
+/// Gradient policy: allowed long-RTT inflation over min-RTT before the
+/// limit shrinks.
+constexpr double kGradientTolerance = 1.5;
+/// Window after which the min-RTT estimate is restarted (tracks drift).
+constexpr SimTime kMinRttWindow = sec(30);
+
 const char* to_string(AdmissionPolicy policy) {
   switch (policy) {
     case AdmissionPolicy::kNone: return "none";
@@ -60,10 +72,10 @@ AdmissionDecision AdmissionController::decide(const RequestMeta& meta,
     d.remaining_deadline = meta.deadline > now ? meta.deadline - now : 0;
   }
 
-  // Deadline check first: a request that cannot make its deadline is shed
-  // whatever the concurrency policy says (it would only waste a slot).
-  if (options_.shed_expired_deadlines && meta.deadline > 0 && min_rtt_ > 0 &&
-      d.remaining_deadline < min_rtt_) {
+  // Deadline check first: a request whose remaining deadline is below the
+  // min-RTT estimate cannot make it and is shed whatever the concurrency
+  // policy says (it would only waste a slot).
+  if (meta.deadline > 0 && min_rtt_ > 0 && d.remaining_deadline < min_rtt_) {
     d.admit = false;
     d.reason = "deadline";
     record_shed(meta, now, d);
@@ -122,7 +134,7 @@ void AdmissionController::on_departure(SimTime now, SimTime rtt, bool ok) {
   // Windowed min-RTT: only successful responses describe the service's
   // floor (an aborted visit returns instantly and would fake a tiny RTT).
   if (ok && rtt > 0) {
-    if (now - min_rtt_window_start_ >= options_.min_rtt_window) {
+    if (now - min_rtt_window_start_ >= kMinRttWindow) {
       // Rotate: the finished window's min becomes the estimate, so a
       // persistent shift (slower service) ages in within one window.
       min_rtt_ = window_min_rtt_ > 0 ? window_min_rtt_ : rtt;
@@ -136,9 +148,8 @@ void AdmissionController::on_departure(SimTime now, SimTime rtt, bool ok) {
     min_rtt_ = std::min(min_rtt_, rtt);
     ewma_rtt_ = ewma_rtt_ == 0.0
                     ? static_cast<double>(rtt)
-                    : (1.0 - options_.gradient_smoothing) * ewma_rtt_ +
-                          options_.gradient_smoothing *
-                              static_cast<double>(rtt);
+                    : (1.0 - kGradientSmoothing) * ewma_rtt_ +
+                          kGradientSmoothing * static_cast<double>(rtt);
   }
 
   const double old_limit = limit_;
@@ -150,7 +161,7 @@ void AdmissionController::on_departure(SimTime now, SimTime rtt, bool ok) {
         limit_ = std::max(options_.min_limit, limit_ * options_.aimd_backoff);
       } else {
         limit_ = std::min(options_.max_limit,
-                          limit_ + options_.aimd_increase / limit_);
+                          limit_ + kAimdIncrease / limit_);
       }
       break;
     }
@@ -159,13 +170,12 @@ void AdmissionController::on_departure(SimTime now, SimTime rtt, bool ok) {
       // Vegas/Gradient2: shrink toward min_rtt/ewma_rtt when latency
       // inflates beyond the tolerance, grow by a sqrt queue allowance when
       // the service is keeping up.
-      const double gradient =
-          std::clamp(options_.gradient_tolerance *
-                         static_cast<double>(min_rtt_) / ewma_rtt_,
-                     0.5, 1.0);
+      const double gradient = std::clamp(
+          kGradientTolerance * static_cast<double>(min_rtt_) / ewma_rtt_, 0.5,
+          1.0);
       const double target = limit_ * gradient + std::sqrt(limit_);
-      limit_ = std::clamp((1.0 - options_.gradient_smoothing) * limit_ +
-                              options_.gradient_smoothing * target,
+      limit_ = std::clamp((1.0 - kGradientSmoothing) * limit_ +
+                              kGradientSmoothing * target,
                           options_.min_limit, options_.max_limit);
       break;
     }

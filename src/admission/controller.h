@@ -60,25 +60,10 @@ struct AdmissionOptions {
   double aimd_backoff = 0.9;
   /// RTT above this is congestion; 0 = use 2x the current min-RTT estimate.
   SimTime aimd_latency_threshold = 0;
-  /// Additive increase credited per uncongested departure (scaled by
-  /// 1/limit, the classic one-per-window rule).
-  double aimd_increase = 1.0;
-
-  // -- gradient ---------------------------------------------------------------
-  /// EWMA smoothing factor for the long-term RTT average (per departure).
-  double gradient_smoothing = 0.1;
-  /// Allowed long-RTT inflation over min-RTT before the limit shrinks.
-  double gradient_tolerance = 1.5;
 
   // -- knee coupling ----------------------------------------------------------
   /// Admitted concurrency cap = knee * headroom (aggregate across replicas).
   double knee_headroom = 1.0;
-
-  // -- deadline shedding ------------------------------------------------------
-  /// Shed requests whose remaining deadline is below the min-RTT estimate.
-  bool shed_expired_deadlines = true;
-  /// Window after which the min-RTT estimate is restarted (tracks drift).
-  SimTime min_rtt_window = sec(30);
 
   // -- priorities -------------------------------------------------------------
   /// Batch requests are admitted only while utilization (in-flight / limit,

@@ -11,6 +11,12 @@
 
 namespace sora {
 
+// Cap controller bounds and AIMD steps.
+constexpr double kMinCap = 2.0;
+constexpr double kMaxCap = 4096.0;
+constexpr double kBackoff = 0.85;  ///< multiplicative decrease on overshoot
+constexpr double kIncrease = 2.0;  ///< additive increase when under target
+
 std::vector<double> allocate_latency_targets(
     const std::vector<double>& demand_share, const std::vector<double>& burn,
     double budget_ms, double min_target_ms) {
@@ -91,7 +97,7 @@ void AutothrottleController::manage(Service* service) {
   }
   managed_.push_back(service);
   targets_ms_.push_back(0.0);
-  caps_.push_back(options_.initial_cap);
+  caps_.push_back(kAutothrottleInitialCap);
 }
 
 void AutothrottleController::observe(SimTime now) {
@@ -200,11 +206,11 @@ void AutothrottleController::decide(SimTime now) {
       rec.action = "hold";
       rec.reason = "no span latency observed for service, holding cap";
     } else if (p99 > target) {
-      cap = std::max(options_.min_cap, cap * options_.backoff);
+      cap = std::max(kMinCap, cap * kBackoff);
       rec.action = "throttle_down";
       rec.reason = "span p99 above allocated latency target";
     } else if (p99 < options_.relax_fraction * target) {
-      cap = std::min(options_.max_cap, cap + options_.increase);
+      cap = std::min(kMaxCap, cap + kIncrease);
       rec.action = "throttle_up";
       rec.reason = "span p99 comfortably below allocated latency target";
     } else {

@@ -49,6 +49,10 @@ std::vector<double> allocate_latency_targets(
     const std::vector<double>& demand_share, const std::vector<double>& burn,
     double budget_ms, double min_target_ms);
 
+/// Admitted-concurrency cap a managed service starts from (the cap
+/// controller is a slow AIMD on this cap).
+inline constexpr double kAutothrottleInitialCap = 64.0;
+
 struct AutothrottleOptions {
   /// Slow allocator cadence (2x the default control period: the fast loop
   /// is the admission layer, the allocator only moves targets).
@@ -56,13 +60,6 @@ struct AutothrottleOptions {
   /// End-to-end latency budget the credits are carved from (the SLA).
   SimTime budget = msec(400);
   double min_target_ms = 5.0;
-
-  // Cap controller (slow AIMD on the admitted-concurrency cap).
-  double initial_cap = 64.0;
-  double min_cap = 2.0;
-  double max_cap = 4096.0;
-  double backoff = 0.85;        ///< multiplicative decrease on overshoot
-  double increase = 2.0;        ///< additive increase when under target
   double relax_fraction = 0.7;  ///< p99 below this x target allows increase
 
   /// Hold everything when the window carries fewer spans than this (fail

@@ -10,6 +10,13 @@
 
 namespace sora {
 
+constexpr double kHighUtilization = 0.8;
+constexpr double kLowUtilization = 0.35;
+/// p99 below this x SLO allows scale-down.
+constexpr double kRelaxFraction = 0.4;
+constexpr double kStepCores = 1.0;
+constexpr int kDownscaleStabilizationPeriods = 4;
+
 FirmAutoscaler::FirmAutoscaler(Simulator& sim, Application& app,
                                TraceWarehouse& warehouse, FirmOptions options)
     : Controller(sim, options.period),
@@ -17,7 +24,7 @@ FirmAutoscaler::FirmAutoscaler(Simulator& sim, Application& app,
       warehouse_(warehouse),
       options_(options),
       util_(app),
-      localizer_(app, warehouse, options.localizer) {}
+      localizer_(app, warehouse) {}
 
 void FirmAutoscaler::manage(Service* service) {
   allowed_services_.push_back(service);
@@ -86,22 +93,21 @@ void FirmAutoscaler::decide(SimTime now) {
   rec.action = "hold";
 
   const bool violating =
-      p99 > static_cast<double>(options_.slo_latency) ||
-      util > options_.high_utilization;
+      p99 > static_cast<double>(options_.slo_latency) || util > kHighUtilization;
   const bool relaxed =
-      p99 < options_.relax_fraction * static_cast<double>(options_.slo_latency) &&
-      util < options_.low_utilization;
+      p99 < kRelaxFraction * static_cast<double>(options_.slo_latency) &&
+      util < kLowUtilization;
 
   if (violating) {
     low_periods_ = 0;
-    desired = std::min(options_.max_cores, current + options_.step_cores);
+    desired = std::min(options_.max_cores, current + kStepCores);
     rec.reason = desired == current
                      ? "SLO violation or high utilization, but at max cores"
                      : "SLO violation or utilization above high watermark";
   } else if (relaxed) {
     ++low_periods_;
-    if (low_periods_ >= options_.downscale_stabilization_periods) {
-      desired = std::max(options_.min_cores, current - options_.step_cores);
+    if (low_periods_ >= kDownscaleStabilizationPeriods) {
+      desired = std::max(options_.min_cores, current - kStepCores);
       low_periods_ = 0;
       rec.reason = desired == current ? "relaxed but at min cores"
                                       : "stabilized relaxed latency";

@@ -25,14 +25,8 @@ namespace sora {
 struct FirmOptions {
   SimTime period = sec(15);
   SimTime slo_latency = msec(400);  ///< end-to-end p99 objective
-  double high_utilization = 0.8;
-  double low_utilization = 0.35;
-  double relax_fraction = 0.4;  ///< p99 below this x SLO allows scale-down
-  double step_cores = 1.0;
   double min_cores = 1.0;
   double max_cores = 8.0;
-  int downscale_stabilization_periods = 4;
-  LocalizerOptions localizer;
 };
 
 class FirmAutoscaler : public Controller {

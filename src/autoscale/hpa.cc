@@ -9,6 +9,11 @@
 
 namespace sora {
 
+constexpr double kTargetUtilization = 0.8;
+constexpr int kMinReplicas = 1;
+/// Ignore utilization within this tolerance of the target (K8s: 10%).
+constexpr double kTolerance = 0.1;
+
 HorizontalPodAutoscaler::HorizontalPodAutoscaler(Simulator& sim,
                                                  Application& app,
                                                  HpaOptions options)
@@ -26,13 +31,13 @@ void HorizontalPodAutoscaler::decide(SimTime now) {
     Service& svc = *m.service;
     const double util = util_.utilization(svc);
     const int current = svc.active_replicas();
-    const double ratio = util / options_.target_utilization;
+    const double ratio = util / kTargetUtilization;
 
     int desired = current;
-    if (std::abs(ratio - 1.0) > options_.tolerance) {
+    if (std::abs(ratio - 1.0) > kTolerance) {
       desired = static_cast<int>(std::ceil(static_cast<double>(current) * ratio));
     }
-    desired = std::clamp(desired, options_.min_replicas, options_.max_replicas);
+    desired = std::clamp(desired, kMinReplicas, options_.max_replicas);
 
     obs::ControlDecisionRecord rec;
     rec.at = now;

@@ -18,13 +18,9 @@ namespace sora {
 
 struct HpaOptions {
   SimTime period = sec(15);
-  double target_utilization = 0.8;
-  int min_replicas = 1;
   int max_replicas = 8;
   /// Consecutive periods of low desired count before scaling down.
   int downscale_stabilization_periods = 4;
-  /// Ignore utilization within this tolerance of the target (K8s: 10%).
-  double tolerance = 0.1;
 };
 
 class HorizontalPodAutoscaler : public Controller {

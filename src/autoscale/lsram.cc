@@ -10,6 +10,15 @@
 
 namespace sora {
 
+/// |gradient| below this reads as a flat surface: hold instead of drifting
+/// on noise.
+constexpr double kFlatGradient = 1e-6;
+constexpr double kViolationWeight = 1.0;
+constexpr double kCostWeight = 0.05;
+/// Every knob's stepper runs with the default options; the cost term is
+/// the allocation over the stepper's ceiling.
+constexpr GradientStepperOptions kStepper{};
+
 double GradientStepper::step(double x, double j) {
   x = std::clamp(x, options_.min_x, options_.max_x);
   if (!has_prev_) {
@@ -32,7 +41,7 @@ double GradientStepper::step(double x, double j) {
   }
 
   const double gradient = dj / dx;
-  if (std::abs(gradient) < options_.flat_gradient) {
+  if (std::abs(gradient) < kFlatGradient) {
     // Flat surface: hold rather than drift on numerical noise.
     return x;
   }
@@ -55,7 +64,7 @@ void LsramController::manage(const ResourceKnob& knob) {
     if (existing == knob) return;
   }
   knobs_.push_back(knob);
-  steppers_.emplace_back(options_.stepper);
+  steppers_.emplace_back(kStepper);
 }
 
 void LsramController::observe(SimTime now) {
@@ -112,9 +121,8 @@ void LsramController::decide(SimTime now) {
 
     const double viol_frac = static_cast<double>(violations_[i]) /
                              static_cast<double>(span_counts_[i]);
-    const double cost = static_cast<double>(current) / options_.stepper.max_x;
-    const double objective =
-        options_.violation_weight * viol_frac + options_.cost_weight * cost;
+    const double cost = static_cast<double>(current) / kStepper.max_x;
+    const double objective = kViolationWeight * viol_frac + kCostWeight * cost;
     rec.objective = objective;
     rec.objective_valid = true;
     rec.good_fraction = 1.0 - viol_frac;

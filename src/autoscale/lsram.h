@@ -7,8 +7,9 @@
 // axis is a soft-resource pool (a ResourceKnob: entry thread pool or edge
 // connection pool), the objective is
 //
-//   J(x) = violation_weight * viol_frac(x) + cost_weight * x / max_size
+//   J(x) = kViolationWeight * viol_frac(x) + kCostWeight * x / max_x
 //
+// (constants in lsram.cc; max_x is GradientStepperOptions' ceiling)
 // with viol_frac measured from completed spans of the knob's completion
 // service over the last window, and the gradient is a finite difference
 // against the previous round's (allocation, objective) pair.
@@ -36,9 +37,6 @@ struct GradientStepperOptions {
   double probe_step = 1.0; ///< first move / restart when the surface is flat
   double min_x = 1.0;
   double max_x = 512.0;
-  /// |gradient| below this reads as a flat surface: hold instead of drifting
-  /// on noise.
-  double flat_gradient = 1e-6;
 };
 
 /// One-dimensional warm-started gradient descent with clamped steps.
@@ -69,11 +67,8 @@ struct LsramOptions {
   /// Per-span latency objective for the knob's completion service: spans
   /// slower than this count as violations.
   SimTime span_slo = msec(100);
-  double violation_weight = 1.0;
-  double cost_weight = 0.05;
   /// Hold (fail closed) when the window has fewer spans than this.
   std::size_t min_spans = 20;
-  GradientStepperOptions stepper;
 };
 
 class LsramController : public Controller {

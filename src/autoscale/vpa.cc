@@ -8,6 +8,9 @@
 
 namespace sora {
 
+constexpr double kLowUtilization = 0.35;  ///< scale down below this
+constexpr double kStepCores = 1.0;
+
 VerticalPodAutoscaler::VerticalPodAutoscaler(Simulator& sim, Application& app,
                                              VpaOptions options)
     : Controller(sim, options.period),
@@ -36,13 +39,13 @@ void VerticalPodAutoscaler::decide(SimTime now) {
 
     if (util > options_.high_utilization) {
       m.low_periods = 0;
-      desired = std::min(options_.max_cores, current + options_.step_cores);
+      desired = std::min(options_.max_cores, current + kStepCores);
       rec.reason = desired == current ? "high utilization but at max cores"
                                       : "utilization above high watermark";
-    } else if (util < options_.low_utilization) {
+    } else if (util < kLowUtilization) {
       ++m.low_periods;
       if (m.low_periods >= options_.downscale_stabilization_periods) {
-        desired = std::max(options_.min_cores, current - options_.step_cores);
+        desired = std::max(options_.min_cores, current - kStepCores);
         m.low_periods = 0;
         rec.reason = desired == current ? "low utilization but at min cores"
                                         : "stabilized low utilization";

@@ -17,8 +17,6 @@ namespace sora {
 struct VpaOptions {
   SimTime period = sec(15);
   double high_utilization = 0.8;  ///< scale up above this
-  double low_utilization = 0.35;  ///< scale down below this
-  double step_cores = 1.0;
   double min_cores = 1.0;
   double max_cores = 8.0;
   /// Consecutive low periods before scaling down.

@@ -24,7 +24,6 @@ class Polynomial {
   double derivative(double x) const;
 
   int degree() const { return static_cast<int>(coeffs_.size()) - 1; }
-  const std::vector<double>& coefficients() const { return coeffs_; }
 
  private:
   std::vector<double> coeffs_;

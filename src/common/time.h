@@ -26,13 +26,10 @@ constexpr SimTime minutes(std::int64_t n) { return n * 60'000'000; }
 
 /// Fractional seconds to SimTime (rounds toward zero).
 constexpr SimTime sec_f(double s) { return static_cast<SimTime>(s * 1e6); }
-/// Fractional milliseconds to SimTime (rounds toward zero).
-constexpr SimTime msec_f(double ms) { return static_cast<SimTime>(ms * 1e3); }
 
 // -- Conversions back to floating point --------------------------------------
 
 constexpr double to_sec(SimTime t) { return static_cast<double>(t) / 1e6; }
 constexpr double to_msec(SimTime t) { return static_cast<double>(t) / 1e3; }
-constexpr double to_usec(SimTime t) { return static_cast<double>(t); }
 
 }  // namespace sora

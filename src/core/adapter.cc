@@ -8,6 +8,25 @@
 
 namespace sora {
 
+/// Exploration when saturated and no knee: new = cur * factor + add.
+constexpr double kExplorationFactor = 1.25;
+constexpr int kExplorationAdd = 1;
+/// Recent high-quantile concurrency >= this fraction of capacity counts
+/// as saturated.
+constexpr double kSaturationFraction = 0.85;
+/// Headroom applied on top of the knee: new = ceil(knee * factor) + add.
+/// The knee is where goodput saturates; a little slack above it keeps
+/// bursts from queueing behind the pool without entering the
+/// over-allocation regime.
+constexpr double kHeadroomFactor = 1.2;
+constexpr int kHeadroomAdd = 1;
+/// Emergency exploration: when the pool is saturated AND the fraction of
+/// within-deadline completions has collapsed below this, the system state
+/// has shifted under the knee (e.g. request-type drift) — grow
+/// immediately, ignoring the cooldown, at an accelerated factor.
+constexpr double kEmergencyGoodFraction = 0.5;
+constexpr double kEmergencyFactor = 3.0;
+
 const char* to_string(AdaptAction::Type type) {
   switch (type) {
     case AdaptAction::Type::kNone:
@@ -52,8 +71,7 @@ AdaptAction ConcurrencyAdapter::adapt(const ResourceKnob& knob,
 
   if (est.valid) {
     const double with_headroom =
-        static_cast<double>(est.recommended) * options_.headroom_factor +
-        options_.headroom_add;
+        static_cast<double>(est.recommended) * kHeadroomFactor + kHeadroomAdd;
     const double per_replica = with_headroom / static_cast<double>(replicas);
     action.new_size = clamp_size(std::ceil(per_replica));
     const bool is_shrink = action.new_size < action.old_size;
@@ -90,21 +108,19 @@ AdaptAction ConcurrencyAdapter::adapt(const ResourceKnob& knob,
     const bool pinned =
         capacity > 0 &&
         recent_concurrency >=
-            options_.saturation_fraction * static_cast<double>(capacity);
+            kSaturationFraction * static_cast<double>(capacity);
     const bool emergency =
-        pinned && good_fraction < options_.emergency_good_fraction;
+        pinned && good_fraction < kEmergencyGoodFraction;
     const bool in_cooldown =
         !emergency && st.last_applied_at >= 0 &&
         now - st.last_applied_at < options_.exploration_cooldown;
     const bool saturated = pinned && !in_cooldown;
     if (saturated) {
-      const double factor = emergency
-                                ? std::max(options_.exploration_factor,
-                                           options_.emergency_factor)
-                                : options_.exploration_factor;
+      const double factor =
+          emergency ? std::max(kExplorationFactor, kEmergencyFactor)
+                    : kExplorationFactor;
       const double grown =
-          static_cast<double>(action.old_size) * factor +
-          options_.exploration_add;
+          static_cast<double>(action.old_size) * factor + kExplorationAdd;
       action.new_size = clamp_size(grown);
       if (action.new_size != action.old_size) {
         knob.apply(action.new_size);

@@ -21,12 +21,6 @@ namespace sora {
 struct AdapterOptions {
   int min_size = 1;
   int max_size = 512;
-  /// Exploration when saturated and no knee: new = cur * factor + add.
-  double exploration_factor = 1.25;
-  int exploration_add = 1;
-  /// Recent high-quantile concurrency >= this fraction of capacity counts
-  /// as saturated.
-  double saturation_fraction = 0.85;
   /// A shrink is applied only after this many consecutive estimates agree
   /// the pool should shrink (guards against transient false knees).
   int shrink_confirmations = 2;
@@ -35,18 +29,6 @@ struct AdapterOptions {
   /// saturation right after an apply is expected, not evidence the knee is
   /// stale.
   SimTime exploration_cooldown = sec(60);
-  /// Headroom applied on top of the knee: new = ceil(knee * factor) + add.
-  /// The knee is where goodput saturates; a little slack above it keeps
-  /// bursts from queueing behind the pool without entering the
-  /// over-allocation regime.
-  double headroom_factor = 1.2;
-  int headroom_add = 1;
-  /// Emergency exploration: when the pool is saturated AND the fraction of
-  /// within-deadline completions has collapsed below this, the system state
-  /// has shifted under the knee (e.g. request-type drift) — grow
-  /// immediately, ignoring the cooldown, at an accelerated factor.
-  double emergency_good_fraction = 0.5;
-  double emergency_factor = 3.0;
 };
 
 /// What the adapter decided for one knob on one control round.

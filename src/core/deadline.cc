@@ -50,7 +50,7 @@ DeadlineResult propagate_deadline(const TraceWarehouse& warehouse, SimTime from,
       static_cast<double>(result.traces_used));
   const SimTime floor = std::max(
       options.min_threshold,
-      static_cast<SimTime>(options.min_fraction_of_sla *
+      static_cast<SimTime>(kMinDeadlineFractionOfSla *
                            static_cast<double>(sla)));
   result.rt_threshold = std::max(floor, sla - result.mean_upstream_pt);
   result.valid = true;

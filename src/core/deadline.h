@@ -18,15 +18,17 @@
 
 namespace sora {
 
+/// Besides DeadlineOptions::min_threshold, the propagated threshold is
+/// floored at this fraction of the SLA. Under upstream congestion the
+/// measured upstream PT can transiently exceed the whole SLA; propagating a
+/// near-zero deadline would declare every completion "bad" and blind the
+/// SCG model exactly when it must act.
+inline constexpr double kMinDeadlineFractionOfSla = 0.1;
+
 struct DeadlineOptions {
   /// Never propagate a threshold below this floor (a service can't do
   /// anything useful with a non-positive deadline).
   SimTime min_threshold = msec(1);
-  /// Additionally floor the threshold at this fraction of the SLA. Under
-  /// upstream congestion the measured upstream PT can transiently exceed
-  /// the whole SLA; propagating a near-zero deadline would declare every
-  /// completion "bad" and blind the SCG model exactly when it must act.
-  double min_fraction_of_sla = 0.1;
   /// Restrict to traces of this request class (-1 = all).
   int request_class = -1;
   /// Upper bound on traces folded into the mean (0 = fold every trace in

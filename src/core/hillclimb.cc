@@ -6,6 +6,12 @@
 
 namespace sora {
 
+constexpr int kStep = 2;  ///< pool-size increment per move
+constexpr int kMinSize = 1;
+/// Relative goodput change below this counts as "no change" and keeps the
+/// current direction (prevents dithering on noise).
+constexpr double kTolerance = 0.03;
+
 HillClimbTuner::HillClimbTuner(Simulator& sim, Tracer& tracer,
                                const ResourceKnob& knob,
                                HillClimbOptions options)
@@ -46,13 +52,13 @@ void HillClimbTuner::tick() {
   if (last_goodput_ >= 0.0) {
     const double base = std::max(last_goodput_, 1e-9);
     const double change = (goodput - last_goodput_) / base;
-    if (change < -options_.tolerance) {
+    if (change < -kTolerance) {
       direction_ = -direction_;  // worse: go back the other way
     }
     // better or flat: keep climbing in the same direction.
   }
-  const int next = std::clamp(knob_.current_size() + direction_ * options_.step,
-                              options_.min_size, options_.max_size);
+  const int next = std::clamp(knob_.current_size() + direction_ * kStep,
+                              kMinSize, options_.max_size);
   if (next != knob_.current_size()) {
     knob_.apply(next);
     ++steps_;

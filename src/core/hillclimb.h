@@ -21,14 +21,9 @@ namespace sora {
 
 struct HillClimbOptions {
   SimTime period = sec(15);       ///< evaluation window per step
-  int step = 2;                   ///< pool-size increment per move
-  int min_size = 1;
   int max_size = 512;
   SimTime rt_threshold = msec(50);  ///< goodput deadline (static — no
                                     ///< propagation; that is the point)
-  /// Relative goodput change below this counts as "no change" and keeps
-  /// the current direction (prevents dithering on noise).
-  double tolerance = 0.03;
 };
 
 class HillClimbTuner {

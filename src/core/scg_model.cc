@@ -8,6 +8,31 @@
 
 namespace sora {
 
+/// Minimum number of raw sample points required to attempt an estimate.
+constexpr std::size_t kMinPoints = 50;
+/// Minimum distinct concurrency bins (range of observed Q) required.
+constexpr std::size_t kMinBins = 6;
+/// Accept the first degree whose fit reaches this R^2 and yields a knee.
+constexpr double kR2Accept = 0.65;
+/// Dense evaluation grid for locating the fitted curve's peak.
+constexpr std::size_t kGridPoints = 200;
+/// A knee only counts when its goodput is at least this fraction of the
+/// fitted curve's peak: a "knee" far below saturation means the observed
+/// concurrency range has not reached the plateau yet (the allocation is
+/// capping concurrency), so the right move is exploration, not shrinking.
+constexpr double kMinKneeFraction = 0.8;
+/// Discard sample buckets with throughput below this fraction of the
+/// maximum observed throughput (idle buckets carry no signal).
+constexpr double kMinLoadFraction = 0.02;
+/// Right-censor buckets whose concurrency is pinned at the pool capacity
+/// (>= this fraction of it): their goodput collapse reflects queueing
+/// behind the current cap, not the service's behaviour at that
+/// concurrency. Without censoring, a conservative allocation manufactures
+/// a false knee at the cap (Section 3.2 discusses exactly this:
+/// "too-conservative concurrency settings may affect knee point
+/// detection ... we gradually increase the allocation").
+constexpr double kCapacityCensorFraction = 0.92;
+
 const char* to_string(ModelKind kind) {
   switch (kind) {
     case ModelKind::kScatterConcurrencyGoodput:
@@ -33,13 +58,13 @@ std::vector<CurvePoint> ScgModel::aggregate(
   // goodput GP_n", Section 3.2).
   double max_tp = 0.0;
   for (const SamplePoint& p : samples) max_tp = std::max(max_tp, p.throughput);
-  const double tp_floor = max_tp * options_.min_load_fraction;
+  const double tp_floor = max_tp * kMinLoadFraction;
 
   std::map<int, std::pair<double, std::size_t>> bins;  // Q -> (sum, count)
   for (const SamplePoint& p : samples) {
     if (p.throughput < tp_floor) continue;
     if (p.capacity > 0.0 &&
-        p.concurrency >= options_.capacity_censor_fraction * p.capacity) {
+        p.concurrency >= kCapacityCensorFraction * p.capacity) {
       continue;  // right-censored: pinned at the current allocation
     }
     const int q = static_cast<int>(std::lround(p.concurrency));
@@ -65,12 +90,12 @@ ConcurrencyEstimate ScgModel::estimate(
   ConcurrencyEstimate est;
   est.points_used = samples.size();
 
-  if (samples.size() < options_.min_points) {
+  if (samples.size() < kMinPoints) {
     est.failure = "insufficient samples";
     return est;
   }
   const std::vector<CurvePoint> curve = aggregate(samples);
-  if (curve.size() < options_.min_bins) {
+  if (curve.size() < kMinBins) {
     est.failure = "insufficient concurrency range";
     return est;
   }
@@ -113,8 +138,8 @@ ConcurrencyEstimate ScgModel::estimate(
       SORA_PROFILE_STAGE(obs::Stage::kScgKneedle);
       return kneedle(xs, smooth, options_.kneedle);
     }();
-    // Reject knees below the saturation plateau (see min_knee_fraction).
-    if (knee && knee->y < options_.min_knee_fraction * fit_peak) {
+    // Reject knees below the saturation plateau (see kMinKneeFraction).
+    if (knee && knee->y < kMinKneeFraction * fit_peak) {
       knee.reset();
     }
 
@@ -124,7 +149,7 @@ ConcurrencyEstimate ScgModel::estimate(
       best_degree = degree;
       if (knee) best_knee = knee;
     }
-    if (knee && fit.r_squared >= options_.r2_accept) {
+    if (knee && fit.r_squared >= kR2Accept) {
       best_fit = fit;
       best_degree = degree;
       best_knee = knee;
@@ -141,9 +166,9 @@ ConcurrencyEstimate ScgModel::estimate(
   {
     const double lo = xs.front(), hi = xs.back();
     double peak_x = lo, peak_y = (best_fit.poly)(lo);
-    for (std::size_t i = 1; i < options_.grid_points; ++i) {
+    for (std::size_t i = 1; i < kGridPoints; ++i) {
       const double x = lo + (hi - lo) * static_cast<double>(i) /
-                                static_cast<double>(options_.grid_points - 1);
+                                static_cast<double>(kGridPoints - 1);
       const double y = (best_fit.poly)(x);
       if (y > peak_y) {
         peak_y = y;
@@ -164,9 +189,9 @@ ConcurrencyEstimate ScgModel::estimate(
     const double x_max = xs.back();
     const double tail = (best_fit.poly)(x_max);
     const bool interior_peak = est.peak_concurrency < 0.9 * x_max;
-    const bool declines = tail < options_.min_knee_fraction * est.peak_value;
+    const bool declines = tail < kMinKneeFraction * est.peak_value;
     if (best_fit.ok && interior_peak && declines &&
-        best_fit.r_squared >= options_.r2_accept) {
+        best_fit.r_squared >= kR2Accept) {
       est.valid = true;
       est.knee_concurrency = est.peak_concurrency;
       est.knee_value = est.peak_value;

@@ -33,40 +33,11 @@ const char* to_string(ModelKind kind);
 struct ScgOptions {
   ModelKind kind = ModelKind::kScatterConcurrencyGoodput;
 
-  /// Minimum number of raw sample points required to attempt an estimate.
-  std::size_t min_points = 50;
-  /// Minimum distinct concurrency bins (range of observed Q) required.
-  std::size_t min_bins = 6;
-
   /// Incremental polynomial-degree tuning range (paper: 5-8 typically fit).
   int min_degree = 3;
   int max_degree = 10;
-  /// Accept the first degree whose fit reaches this R^2 and yields a knee.
-  double r2_accept = 0.65;
-
-  /// Dense evaluation grid for locating the fitted curve's peak.
-  std::size_t grid_points = 200;
-
-  /// A knee only counts when its goodput is at least this fraction of the
-  /// fitted curve's peak: a "knee" far below saturation means the observed
-  /// concurrency range has not reached the plateau yet (the allocation is
-  /// capping concurrency), so the right move is exploration, not shrinking.
-  double min_knee_fraction = 0.8;
 
   KneedleOptions kneedle;
-
-  /// Discard sample buckets with throughput below this fraction of the
-  /// maximum observed throughput (idle buckets carry no signal).
-  double min_load_fraction = 0.02;
-
-  /// Right-censor buckets whose concurrency is pinned at the pool capacity
-  /// (>= this fraction of it): their goodput collapse reflects queueing
-  /// behind the current cap, not the service's behaviour at that
-  /// concurrency. Without censoring, a conservative allocation manufactures
-  /// a false knee at the cap (Section 3.2 discusses exactly this:
-  /// "too-conservative concurrency settings may affect knee point
-  /// detection ... we gradually increase the allocation").
-  double capacity_censor_fraction = 0.92;
 };
 
 /// One aggregated point of the main sequence curve.
@@ -103,9 +74,6 @@ class ScgModel {
   /// Aggregate raw samples into the per-Q main sequence curve (exposed for
   /// tests and the figure benches).
   std::vector<CurvePoint> aggregate(std::span<const SamplePoint> samples) const;
-
-  const ScgOptions& options() const { return options_; }
-  ScgOptions& options() { return options_; }
 
  private:
   double sample_value(const SamplePoint& p) const;

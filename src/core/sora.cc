@@ -119,15 +119,6 @@ void SoraFramework::decide(SimTime now) {
     rec.traces_analyzed = last_report_.traces_analyzed;
 
     const ServiceId knob_service = knob.completion_service();
-    if (options_.adapt_only_critical && last_report_.critical.valid() &&
-        knob_service != last_report_.critical &&
-        knob.service()->id() != last_report_.critical) {
-      rec.action = "skipped";
-      rec.reason = "knob not associated with the critical service";
-      rec.old_size = rec.new_size = knob.current_size();
-      record_decision(std::move(rec));
-      continue;
-    }
 
     // RT Threshold Propagation Phase (SCG only).
     if (options_.deadline_propagation &&

@@ -52,10 +52,6 @@ struct SoraFrameworkOptions {
   /// used instead).
   bool deadline_propagation = true;
 
-  /// Adapt only knobs associated with the currently-critical service
-  /// (false = adapt every managed knob each round).
-  bool adapt_only_critical = false;
-
   EstimatorOptions estimator;
   AdapterOptions adapter;
   LocalizerOptions localizer;

@@ -21,6 +21,9 @@ namespace sora::ctl {
 
 namespace {
 
+/// Decision-log records retained in the snapshot for /decisions.
+constexpr std::size_t kDecisionTailCap = 256;
+
 std::uint64_t wall_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -346,8 +349,7 @@ StatusSnapshot CtlPlane::assemble(bool with_metrics) {
   if (hooks_.decision_log != nullptr) {
     const auto& records = hooks_.decision_log->records();
     snap.decisions_total = records.size();
-    const std::size_t tail =
-        std::min(records.size(), options_.decision_tail_cap);
+    const std::size_t tail = std::min(records.size(), kDecisionTailCap);
     snap.decision_tail.reserve(tail);
     for (std::size_t i = records.size() - tail; i < records.size(); ++i) {
       snap.decision_tail.push_back(records[i].to_json());

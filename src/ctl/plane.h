@@ -64,8 +64,6 @@ struct CtlOptions {
   /// never mutates state unless a command is pending, so enabling the plane
   /// does not change simulation results.
   SimTime safepoint_period = sec(1);
-  /// Decision-log records retained in the snapshot for /decisions.
-  std::size_t decision_tail_cap = 256;
 };
 
 class CtlPlane {
@@ -95,12 +93,6 @@ class CtlPlane {
   /// Stop the server and cancel the tick. Idempotent; also runs at
   /// destruction.
   void stop();
-
-  /// The fault injector is armed after the plane in start_all(); the
-  /// harness back-fills it here.
-  void set_fault_injector(FaultInjector* injector) {
-    hooks_.fault_injector = injector;
-  }
 
   /// Replay script: apply each command at the first safepoint whose sim
   /// time reaches command.at (commands must be sorted by at — which

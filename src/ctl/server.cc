@@ -17,6 +17,9 @@ namespace sora::ctl {
 
 namespace {
 
+/// Largest request (line + headers) a connection may send.
+constexpr std::size_t kMaxRequestBytes = 64 * 1024;
+
 /// Read until the header terminator (plus any body bytes that rode along)
 /// or the peer closes; bounded by `cap` and a short poll timeout so a
 /// stalled client cannot wedge the accept loop.
@@ -143,7 +146,7 @@ void CtlServer::accept_loop() {
 
 void CtlServer::handle_connection(int fd) {
   std::string raw;
-  if (!read_request(fd, options_.max_request_bytes, &raw)) return;
+  if (!read_request(fd, kMaxRequestBytes, &raw)) return;
   HttpRequest request;
   std::string response;
   if (!parse_http_request(raw, &request)) {

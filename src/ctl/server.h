@@ -34,7 +34,6 @@ namespace sora::ctl {
 
 struct ServerOptions {
   int port = 8080;  ///< 0 = ephemeral (bound port via CtlServer::port())
-  std::size_t max_request_bytes = 64 * 1024;
 };
 
 class CtlServer {

@@ -6,6 +6,9 @@
 
 namespace sora {
 
+/// Fraction of spans (or scatter samples) a seed-derived dropout discards.
+constexpr double kDropoutFraction = 0.5;
+
 const char* to_string(FaultKind kind) {
   switch (kind) {
     case FaultKind::kCrashInstance:
@@ -66,7 +69,7 @@ FaultPlan FaultPlan::random(std::uint64_t seed, SimTime horizon,
       ev.at = draw_at();
       ev.service =
           options.cpu_services[rng.uniform_int(options.cpu_services.size())];
-      ev.cores = rng.uniform(options.cpu_cores_lo, options.cpu_cores_hi);
+      ev.cores = rng.uniform(kRandomCpuCoresLo, kRandomCpuCoresHi);
       plan.add(std::move(ev));
     }
   }
@@ -74,7 +77,7 @@ FaultPlan FaultPlan::random(std::uint64_t seed, SimTime horizon,
     FaultEvent ev;
     ev.kind = FaultKind::kSpanDropout;
     ev.at = draw_at();
-    ev.fraction = options.dropout_fraction;
+    ev.fraction = kDropoutFraction;
     ev.duration = options.dropout_duration;
     plan.add(std::move(ev));
   }
@@ -82,7 +85,7 @@ FaultPlan FaultPlan::random(std::uint64_t seed, SimTime horizon,
     FaultEvent ev;
     ev.kind = FaultKind::kScatterDropout;
     ev.at = draw_at();
-    ev.fraction = options.dropout_fraction;
+    ev.fraction = kDropoutFraction;
     ev.duration = options.dropout_duration;
     plan.add(std::move(ev));
   }

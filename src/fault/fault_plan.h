@@ -55,6 +55,10 @@ struct FaultEvent {
   double cores = 0.0;
 };
 
+/// Uniform range a seed-derived CPU step draws the stepped limit from.
+inline constexpr double kRandomCpuCoresLo = 0.5;
+inline constexpr double kRandomCpuCoresHi = 2.0;
+
 /// Knobs for seed-derived plans. Counts are exact (not expectations); the
 /// injection times are drawn uniformly from the middle of the horizon so
 /// restores land inside the run.
@@ -72,12 +76,8 @@ struct RandomFaultOptions {
 
   bool drop_inflight = true;
   SimTime crash_downtime = sec(45);
-  double cpu_cores_lo = 0.5;  ///< uniform range for the stepped limit
-  double cpu_cores_hi = 2.0;
-  double dropout_fraction = 0.5;
   SimTime dropout_duration = sec(60);
   SimTime stall_duration = sec(45);
-  SimTime span_delay = sec(5);
 
   /// Events are drawn in [earliest * horizon, latest * horizon].
   double earliest = 0.15;

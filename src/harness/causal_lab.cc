@@ -208,9 +208,11 @@ obs::CausalProfile CausalLab::run() {
   profile.primary_trace_digest = baseline_->warehouse().digest();
   base_outcome_ = window_outcome(*baseline_);
 
-  // Control re-run: the per-round determinism proof. Any divergence here
-  // invalidates the counterfactual comparison, so it is loud.
-  if (options_.run_control) {
+  // Control re-run: the unperturbed baseline again, which must match the
+  // primary bit for bit (the per-round determinism proof; it costs one
+  // extra run). Any divergence here invalidates the counterfactual
+  // comparison, so it is loud.
+  {
     std::unique_ptr<Experiment> control = build_one(/*with_digest=*/true);
     control->run();
     profile.control_sim_digest = control->sim().digest();

@@ -56,9 +56,6 @@ struct CausalLabOptions {
   std::vector<std::string> services;
   /// SweepRunner worker threads for the counterfactual fan (0 = default).
   int threads = 0;
-  /// Re-run the unperturbed baseline and require bit-identical digests
-  /// (the per-round determinism proof). Costs one extra run.
-  bool run_control = true;
   /// Regime label stamped into the profile ("calibrated", "overload", ...).
   std::string scenario = "default";
 };
@@ -83,7 +80,6 @@ class CausalLab {
   /// The primary baseline experiment. Valid after run(); kept alive so its
   /// ctl server (if any) keeps serving the published profile.
   Experiment& baseline() { return *baseline_; }
-  bool has_baseline() const { return baseline_ != nullptr; }
 
   /// Render a profile collection as the /causalz JSON document.
   static std::string profiles_json(

@@ -13,6 +13,11 @@
 namespace sora {
 
 namespace {
+
+/// Traces the warehouse ring retains. The control-path consumers (deadline
+/// propagation, FIRM, LSRAM, Autothrottle) rescan its window every round.
+constexpr std::size_t kWarehouseCapacity = 200000;
+
 /// SORA_SEED environment override: returns `configured` unless the variable
 /// is set to a parseable unsigned integer that fits in 64 bits.
 std::uint64_t resolve_seed(std::uint64_t configured) {
@@ -36,7 +41,7 @@ std::uint64_t resolve_seed(std::uint64_t configured) {
 }  // namespace
 
 Experiment::Experiment(ApplicationConfig app_config, ExperimentConfig config)
-    : config_(config), warehouse_(config.warehouse_capacity) {
+    : config_(config), warehouse_(kWarehouseCapacity) {
   config_.seed = resolve_seed(config_.seed);
   warehouse_.attach(tracer_);
   // Deadline-aware admission needs requests to carry the end-to-end SLA;

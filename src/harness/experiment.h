@@ -55,7 +55,6 @@ struct ExperimentConfig {
   /// End-to-end SLA used for client-side goodput reporting.
   SimTime sla = msec(400);
   SimTime timeline_bucket = sec(1);
-  std::size_t warehouse_capacity = 200000;
 };
 
 /// One per-bucket sample of a tracked service's state.

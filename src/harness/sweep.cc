@@ -2,17 +2,29 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 
+#include "common/log.h"
+
 namespace sora {
 
 int SweepRunner::default_worker_count() {
-  if (const char* env = std::getenv("SORA_SWEEP_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
+  const char* env = std::getenv("SORA_SWEEP_THREADS");
+  if (env != nullptr && *env != '\0') {
+    char* end = nullptr;
+    errno = 0;
+    const long n = std::strtol(env, &end, 10);
+    if (end != env && *end == '\0' && errno != ERANGE && n > 0 &&
+        n <= INT_MAX) {
+      return static_cast<int>(n);
+    }
+    SORA_WARN << "sweep: ignoring unparseable SORA_SWEEP_THREADS=\"" << env
+              << '"';
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

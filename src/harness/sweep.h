@@ -28,8 +28,8 @@ class SweepRunner {
   /// `threads` <= 0 selects default_worker_count().
   explicit SweepRunner(int threads = 0);
 
-  /// SORA_SWEEP_THREADS when set (clamped to >= 1), else hardware
-  /// concurrency, else 1.
+  /// SORA_SWEEP_THREADS when it is a whole positive integer, else (with a
+  /// warning when it is set but unparseable) hardware concurrency, else 1.
   static int default_worker_count();
 
   int threads() const { return threads_; }

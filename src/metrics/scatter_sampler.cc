@@ -53,9 +53,7 @@ void ScatterSampler::on_tick() {
   p.goodput = static_cast<double>(bucket_good_) / secs;
   p.throughput = static_cast<double>(bucket_all_) / secs;
   p.capacity = static_cast<double>(knob_.total_capacity());
-  if (bucket_filter_ && !bucket_filter_(p)) {
-    ++samples_dropped_;
-  } else {
+  if (!bucket_filter_ || bucket_filter_(p)) {
     points_.push_back(p);
     while (points_.size() > max_points_) points_.pop_front();
   }

@@ -61,8 +61,6 @@ class ScatterSampler {
   /// bucket is unaffected. Pass nullptr to clear.
   using BucketFilter = std::function<bool(const SamplePoint&)>;
   void set_bucket_filter(BucketFilter f) { bucket_filter_ = std::move(f); }
-  /// Buckets discarded by the filter over this sampler's lifetime.
-  std::uint64_t samples_dropped() const { return samples_dropped_; }
 
   /// All retained points, oldest first.
   std::vector<SamplePoint> points() const;
@@ -85,7 +83,6 @@ class ScatterSampler {
   bool running_ = false;
   EventHandle tick_;
   BucketFilter bucket_filter_;
-  std::uint64_t samples_dropped_ = 0;
 
   // current bucket accumulators
   SimTime bucket_start_ = 0;

@@ -89,21 +89,6 @@ std::vector<std::string> CausalProfile::causal_service_ranking() const {
   return out;
 }
 
-std::vector<ServiceId> CausalProfile::causal_service_ranking_ids() const {
-  std::map<std::string, ServiceId> ids;
-  for (const CausalEffect& e : effects) {
-    if (e.perturbation.service_id.valid()) {
-      ids.emplace(e.perturbation.service, e.perturbation.service_id);
-    }
-  }
-  std::vector<ServiceId> out;
-  for (const std::string& name : causal_service_ranking()) {
-    const auto it = ids.find(name);
-    if (it != ids.end()) out.push_back(it->second);
-  }
-  return out;
-}
-
 std::string CausalProfile::ranking_string() const {
   std::string out;
   for (const std::string& name : causal_service_ranking()) {

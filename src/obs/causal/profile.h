@@ -81,9 +81,6 @@ struct CausalProfile {
   /// latency most — the causal answer to "which service is critical?".
   std::vector<std::string> causal_service_ranking() const;
 
-  /// Same ranking as resolved ServiceIds (for core::cross_validate).
-  std::vector<ServiceId> causal_service_ranking_ids() const;
-
   /// Compact "a>b>c" rendering of the ranking for decision-log records.
   std::string ranking_string() const;
 

@@ -69,7 +69,7 @@ class Exporter {
 
   void add(const Trace& t) {
     if (!want_more()) return;
-    if (t.end < options_.from || t.end > options_.to) return;
+    if (t.end < options_.from) return;
     ++exported_;
     for (const Span& s : t.spans) {
       if (named_.insert(s.service.value()).second) {
@@ -99,7 +99,7 @@ std::size_t export_chrome_trace(const TraceWarehouse& warehouse,
                                 const ServiceNamer& namer, std::ostream& os,
                                 ChromeTraceOptions options) {
   Exporter exporter(namer, os, options);
-  warehouse.for_each_in_window(options.from, options.to,
+  warehouse.for_each_in_window(options.from, kSimTimeNever,
                                [&](const Trace& t) { exporter.add(t); });
   return exporter.finish();
 }

@@ -81,8 +81,6 @@ struct ServiceConfig {
 
   int initial_replicas = 1;
 
-  /// Max concurrent jobs the CPU will accept before the entry pool; kept
-  /// for completeness (uncapped by default).
   // -- convenience builders ----------------------------------------------
 
   ServiceConfig& with_cores(double c) {

@@ -69,7 +69,6 @@ class ServiceInstance {
   /// nullptr when that edge is ungated.
   SoftResourcePool* edge_pool(int edge_index);
   const SoftResourcePool* edge_pool(int edge_index) const;
-  std::size_t num_edge_pools() const { return edge_pools_.size(); }
 
  private:
   struct Visit;

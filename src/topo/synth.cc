@@ -12,6 +12,29 @@ namespace sora::topo {
 
 namespace {
 
+/// Heavy-tailed fan-out. Each mid attaches to ONE parent in the level
+/// above by preferential attachment; a parent's base attractiveness is
+/// drawn from P(k) ∝ k^-alpha on k in [1, kFanoutMax] and grows with each
+/// child it wins (Yule process), so out-degrees come out power-law
+/// without multiplying per-request executions the way "sample k callees
+/// per caller" wiring would.
+constexpr double kFanoutAlpha = 2.2;
+constexpr int kFanoutMax = 8;
+/// Chance a mid gains a second parent (a cross-link). Each extra parent
+/// multiplies the subtree's per-request executions, so this is kept
+/// sparse: expected execution multiplicity ≈ (1 + p)^depth.
+constexpr double kCrossLinkProb = 0.12;
+/// Chance a multi-call hop issues its calls as one parallel group
+/// (otherwise sequentially).
+constexpr double kParallelProb = 0.5;
+/// Chance a mid-tier service also calls into a shared backend tier.
+constexpr double kSharedTierProb = 0.6;
+// Pool sizing (per replica).
+constexpr int kEntryPool = 64;         ///< entry services
+constexpr int kMidEntryPool = 32;      ///< mid-tier services
+constexpr int kSharedEntryPool = 128;  ///< shared backends
+constexpr int kEdgePool = 32;  ///< caller connection pools toward shared dbs
+
 /// Cumulative table for a discrete truncated power law P(k) ∝ k^-alpha,
 /// k in [1, k_max]. Sampling walks the table: deterministic given the rng.
 std::vector<double> power_law_cdf(double alpha, int k_max) {
@@ -67,14 +90,11 @@ std::string name_of(const char* fmt, int a, int b = -1, int c = -1) {
 Topology synthesize(const TopologyConfig& cfg) {
   TopologyConfig c = cfg;
   if (c.tenants < 1 || c.entries_per_tenant < 1 || c.max_depth < 1 ||
-      c.fanout_max < 1 || c.fanout_alpha <= 0.0 || c.shared_zipf_s <= 0.0) {
+      c.shared_zipf_s <= 0.0) {
     throw std::invalid_argument("topo: non-positive structural knob");
   }
   if (c.async_cycle_fraction < 0.0 || c.async_cycle_fraction > 1.0 ||
-      c.batch_tenant_fraction < 0.0 || c.batch_tenant_fraction > 1.0 ||
-      c.parallel_prob < 0.0 || c.parallel_prob > 1.0 ||
-      c.cross_link_prob < 0.0 || c.cross_link_prob > 1.0 ||
-      c.shared_tier_prob < 0.0 || c.shared_tier_prob > 1.0) {
+      c.batch_tenant_fraction < 0.0 || c.batch_tenant_fraction > 1.0) {
     throw std::invalid_argument("topo: fraction knob outside [0, 1]");
   }
   if (c.shared_db == 0) c.shared_db = std::max(2, c.services / 100);
@@ -165,8 +185,7 @@ Topology synthesize(const TopologyConfig& cfg) {
   add_shared(blob_idx, "blob%d", c.shared_blob);
 
   // ---- Edges ----------------------------------------------------------------
-  const std::vector<double> fanout_cdf =
-      power_law_cdf(c.fanout_alpha, c.fanout_max);
+  const std::vector<double> fanout_cdf = power_law_cdf(kFanoutAlpha, kFanoutMax);
   const std::vector<double> db_zipf = zipf_cdf(c.shared_zipf_s, c.shared_db);
   const std::vector<double> cache_zipf =
       zipf_cdf(c.shared_zipf_s, c.shared_cache);
@@ -189,7 +208,7 @@ Topology synthesize(const TopologyConfig& cfg) {
   const auto add_calls = [&](int caller, int cls, std::vector<int> targets) {
     if (targets.empty()) return;
     ClassBehavior& b = svcs[static_cast<std::size_t>(caller)].classes[cls];
-    const bool parallel = targets.size() > 1 && rng.uniform() < c.parallel_prob;
+    const bool parallel = targets.size() > 1 && rng.uniform() < kParallelProb;
     if (parallel) b.call_groups.emplace_back();
     for (int tgt : targets) {
       if (parallel) {
@@ -223,7 +242,7 @@ Topology synthesize(const TopologyConfig& cfg) {
     add_sync_edge(caller, tgt);
     if (tier == &db_idx) {
       svcs[static_cast<std::size_t>(caller)].with_edge_pool(
-          svcs[static_cast<std::size_t>(tgt)].name, c.edge_pool);
+          svcs[static_cast<std::size_t>(tgt)].name, kEdgePool);
     }
   };
 
@@ -234,9 +253,9 @@ Topology synthesize(const TopologyConfig& cfg) {
   // attachment: every mid picks exactly one parent in the level above
   // (weights = heavy-tailed base attractiveness + children accumulated so
   // far, the Yule process that yields power-law fan-out), plus a sparse
-  // cross-link second parent at cross_link_prob. Reachability is guaranteed
+  // cross-link second parent at kCrossLinkProb. Reachability is guaranteed
   // by construction, fan-out is heavy-tailed, and per-request executions
-  // stay ~O(mids per tenant · (1 + cross_link_prob)^depth).
+  // stay ~O(mids per tenant · (1 + kCrossLinkProb)^depth).
   for (int t = 0; t < c.tenants; ++t) {
     const TenantLayout& lay = tenants[static_cast<std::size_t>(t)];
     const int levels = static_cast<int>(lay.level.size());
@@ -269,7 +288,7 @@ Topology synthesize(const TopologyConfig& cfg) {
             rng.uniform_int(static_cast<std::uint64_t>(slots.size())))];
         kids[p].push_back(node);
         slots.push_back(p);
-        if (rng.uniform() < c.cross_link_prob) {
+        if (rng.uniform() < kCrossLinkProb) {
           const std::size_t q = slots[static_cast<std::size_t>(
               rng.uniform_int(static_cast<std::uint64_t>(slots.size())))];
           if (q != p) kids[q].push_back(node);
@@ -278,15 +297,15 @@ Topology synthesize(const TopologyConfig& cfg) {
       for (std::size_t i = 0; i < parents.size(); ++i) {
         add_calls(parents[i], 0, kids[i]);
       }
-      // Non-deepest mids hit a shared backend at shared_tier_prob.
+      // Non-deepest mids hit a shared backend at kSharedTierProb.
       for (int caller : parents) {
-        if (rng.uniform() < c.shared_tier_prob) add_shared_call(caller, 0);
+        if (rng.uniform() < kSharedTierProb) add_shared_call(caller, 0);
       }
     }
     // The deepest level always bottoms out in at least one shared backend.
     for (int caller : lay.level[static_cast<std::size_t>(levels - 1)]) {
       add_shared_call(caller, 0);
-      if (rng.uniform() < c.shared_tier_prob) add_shared_call(caller, 0);
+      if (rng.uniform() < kSharedTierProb) add_shared_call(caller, 0);
     }
   }
 
@@ -329,21 +348,21 @@ Topology synthesize(const TopologyConfig& cfg) {
       // Entry tier: generous cores, replicated, big server-thread pool.
       const int cls = tenant * c.entries_per_tenant +
                       (i - tenants[static_cast<std::size_t>(tenant)].entry[0]);
-      s.with_cores(4.0).with_replicas(2).with_entry_pool(c.entry_pool);
+      s.with_cores(4.0).with_replicas(2).with_entry_pool(kEntryPool);
       s.with_demand(cls, c.demand_scale * log_uniform(rng, 200.0, 500.0),
                     c.demand_scale * log_uniform(rng, 100.0, 300.0));
     } else if (tenant >= 0) {
-      s.with_cores(2.0).with_entry_pool(c.mid_entry_pool);
+      s.with_cores(2.0).with_entry_pool(kMidEntryPool);
       s.with_demand(0, c.demand_scale * log_uniform(rng, 300.0, 1500.0),
                     c.demand_scale * log_uniform(rng, 100.0, 400.0));
     } else if (is_in(db_idx, i)) {
-      s.with_cores(6.0).with_replicas(2).with_entry_pool(c.shared_entry_pool);
+      s.with_cores(6.0).with_replicas(2).with_entry_pool(kSharedEntryPool);
       s.with_demand(0, c.demand_scale * log_uniform(rng, 1000.0, 3000.0), 0.0);
     } else if (is_in(cache_idx, i)) {
-      s.with_cores(4.0).with_replicas(2).with_entry_pool(c.shared_entry_pool);
+      s.with_cores(4.0).with_replicas(2).with_entry_pool(kSharedEntryPool);
       s.with_demand(0, c.demand_scale * log_uniform(rng, 100.0, 300.0), 0.0);
     } else {
-      s.with_cores(4.0).with_entry_pool(c.shared_entry_pool);
+      s.with_cores(4.0).with_entry_pool(kSharedEntryPool);
       s.with_demand(0, c.demand_scale * log_uniform(rng, 2000.0, 6000.0), 0.0);
     }
   }

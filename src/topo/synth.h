@@ -37,23 +37,6 @@ struct TopologyConfig {
   int shared_blob = 0;
   /// Maximum mid-tier depth below the entries (levels 1..max_depth).
   int max_depth = 6;
-  /// Heavy-tailed fan-out. Each mid attaches to ONE parent in the level
-  /// above by preferential attachment; a parent's base attractiveness is
-  /// drawn from P(k) ∝ k^-alpha on k in [1, fanout_max] and grows with each
-  /// child it wins (Yule process), so out-degrees come out power-law
-  /// without multiplying per-request executions the way "sample k callees
-  /// per caller" wiring would.
-  double fanout_alpha = 2.2;
-  int fanout_max = 8;
-  /// Chance a mid gains a second parent (a cross-link). Each extra parent
-  /// multiplies the subtree's per-request executions, so this is kept
-  /// sparse: expected execution multiplicity ≈ (1 + p)^depth.
-  double cross_link_prob = 0.12;
-  /// Chance a multi-call hop issues its calls as one parallel group
-  /// (otherwise sequentially).
-  double parallel_prob = 0.5;
-  /// Chance a mid-tier service also calls into a shared backend tier.
-  double shared_tier_prob = 0.6;
   /// Zipf exponent for shared-tier instance popularity (in-degree skew).
   double shared_zipf_s = 1.2;
   /// Fraction of deep mid services gaining an async callback edge to an
@@ -66,11 +49,6 @@ struct TopologyConfig {
   SimTime request_sla = msec(500);
   /// Multiplier on every sampled CPU demand.
   double demand_scale = 1.0;
-  // -- pool sizing (per replica) -----------------------------------------
-  int entry_pool = 64;         ///< entry services
-  int mid_entry_pool = 32;     ///< mid-tier services
-  int shared_entry_pool = 128; ///< shared backends
-  int edge_pool = 32;          ///< caller connection pools toward shared dbs
 };
 
 /// One call edge between synthesized services (indices into app.services).

@@ -14,6 +14,12 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
+// Shape of the synthesized trace (see ReplaySynthesisConfig).
+constexpr double kDiurnalAmplitude = 0.35;  ///< fraction of base
+constexpr double kDiurnalPeriodS = 300.0;
+constexpr double kFlashWidthS = 25.0;  ///< spike sigma
+constexpr double kInterferenceAmplitude = 0.08;  ///< fraction of base
+
 /// Split one CSV line on commas (no quoting — rate traces are plain
 /// numeric tables). Trailing \r from CRLF files is stripped.
 std::vector<std::string> split_csv(std::string line) {
@@ -156,16 +162,16 @@ std::string synthesize_cluster_trace_csv(const ReplaySynthesisConfig& cfg) {
     out += buf;
     for (const TenantParams& p : tenants) {
       const double diurnal =
-          1.0 + cfg.diurnal_amplitude *
-                    std::sin(2.0 * kPi * t_s / cfg.diurnal_period_s +
+          1.0 + kDiurnalAmplitude *
+                    std::sin(2.0 * kPi * t_s / kDiurnalPeriodS +
                              p.diurnal_phase);
       double flash = 0.0;
       for (std::size_t f = 0; f < p.flash_at_s.size(); ++f) {
-        const double d = (t_s - p.flash_at_s[f]) / cfg.flash_width_s;
+        const double d = (t_s - p.flash_at_s[f]) / kFlashWidthS;
         flash += p.flash_height[f] * std::exp(-d * d);
       }
       const double interference =
-          cfg.interference_amplitude *
+          kInterferenceAmplitude *
           std::sin(2.0 * kPi * t_s / p.interference_period_s +
                    p.interference_phase);
       const double rate =

@@ -62,12 +62,8 @@ struct ReplaySynthesisConfig {
   double duration_s = 600.0;
   double step_s = 5.0;           ///< sample spacing
   double base_rps = 120.0;       ///< diurnal mean per tenant
-  double diurnal_amplitude = 0.35;   ///< fraction of base
-  double diurnal_period_s = 300.0;
   int flash_crowds = 2;          ///< spikes per tenant
   double flash_peak = 2.5;       ///< spike height, fraction of base
-  double flash_width_s = 25.0;   ///< spike sigma
-  double interference_amplitude = 0.08;  ///< fraction of base
 };
 
 /// Emit a synthetic cluster trace as CSV text (fixed precision: output is

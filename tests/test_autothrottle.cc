@@ -100,7 +100,7 @@ TEST(AutothrottleController, FailsClosedWithoutTelemetry) {
   exp.run();
 
   ASSERT_EQ(at.caps().size(), 1u);
-  EXPECT_EQ(at.caps()[0], ao.initial_cap);
+  EXPECT_EQ(at.caps()[0], kAutothrottleInitialCap);
   EXPECT_EQ(at.targets_ms()[0], 0.0);
   EXPECT_TRUE(at.actions().empty());
   int holds = 0;
@@ -134,7 +134,7 @@ TEST(AutothrottleController, ThrottlesDownAndPublishesCapUnderOverload) {
   exp.run();
 
   ASSERT_EQ(at.caps().size(), 1u);
-  EXPECT_LT(at.caps()[0], ao.initial_cap);
+  EXPECT_LT(at.caps()[0], kAutothrottleInitialCap);
   // The cap was pushed through the knee publication path and enforced.
   EXPECT_GT(adm.knee_updates(), 0u);
   EXPECT_NEAR(adm.knee(), at.caps()[0], 1e-9);
@@ -167,7 +167,7 @@ TEST(AutothrottleController, FlatLatencyHoldsCaps) {
   at.manage(exp.app().service("svc"));
   exp.run();
 
-  EXPECT_EQ(at.caps()[0], ao.initial_cap);
+  EXPECT_EQ(at.caps()[0], kAutothrottleInitialCap);
   // Targets were still assigned (the allocator ran; only the caps held).
   EXPECT_GT(at.targets_ms()[0], 0.0);
   for (const ControlAction& a : at.actions()) {

@@ -233,7 +233,8 @@ DeadlineResult oracle(const TraceWarehouse& wh, SimTime from, SimTime to,
       static_cast<SimTime>(sum / static_cast<double>(r.traces_used));
   const SimTime floor = std::max(
       o.min_threshold,
-      static_cast<SimTime>(o.min_fraction_of_sla * static_cast<double>(sla)));
+      static_cast<SimTime>(kMinDeadlineFractionOfSla *
+                           static_cast<double>(sla)));
   r.rt_threshold = std::max(floor, sla - r.mean_upstream_pt);
   r.valid = true;
   return r;

@@ -135,8 +135,8 @@ TEST(FaultPlan, RandomTargetsComeFromCandidateLists) {
     }
     if (ev.kind == FaultKind::kCpuLimitStep) {
       EXPECT_EQ(ev.service, "leaf");
-      EXPECT_GE(ev.cores, opt.cpu_cores_lo);
-      EXPECT_LE(ev.cores, opt.cpu_cores_hi);
+      EXPECT_GE(ev.cores, kRandomCpuCoresLo);
+      EXPECT_LE(ev.cores, kRandomCpuCoresHi);
     }
   }
 }

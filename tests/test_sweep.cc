@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -124,6 +126,40 @@ TEST(SweepRunner, SerialFallbackForSingleWorker) {
     EXPECT_EQ(std::this_thread::get_id(), main_id);
     return i;
   });
+}
+
+// SORA_SWEEP_THREADS must be a whole positive integer; anything else falls
+// back to hardware concurrency. Calls default_worker_count() only, so no
+// worker thread starts.
+TEST(SweepRunner, DefaultWorkerCountParsesEnv) {
+  const char* prior = std::getenv("SORA_SWEEP_THREADS");
+  const std::optional<std::string> saved =
+      prior != nullptr ? std::optional<std::string>(prior) : std::nullopt;
+
+  const unsigned hw = std::thread::hardware_concurrency();
+  const int fallback = hw > 0 ? static_cast<int>(hw) : 1;
+  auto count_for = [](const std::string& value) {
+    ::setenv("SORA_SWEEP_THREADS", value.c_str(), 1);
+    return SweepRunner::default_worker_count();
+  };
+
+  EXPECT_EQ(count_for("3"), 3);
+  // The last value is "4x" with a count that differs from the fallback on
+  // any host, so a parser that accepts the numeric prefix cannot pass.
+  const std::string bad_values[] = {
+      "", "0", "-2", "abc", "4x", "99999999999999999999",
+      std::to_string(fallback + 1) + "x"};
+  for (const std::string& bad : bad_values) {
+    EXPECT_EQ(count_for(bad), fallback) << "SORA_SWEEP_THREADS=\"" << bad
+                                        << '"';
+  }
+
+  if (saved) {
+    ::setenv("SORA_SWEEP_THREADS", saved->c_str(), 1);
+  } else {
+    ::unsetenv("SORA_SWEEP_THREADS");
+  }
+  EXPECT_EQ(std::getenv("SORA_SWEEP_THREADS") != nullptr, saved.has_value());
 }
 
 /// A faulted run: seed-derived fault plan (crash + cpu step + stall +
