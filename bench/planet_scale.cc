@@ -247,11 +247,8 @@ LocalizerProbe probe_localizer(int services, SimTime duration,
   // per-request cost so the probe's window actually completes traces.
   sc.rate_scale = 200.0 / services;
   auto exp = make_experiment(topo, csv, sc);
-  CriticalServiceLocalizer localizer(
-      exp->app(), exp->warehouse(),
-      LocalizerOptions{.utilization_threshold = 0.5,
-                       .min_cp_appearances = 10,
-                       .top_k = 32});
+  CriticalServiceLocalizer localizer(exp->app(), exp->warehouse(),
+                                     LocalizerOptions{.top_k = 32});
   exp->run();
 
   LocalizerProbe p;

@@ -5,6 +5,9 @@
 
 namespace sora {
 
+/// AIMD multiplicative backoff applied when a departure signals congestion
+/// (error, or RTT above aimd_latency_threshold).
+constexpr double kAimdBackoff = 0.9;
 /// AIMD additive increase credited per uncongested departure (scaled by
 /// 1/limit, the classic one-per-window rule).
 constexpr double kAimdIncrease = 1.0;
@@ -16,6 +19,9 @@ constexpr double kGradientSmoothing = 0.1;
 constexpr double kGradientTolerance = 1.5;
 /// Window after which the min-RTT estimate is restarted (tracks drift).
 constexpr SimTime kMinRttWindow = sec(30);
+/// Batch requests are admitted only while utilization (in-flight / limit,
+/// or spent burst fraction for the token bucket) is below this fraction.
+constexpr double kBatchThreshold = 0.75;
 
 const char* to_string(AdmissionPolicy policy) {
   switch (policy) {
@@ -83,7 +89,7 @@ AdmissionDecision AdmissionController::decide(const RequestMeta& meta,
   }
 
   const double batch_room =
-      meta.priority == Priority::kBatch ? options_.batch_threshold : 1.0;
+      meta.priority == Priority::kBatch ? kBatchThreshold : 1.0;
 
   switch (options_.policy) {
     case AdmissionPolicy::kNone:
@@ -93,7 +99,7 @@ AdmissionDecision AdmissionController::decide(const RequestMeta& meta,
       // Batch may not drain the bucket below its reserved headroom.
       const double floor =
           meta.priority == Priority::kBatch
-              ? (1.0 - options_.batch_threshold) * options_.bucket_burst
+              ? (1.0 - kBatchThreshold) * options_.bucket_burst
               : 0.0;
       if (tokens_ - 1.0 < floor) {
         d.admit = false;
@@ -158,7 +164,7 @@ void AdmissionController::on_departure(SimTime now, SimTime rtt, bool ok) {
       const SimTime threshold = aimd_threshold();
       const bool congested = !ok || (threshold > 0 && rtt > threshold);
       if (congested) {
-        limit_ = std::max(options_.min_limit, limit_ * options_.aimd_backoff);
+        limit_ = std::max(options_.min_limit, limit_ * kAimdBackoff);
       } else {
         limit_ = std::min(options_.max_limit,
                           limit_ + kAimdIncrease / limit_);

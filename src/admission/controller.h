@@ -55,20 +55,12 @@ struct AdmissionOptions {
   double max_limit = 4096.0;
 
   // -- AIMD -------------------------------------------------------------------
-  /// Multiplicative backoff applied when a departure signals congestion
-  /// (error, or RTT above aimd_latency_threshold).
-  double aimd_backoff = 0.9;
   /// RTT above this is congestion; 0 = use 2x the current min-RTT estimate.
   SimTime aimd_latency_threshold = 0;
 
   // -- knee coupling ----------------------------------------------------------
   /// Admitted concurrency cap = knee * headroom (aggregate across replicas).
   double knee_headroom = 1.0;
-
-  // -- priorities -------------------------------------------------------------
-  /// Batch requests are admitted only while utilization (in-flight / limit,
-  /// or spent burst fraction for the token bucket) is below this fraction.
-  double batch_threshold = 0.75;
 };
 
 /// The outcome of one admission decision.

@@ -16,6 +16,11 @@ constexpr double kMinCap = 2.0;
 constexpr double kMaxCap = 4096.0;
 constexpr double kBackoff = 0.85;  ///< multiplicative decrease on overshoot
 constexpr double kIncrease = 2.0;  ///< additive increase when under target
+/// p99 below this x target allows increase.
+constexpr double kRelaxFraction = 0.7;
+/// Hold everything when the window carries fewer spans than this (fail
+/// closed on missing telemetry).
+constexpr std::size_t kMinSpans = 20;
 
 std::vector<double> allocate_latency_targets(
     const std::vector<double>& demand_share, const std::vector<double>& burn,
@@ -84,7 +89,7 @@ std::vector<double> allocate_latency_targets(
 AutothrottleController::AutothrottleController(Application& app,
                                                TraceWarehouse& warehouse,
                                                AutothrottleOptions options)
-    : Controller(app.sim(), options.period),
+    : Controller(app.sim(), kAutothrottlePeriod),
       app_(app),
       warehouse_(warehouse),
       options_(options) {
@@ -140,7 +145,7 @@ void AutothrottleController::decide(SimTime now) {
     return;
   }
 
-  if (window_spans_ < options_.min_spans) {
+  if (window_spans_ < kMinSpans) {
     // Fail closed: without a trustworthy latency picture, moving targets or
     // caps is guessing. Hold everything and say so, once per service so the
     // audit trail stays per-target.
@@ -151,7 +156,7 @@ void AutothrottleController::decide(SimTime now) {
       rec.action = "hold";
       rec.reason = "insufficient window telemetry (" +
                    std::to_string(window_spans_) + " spans < " +
-                   std::to_string(options_.min_spans) +
+                   std::to_string(kMinSpans) +
                    "), holding targets and caps";
       rec.latency_target_ms = targets_ms_[i];
       rec.observed_p99_ms = observed_p99_ms_[i];
@@ -172,8 +177,8 @@ void AutothrottleController::decide(SimTime now) {
                                    : budget_ms / static_cast<double>(n);
     burn[i] = prev_target > 0.0 ? observed_p99_ms_[i] / prev_target : 0.0;
   }
-  std::vector<double> next =
-      allocate_latency_targets(demand, burn, budget_ms, options_.min_target_ms);
+  std::vector<double> next = allocate_latency_targets(
+      demand, burn, budget_ms, kAutothrottleMinTargetMs);
   if (next.size() != n) return;  // fail closed (cannot happen here)
 
   for (std::size_t i = 0; i < n; ++i) {
@@ -209,7 +214,7 @@ void AutothrottleController::decide(SimTime now) {
       cap = std::max(kMinCap, cap * kBackoff);
       rec.action = "throttle_down";
       rec.reason = "span p99 above allocated latency target";
-    } else if (p99 < options_.relax_fraction * target) {
+    } else if (p99 < kRelaxFraction * target) {
       cap = std::min(kMaxCap, cap + kIncrease);
       rec.action = "throttle_up";
       rec.reason = "span p99 comfortably below allocated latency target";

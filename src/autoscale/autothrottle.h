@@ -53,18 +53,17 @@ std::vector<double> allocate_latency_targets(
 /// controller is a slow AIMD on this cap).
 inline constexpr double kAutothrottleInitialCap = 64.0;
 
+/// Slow allocator cadence (2x the other controllers' kControlPeriod: the
+/// fast loop is the admission layer, the allocator only moves targets).
+inline constexpr SimTime kAutothrottlePeriod = 2 * kControlPeriod;
+
+/// Floor of every allocated latency target (allocate_latency_targets'
+/// min_target_ms).
+inline constexpr double kAutothrottleMinTargetMs = 5.0;
+
 struct AutothrottleOptions {
-  /// Slow allocator cadence (2x the default control period: the fast loop
-  /// is the admission layer, the allocator only moves targets).
-  SimTime period = sec(30);
   /// End-to-end latency budget the credits are carved from (the SLA).
   SimTime budget = msec(400);
-  double min_target_ms = 5.0;
-  double relax_fraction = 0.7;  ///< p99 below this x target allows increase
-
-  /// Hold everything when the window carries fewer spans than this (fail
-  /// closed on missing telemetry).
-  std::size_t min_spans = 20;
 };
 
 class AutothrottleController : public Controller {

@@ -70,6 +70,12 @@ struct ControlAction {
 
 const char* to_string(ControlAction::Kind kind);
 
+/// Control period of every controller but Autothrottle: the paper's 15 s,
+/// the Kubernetes HPA default sync period. One value for all of them keeps
+/// Sora's rounds and a linked hardware scaler's rounds on the same
+/// timestamps, which Experiment::link's ordering relies on.
+inline constexpr SimTime kControlPeriod = sec(15);
+
 class Controller {
  public:
   /// `period` is the control round cadence; start() schedules the first

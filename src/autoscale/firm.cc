@@ -19,7 +19,7 @@ constexpr int kDownscaleStabilizationPeriods = 4;
 
 FirmAutoscaler::FirmAutoscaler(Simulator& sim, Application& app,
                                TraceWarehouse& warehouse, FirmOptions options)
-    : Controller(sim, options.period),
+    : Controller(sim, kControlPeriod),
       app_(app),
       warehouse_(warehouse),
       options_(options),

@@ -23,7 +23,6 @@
 namespace sora {
 
 struct FirmOptions {
-  SimTime period = sec(15);
   SimTime slo_latency = msec(400);  ///< end-to-end p99 objective
   double min_cores = 1.0;
   double max_cores = 8.0;

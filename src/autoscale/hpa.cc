@@ -17,7 +17,7 @@ constexpr double kTolerance = 0.1;
 HorizontalPodAutoscaler::HorizontalPodAutoscaler(Simulator& sim,
                                                  Application& app,
                                                  HpaOptions options)
-    : Controller(sim, options.period),
+    : Controller(sim, kControlPeriod),
       app_(app),
       options_(options),
       util_(app) {}

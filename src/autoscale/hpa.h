@@ -1,7 +1,7 @@
 // Kubernetes Horizontal Pod Autoscaler (rule-based).
 //
-// Implements the standard HPA control law: every control period (default
-// 15 s, matching the paper), desired replicas = ceil(current * utilization
+// Implements the standard HPA control law: every control period (15 s,
+// matching the paper), desired replicas = ceil(current * utilization
 // / target). Scale-up applies immediately; scale-down waits for a
 // stabilization window of consistently low desire, mirroring Kubernetes'
 // downscale stabilization.
@@ -17,7 +17,6 @@
 namespace sora {
 
 struct HpaOptions {
-  SimTime period = sec(15);
   int max_replicas = 8;
   /// Consecutive periods of low desired count before scaling down.
   int downscale_stabilization_periods = 4;

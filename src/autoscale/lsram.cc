@@ -15,18 +15,21 @@ namespace sora {
 constexpr double kFlatGradient = 1e-6;
 constexpr double kViolationWeight = 1.0;
 constexpr double kCostWeight = 0.05;
-/// Every knob's stepper runs with the default options; the cost term is
-/// the allocation over the stepper's ceiling.
-constexpr GradientStepperOptions kStepper{};
+constexpr double kLearningRate = 8.0;
+constexpr double kMaxStep = 4.0;  ///< per-round step clamp (both directions)
+/// First move, and the restart when the surface is flat.
+constexpr double kProbeStep = 1.0;
+/// Hold (fail closed) when the window has fewer spans than this.
+constexpr std::size_t kMinSpans = 20;
 
 double GradientStepper::step(double x, double j) {
-  x = std::clamp(x, options_.min_x, options_.max_x);
+  x = std::clamp(x, kMinX, kMaxX);
   if (!has_prev_) {
     // Nothing to difference against: probe once to create a baseline pair.
     has_prev_ = true;
     prev_x_ = x;
     prev_j_ = j;
-    return std::clamp(x + options_.probe_step, options_.min_x, options_.max_x);
+    return std::clamp(x + kProbeStep, kMinX, kMaxX);
   }
 
   const double dx = x - prev_x_;
@@ -37,7 +40,7 @@ double GradientStepper::step(double x, double j) {
   if (dx == 0.0) {
     // The previous step was absorbed (clamped, rounded away, or externally
     // reverted): no gradient information. Probe downhill-agnostically.
-    return std::clamp(x + options_.probe_step, options_.min_x, options_.max_x);
+    return std::clamp(x + kProbeStep, kMinX, kMaxX);
   }
 
   const double gradient = dj / dx;
@@ -45,14 +48,14 @@ double GradientStepper::step(double x, double j) {
     // Flat surface: hold rather than drift on numerical noise.
     return x;
   }
-  double step = -options_.learning_rate * gradient;
-  step = std::clamp(step, -options_.max_step, options_.max_step);
-  return std::clamp(x + step, options_.min_x, options_.max_x);
+  double step = -kLearningRate * gradient;
+  step = std::clamp(step, -kMaxStep, kMaxStep);
+  return std::clamp(x + step, kMinX, kMaxX);
 }
 
 LsramController::LsramController(Application& app, TraceWarehouse& warehouse,
                                  LsramOptions options)
-    : Controller(app.sim(), options.period),
+    : Controller(app.sim(), kControlPeriod),
       app_(app),
       warehouse_(warehouse),
       options_(options) {
@@ -64,7 +67,7 @@ void LsramController::manage(const ResourceKnob& knob) {
     if (existing == knob) return;
   }
   knobs_.push_back(knob);
-  steppers_.emplace_back(kStepper);
+  steppers_.emplace_back();
 }
 
 void LsramController::observe(SimTime now) {
@@ -106,14 +109,14 @@ void LsramController::decide(SimTime now) {
     rec.traces_analyzed = span_counts_[i];
     rec.old_size = rec.new_size = current;
 
-    if (span_counts_[i] < options_.min_spans) {
+    if (span_counts_[i] < kMinSpans) {
       // Fail closed: a gradient computed from a starved window optimizes
       // noise. Hold the allocation and keep the warm start for later — but
       // note the previous evaluation is now stale.
       rec.action = "hold";
       rec.reason = "insufficient window telemetry (" +
                    std::to_string(span_counts_[i]) + " spans < " +
-                   std::to_string(options_.min_spans) +
+                   std::to_string(kMinSpans) +
                    "), holding allocation";
       record_decision(std::move(rec));
       continue;
@@ -121,7 +124,7 @@ void LsramController::decide(SimTime now) {
 
     const double viol_frac = static_cast<double>(violations_[i]) /
                              static_cast<double>(span_counts_[i]);
-    const double cost = static_cast<double>(current) / kStepper.max_x;
+    const double cost = static_cast<double>(current) / GradientStepper::kMaxX;
     const double objective = kViolationWeight * viol_frac + kCostWeight * cost;
     rec.objective = objective;
     rec.objective_valid = true;

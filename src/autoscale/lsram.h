@@ -9,7 +9,7 @@
 //
 //   J(x) = kViolationWeight * viol_frac(x) + kCostWeight * x / max_x
 //
-// (constants in lsram.cc; max_x is GradientStepperOptions' ceiling)
+// (constants in lsram.cc; max_x is GradientStepper::kMaxX)
 // with viol_frac measured from completed spans of the knob's completion
 // service over the last window, and the gradient is a finite difference
 // against the previous round's (allocation, objective) pair.
@@ -31,23 +31,16 @@ namespace sora {
 
 class Application;
 
-struct GradientStepperOptions {
-  double learning_rate = 8.0;
-  double max_step = 4.0;   ///< per-round step clamp (both directions)
-  double probe_step = 1.0; ///< first move / restart when the surface is flat
-  double min_x = 1.0;
-  double max_x = 512.0;
-};
-
 /// One-dimensional warm-started gradient descent with clamped steps.
 /// step(x, j) consumes this round's evaluation of the objective at x and
-/// returns the next allocation to try. The first call (nothing to difference
-/// against yet) probes by +probe_step; a zero-length move or a flat gradient
-/// holds.
+/// returns the next allocation to try, within [kMinX, kMaxX]. The first
+/// call (nothing to difference against yet) probes by +kProbeStep (in
+/// lsram.cc); a zero-length move or a flat gradient holds.
 class GradientStepper {
  public:
-  explicit GradientStepper(GradientStepperOptions options = {})
-      : options_(options) {}
+  /// Allocation bounds; every returned step is clamped into them.
+  static constexpr double kMinX = 1.0;
+  static constexpr double kMaxX = 512.0;
 
   double step(double x, double j);
 
@@ -56,19 +49,15 @@ class GradientStepper {
   bool warm() const { return has_prev_; }
 
  private:
-  GradientStepperOptions options_;
   bool has_prev_ = false;
   double prev_x_ = 0.0;
   double prev_j_ = 0.0;
 };
 
 struct LsramOptions {
-  SimTime period = sec(15);
   /// Per-span latency objective for the knob's completion service: spans
   /// slower than this count as violations.
   SimTime span_slo = msec(100);
-  /// Hold (fail closed) when the window has fewer spans than this.
-  std::size_t min_spans = 20;
 };
 
 class LsramController : public Controller {

@@ -8,12 +8,13 @@
 
 namespace sora {
 
+constexpr double kHighUtilization = 0.8;  ///< scale up above this
 constexpr double kLowUtilization = 0.35;  ///< scale down below this
 constexpr double kStepCores = 1.0;
 
 VerticalPodAutoscaler::VerticalPodAutoscaler(Simulator& sim, Application& app,
                                              VpaOptions options)
-    : Controller(sim, options.period),
+    : Controller(sim, kControlPeriod),
       app_(app),
       options_(options),
       util_(app) {}
@@ -37,7 +38,7 @@ void VerticalPodAutoscaler::decide(SimTime now) {
     rec.old_cores = rec.new_cores = current;
     rec.action = "hold";
 
-    if (util > options_.high_utilization) {
+    if (util > kHighUtilization) {
       m.low_periods = 0;
       desired = std::min(options_.max_cores, current + kStepCores);
       rec.reason = desired == current ? "high utilization but at max cores"

@@ -15,8 +15,6 @@
 namespace sora {
 
 struct VpaOptions {
-  SimTime period = sec(15);
-  double high_utilization = 0.8;  ///< scale up above this
   double min_cores = 1.0;
   double max_cores = 8.0;
   /// Consecutive low periods before scaling down.

@@ -66,6 +66,39 @@ void TextTable::print_csv(std::ostream& out) const {
   for (const auto& row : rows_) print_row(row);
 }
 
+void TextTable::print_html(std::ostream& out) const {
+  auto print_row = [&](const std::vector<std::string>& row, const char* tag) {
+    out << "<tr>";
+    for (const std::string& cell : row) {
+      out << '<' << tag << '>' << html_escape(cell) << "</" << tag << '>';
+    }
+    out << "</tr>";
+  };
+  out << "<table>";
+  print_row(headers_, "th");
+  for (const auto& row : rows_) print_row(row, "td");
+  out << "</table>\n";
+}
+
+std::string html_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    if (c == '<') {
+      out += "&lt;";
+    } else if (c == '>') {
+      out += "&gt;";
+    } else if (c == '&') {
+      out += "&amp;";
+    } else if (c == '"') {
+      out += "&quot;";
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
 std::string fmt(double v, int precision) {
   std::ostringstream ss;
   ss.setf(std::ios::fixed);

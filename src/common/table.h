@@ -23,12 +23,19 @@ class TextTable {
   /// Render as CSV (no alignment, comma-separated, quoted when needed).
   void print_csv(std::ostream& out) const;
 
+  /// Render as one HTML <table>: the header row in <th> cells, every other
+  /// row in <td> cells, each cell passed through html_escape.
+  void print_html(std::ostream& out) const;
+
   std::size_t num_rows() const { return rows_.size(); }
 
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
+
+/// Escape `<`, `>`, `&` and `"` as HTML character references.
+std::string html_escape(const std::string& s);
 
 /// Format a double with `precision` digits after the point.
 std::string fmt(double v, int precision = 2);

@@ -26,6 +26,14 @@ constexpr int kHeadroomAdd = 1;
 /// immediately, ignoring the cooldown, at an accelerated factor.
 constexpr double kEmergencyGoodFraction = 0.5;
 constexpr double kEmergencyFactor = 3.0;
+/// A shrink is applied only after this many consecutive estimates agree
+/// the pool should shrink (guards against transient false knees).
+constexpr int kShrinkConfirmations = 2;
+/// After applying an estimate, suppress saturation-driven exploration for
+/// this long: the applied knee intentionally caps concurrency, so
+/// saturation right after an apply is expected, not evidence the knee is
+/// stale.
+constexpr SimTime kExplorationCooldown = sec(60);
 
 const char* to_string(AdaptAction::Type type) {
   switch (type) {
@@ -46,7 +54,7 @@ ConcurrencyAdapter::ConcurrencyAdapter(AdapterOptions options)
 
 int ConcurrencyAdapter::clamp_size(double size) const {
   return std::clamp(static_cast<int>(std::lround(size)), options_.min_size,
-                    options_.max_size);
+                    kMaxSize);
 }
 
 ConcurrencyAdapter::KnobState& ConcurrencyAdapter::state(
@@ -75,7 +83,7 @@ AdaptAction ConcurrencyAdapter::adapt(const ResourceKnob& knob,
     const double per_replica = with_headroom / static_cast<double>(replicas);
     action.new_size = clamp_size(std::ceil(per_replica));
     const bool is_shrink = action.new_size < action.old_size;
-    if (is_shrink && ++st.pending_shrinks < options_.shrink_confirmations) {
+    if (is_shrink && ++st.pending_shrinks < kShrinkConfirmations) {
       // Wait for the next round to confirm before shrinking a working pool.
       action.new_size = action.old_size;
       action.type = AdaptAction::Type::kNone;
@@ -101,7 +109,7 @@ AdaptAction ConcurrencyAdapter::adapt(const ResourceKnob& knob,
     // No usable estimate. If the current allocation is saturated the knee
     // is invisible because the pool itself caps concurrency: explore up —
     // unless an estimate was applied recently (saturation at the knee is
-    // expected; see exploration_cooldown). Exception: when goodput has
+    // expected; see kExplorationCooldown). Exception: when goodput has
     // collapsed while saturated, the system state has drifted under the
     // applied knee — grow immediately and faster.
     const int capacity = knob.total_capacity();
@@ -113,7 +121,7 @@ AdaptAction ConcurrencyAdapter::adapt(const ResourceKnob& knob,
         pinned && good_fraction < kEmergencyGoodFraction;
     const bool in_cooldown =
         !emergency && st.last_applied_at >= 0 &&
-        now - st.last_applied_at < options_.exploration_cooldown;
+        now - st.last_applied_at < kExplorationCooldown;
     const bool saturated = pinned && !in_cooldown;
     if (saturated) {
       const double factor =

@@ -20,15 +20,6 @@ namespace sora {
 
 struct AdapterOptions {
   int min_size = 1;
-  int max_size = 512;
-  /// A shrink is applied only after this many consecutive estimates agree
-  /// the pool should shrink (guards against transient false knees).
-  int shrink_confirmations = 2;
-  /// After applying an estimate, suppress saturation-driven exploration for
-  /// this long: the applied knee intentionally caps concurrency, so
-  /// saturation right after an apply is expected, not evidence the knee is
-  /// stale.
-  SimTime exploration_cooldown = sec(60);
 };
 
 /// What the adapter decided for one knob on one control round.
@@ -51,6 +42,9 @@ const char* to_string(AdaptAction::Type type);
 
 class ConcurrencyAdapter {
  public:
+  /// Upper bound of every pool size the adapter sets.
+  static constexpr int kMaxSize = 512;
+
   explicit ConcurrencyAdapter(AdapterOptions options = {});
 
   /// Apply an estimate to a knob. `recent_concurrency` is a high quantile
@@ -68,7 +62,6 @@ class ConcurrencyAdapter {
   AdaptAction rescale_proportional(const ResourceKnob& knob, double factor,
                                    SimTime now);
 
-  const AdapterOptions& options() const { return options_; }
   const std::vector<AdaptAction>& history() const { return history_; }
 
  private:

@@ -12,19 +12,13 @@ DeadlineResult propagate_deadline(const TraceWarehouse& warehouse, SimTime from,
                                   const DeadlineOptions& options) {
   SORA_PROFILE_STAGE(obs::Stage::kSoraDeadlineProp);
   DeadlineResult result;
-  // Systematic sampling bound: count the matching traces first, then fold
+  // Systematic sampling bound: count the window's traces first, then fold
   // every stride-th one.
   std::size_t stride = 1;
   if (options.max_traces > 0) {
-    std::size_t matching = 0;
-    warehouse.for_each_in_window(from, to, [&](const Trace& t) {
-      if (options.request_class >= 0 &&
-          t.request_class != options.request_class) {
-        return;
-      }
-      ++matching;
-    });
-    stride = (matching + options.max_traces - 1) /
+    std::size_t in_window = 0;
+    warehouse.for_each_in_window(from, to, [&](const Trace&) { ++in_window; });
+    stride = (in_window + options.max_traces - 1) /
              std::max<std::size_t>(1, options.max_traces);
     if (stride == 0) stride = 1;
   }
@@ -33,9 +27,6 @@ DeadlineResult propagate_deadline(const TraceWarehouse& warehouse, SimTime from,
   SimTime upstream_sum = 0;
   std::size_t seen = 0;
   warehouse.for_each_in_window(from, to, [&](const Trace& t) {
-    if (options.request_class >= 0 && t.request_class != options.request_class) {
-      return;
-    }
     if (seen++ % stride != 0) return;
     const SimTime upstream = upstream_processing_time(t, critical);
     if (upstream < 0) return;  // critical service not on this path
@@ -49,7 +40,7 @@ DeadlineResult propagate_deadline(const TraceWarehouse& warehouse, SimTime from,
       static_cast<double>(upstream_sum) /
       static_cast<double>(result.traces_used));
   const SimTime floor = std::max(
-      options.min_threshold,
+      kMinDeadlineThreshold,
       static_cast<SimTime>(kMinDeadlineFractionOfSla *
                            static_cast<double>(sla)));
   result.rt_threshold = std::max(floor, sla - result.mean_upstream_pt);

@@ -18,21 +18,20 @@
 
 namespace sora {
 
-/// Besides DeadlineOptions::min_threshold, the propagated threshold is
-/// floored at this fraction of the SLA. Under upstream congestion the
+/// Never propagate a threshold below this floor (a service can't do
+/// anything useful with a non-positive deadline).
+inline constexpr SimTime kMinDeadlineThreshold = msec(1);
+
+/// Besides kMinDeadlineThreshold, the propagated threshold is floored at
+/// this fraction of the SLA. Under upstream congestion the
 /// measured upstream PT can transiently exceed the whole SLA; propagating a
 /// near-zero deadline would declare every completion "bad" and blind the
 /// SCG model exactly when it must act.
 inline constexpr double kMinDeadlineFractionOfSla = 0.1;
 
 struct DeadlineOptions {
-  /// Never propagate a threshold below this floor (a service can't do
-  /// anything useful with a non-positive deadline).
-  SimTime min_threshold = msec(1);
-  /// Restrict to traces of this request class (-1 = all).
-  int request_class = -1;
   /// Upper bound on traces folded into the mean (0 = fold every trace in
-  /// the window). When the window holds more, every k-th matching trace is
+  /// the window). When the window holds more, every k-th trace is
   /// folded (deterministic systematic sampling, no RNG) so the per-round
   /// cost stays bounded on planet-scale fleets where critical paths run
   /// hundreds of hops; the propagated mean is statistically unchanged.

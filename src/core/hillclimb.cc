@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "autoscale/controller.h"
 #include "common/log.h"
 
 namespace sora {
@@ -18,7 +19,7 @@ HillClimbTuner::HillClimbTuner(Simulator& sim, Tracer& tracer,
     : sim_(sim), knob_(knob), options_(options) {
   sampler_ = std::make_unique<ScatterSampler>(
       sim, tracer, knob, msec(100), options_.rt_threshold,
-      static_cast<std::size_t>(options_.period / msec(100)) * 4 + 16);
+      static_cast<std::size_t>(kControlPeriod / msec(100)) * 4 + 16);
 }
 
 HillClimbTuner::~HillClimbTuner() { stop(); }
@@ -28,7 +29,8 @@ void HillClimbTuner::start() {
   running_ = true;
   sampler_->start();
   window_start_ = sim_.now();
-  tick_ = sim_.schedule_periodic(options_.period, [this] { tick(); });
+  // One evaluation window per step, the other controllers' period.
+  tick_ = sim_.schedule_periodic(kControlPeriod, [this] { tick(); });
 }
 
 void HillClimbTuner::stop() {
@@ -58,7 +60,7 @@ void HillClimbTuner::tick() {
     // better or flat: keep climbing in the same direction.
   }
   const int next = std::clamp(knob_.current_size() + direction_ * kStep,
-                              kMinSize, options_.max_size);
+                              kMinSize, kMaxSize);
   if (next != knob_.current_size()) {
     knob_.apply(next);
     ++steps_;

@@ -20,14 +20,15 @@
 namespace sora {
 
 struct HillClimbOptions {
-  SimTime period = sec(15);       ///< evaluation window per step
-  int max_size = 512;
   SimTime rt_threshold = msec(50);  ///< goodput deadline (static — no
                                     ///< propagation; that is the point)
 };
 
 class HillClimbTuner {
  public:
+  /// Upper bound of the pool sizes the climber tries.
+  static constexpr int kMaxSize = 512;
+
   HillClimbTuner(Simulator& sim, Tracer& tracer, const ResourceKnob& knob,
                  HillClimbOptions options = {});
   ~HillClimbTuner();

@@ -11,15 +11,15 @@ std::optional<KneeResult> kneedle(std::span<const double> xs,
   std::size_t n = std::min(xs.size(), ys.size());
   if (n < 5) return std::nullopt;
 
-  // Optionally truncate to the rising segment [start, argmax(y)].
-  if (options.restrict_to_rising) {
-    std::size_t peak = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-      if (ys[i] > ys[peak]) peak = i;
-    }
-    n = peak + 1;
-    if (n < 5) return std::nullopt;
+  // Truncate to the rising segment [start, argmax(y)]: goodput curves fall
+  // after saturation and Kneedle's concave-increasing form expects a rising
+  // curve.
+  std::size_t peak = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (ys[i] > ys[peak]) peak = i;
   }
+  n = peak + 1;
+  if (n < 5) return std::nullopt;
 
   const double x_min = xs[0];
   const double x_max = xs[n - 1];

@@ -19,10 +19,6 @@ struct KneedleOptions {
   /// the difference curve must stand out to count as a knee. Smaller =
   /// more aggressive detection.
   double sensitivity = 1.0;
-  /// Restrict the input to the rising part of the curve (up to the global
-  /// maximum of y) before detecting; goodput curves fall after saturation
-  /// and Kneedle's concave-increasing form expects a rising curve.
-  bool restrict_to_rising = true;
 };
 
 struct KneeResult {

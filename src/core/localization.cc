@@ -8,6 +8,11 @@
 
 namespace sora {
 
+/// Step-1 candidate threshold: utilization above this marks a candidate.
+constexpr double kUtilizationThreshold = 0.5;
+/// Minimum critical-path appearances for the PCC to be trusted.
+constexpr std::size_t kMinCpAppearances = 10;
+
 std::vector<ServiceId> ranked_by_pcc(const CriticalServiceReport& report) {
   std::vector<ServiceDiagnostics> by_pcc = report.services;
   std::sort(by_pcc.begin(), by_pcc.end(),
@@ -126,7 +131,7 @@ CriticalServiceReport CriticalServiceLocalizer::analyze() {
     ServiceDiagnostics& d = diag_[i];
     d.cp_appearances = static_cast<std::size_t>(acc.n);
     d.mean_pt_ms = to_msec(static_cast<SimTime>(acc.mean_x()));
-    if (acc.n < options_.min_cp_appearances) continue;
+    if (acc.n < kMinCpAppearances) continue;
     d.pcc = acc.r();
     if (d.pcc > top_pcc) {
       top_pcc = d.pcc;
@@ -140,8 +145,8 @@ CriticalServiceReport CriticalServiceLocalizer::analyze() {
   ServiceId best_candidate;
   double best_candidate_pcc = -2.0;
   for (const ServiceDiagnostics& d : diag_) {
-    if (d.utilization >= options_.utilization_threshold &&
-        d.cp_appearances >= options_.min_cp_appearances &&
+    if (d.utilization >= kUtilizationThreshold &&
+        d.cp_appearances >= kMinCpAppearances &&
         d.pcc > best_candidate_pcc) {
       best_candidate_pcc = d.pcc;
       best_candidate = d.service;

@@ -46,10 +46,6 @@ struct CriticalServiceReport {
 };
 
 struct LocalizerOptions {
-  /// Step-1 candidate threshold: utilization above this marks a candidate.
-  double utilization_threshold = 0.5;
-  /// Minimum critical-path appearances for the PCC to be trusted.
-  std::size_t min_cp_appearances = 10;
   /// Cap the per-service detail in the report to the top-k entries by PCC
   /// (the combined verdict's entry is always kept, appended if it fell
   /// outside the top k). 0 = full report sorted by PCC, the historical

@@ -19,7 +19,7 @@ SoraFrameworkOptions make_conscale_options() {
 
 SoraFramework::SoraFramework(Application& app, TraceWarehouse& warehouse,
                              SoraFrameworkOptions options)
-    : Controller(app.sim(), options.control_period),
+    : Controller(app.sim(), kControlPeriod),
       app_(app),
       warehouse_(warehouse),
       options_(options),

@@ -37,10 +37,6 @@
 namespace sora {
 
 struct SoraFrameworkOptions {
-  /// Control period of the adaptation loop (aligned with the hardware
-  /// autoscaler's 15 s default).
-  SimTime control_period = sec(15);
-
   /// End-to-end SLA driving deadline propagation.
   SimTime sla = msec(400);
 

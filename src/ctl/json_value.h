@@ -23,7 +23,6 @@ class JsonValue {
   JsonValue() = default;
 
   Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
 
   bool as_bool(bool fallback = false) const {
     return kind_ == Kind::kBool ? bool_ : fallback;

@@ -21,6 +21,11 @@ namespace sora::ctl {
 
 namespace {
 
+/// Safepoint period. Commands apply, and snapshots publish, at this
+/// granularity. The safepoint event itself never draws randomness and
+/// never mutates state unless a command is pending, so enabling the plane
+/// does not change simulation results.
+constexpr SimTime kSafepointPeriod = sec(1);
 /// Decision-log records retained in the snapshot for /decisions.
 constexpr std::size_t kDecisionTailCap = 256;
 
@@ -50,7 +55,7 @@ CtlPlane::~CtlPlane() { stop(); }
 void CtlPlane::start() {
   if (started_) return;
   started_ = true;
-  tick_ = hooks_.sim->schedule_periodic(options_.safepoint_period,
+  tick_ = hooks_.sim->schedule_periodic(kSafepointPeriod,
                                         [this] { safepoint(); });
   if (options_.start_server) {
     server_ = std::make_unique<CtlServer>(ServerOptions{options_.port},

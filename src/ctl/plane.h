@@ -59,11 +59,6 @@ struct CtlOptions {
   /// false = headless plane: safepoints, scripts and replay still work, but
   /// no socket is opened (replay runs and parity tests use this).
   bool start_server = true;
-  /// Safepoint period. Commands apply, and snapshots publish, at this
-  /// granularity. The safepoint event itself never draws randomness and
-  /// never mutates state unless a command is pending, so enabling the plane
-  /// does not change simulation results.
-  SimTime safepoint_period = sec(1);
 };
 
 class CtlPlane {

@@ -12,6 +12,10 @@ namespace sora {
 
 namespace {
 
+/// Admission-cap what-if: shifts the controller's limit bounds by
+/// +delta/-delta on services that have one.
+constexpr int kCapDelta = 4;
+
 /// Apply one perturbation to a live application (fires at the checkpoint).
 void apply_perturbation(const obs::Perturbation& p, Application& app) {
   Service* svc = app.service(p.service);
@@ -121,8 +125,8 @@ std::vector<obs::Perturbation> CausalLab::plan_perturbations(
         plan.push_back(std::move(p));
       }
     }
-    if (options_.cap_delta != 0 && svc->admission() != nullptr) {
-      for (int delta : {options_.cap_delta, -options_.cap_delta}) {
+    if (svc->admission() != nullptr) {
+      for (int delta : {kCapDelta, -kCapDelta}) {
         obs::Perturbation p = obs::Perturbation::cap_delta(name, delta);
         p.service_id = svc->id();
         plan.push_back(std::move(p));

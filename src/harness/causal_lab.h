@@ -49,9 +49,6 @@ struct CausalLabOptions {
   /// Entry-pool what-if: evaluates +delta and -delta threads per replica
   /// (0 disables pool what-ifs).
   int pool_delta = 2;
-  /// Admission-cap what-if: shifts the controller's limit bounds by
-  /// +delta/-delta on services that have one (0 disables).
-  int cap_delta = 4;
   /// Services to profile (names); empty = every service in the app.
   std::vector<std::string> services;
   /// SweepRunner worker threads for the counterfactual fan (0 = default).

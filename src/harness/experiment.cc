@@ -17,6 +17,9 @@ namespace {
 /// Traces the warehouse ring retains. The control-path consumers (deadline
 /// propagation, FIRM, LSRAM, Autothrottle) rescan its window every round.
 constexpr std::size_t kWarehouseCapacity = 200000;
+/// Bucket of the recorder's goodput timeline and of every tracked service's
+/// timeline.
+constexpr SimTime kTimelineBucket = sec(1);
 
 /// SORA_SEED environment override: returns `configured` unless the variable
 /// is set to a parseable unsigned integer that fits in 64 bits.
@@ -58,7 +61,7 @@ Experiment::Experiment(ApplicationConfig app_config, ExperimentConfig config)
     });
   });
   recorder_ = std::make_unique<LatencyRecorder>(sim_, config_.sla,
-                                                config_.timeline_bucket);
+                                                kTimelineBucket);
 }
 
 Experiment::~Experiment() = default;
@@ -337,7 +340,7 @@ void Experiment::start_all() {
     ctl_plane_->start();
   }
   if (!tracked_.empty()) {
-    track_tick_ = sim_.schedule_periodic(config_.timeline_bucket,
+    track_tick_ = sim_.schedule_periodic(kTimelineBucket,
                                          [this] { sample_tracked(); });
   }
   if (metrics_period_ > 0) {

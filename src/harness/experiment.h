@@ -54,7 +54,6 @@ struct ExperimentConfig {
   SimTime duration = minutes(12);
   /// End-to-end SLA used for client-side goodput reporting.
   SimTime sla = msec(400);
-  SimTime timeline_bucket = sec(1);
 };
 
 /// One per-bucket sample of a tracked service's state.

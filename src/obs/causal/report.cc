@@ -1,6 +1,6 @@
 #include "obs/causal/report.h"
 
-#include <sstream>
+#include <ostream>
 
 #include "common/table.h"
 
@@ -40,46 +40,6 @@ TextTable agreement_table(const std::vector<CausalProfile>& profiles) {
   return t;
 }
 
-std::string html_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '<') {
-      out += "&lt;";
-    } else if (c == '>') {
-      out += "&gt;";
-    } else if (c == '&') {
-      out += "&amp;";
-    } else if (c == '"') {
-      out += "&quot;";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-void html_table(const TextTable& table, std::ostream& os) {
-  std::ostringstream csv;
-  table.print_csv(csv);
-  os << "<table>";
-  std::string line;
-  bool header = true;
-  std::istringstream is(csv.str());
-  while (std::getline(is, line)) {
-    os << "<tr>";
-    std::string cell;
-    std::istringstream ls(line);
-    while (std::getline(ls, cell, ',')) {
-      os << (header ? "<th>" : "<td>") << html_escape(cell)
-         << (header ? "</th>" : "</td>");
-    }
-    os << "</tr>";
-    header = false;
-  }
-  os << "</table>\n";
-}
-
 }  // namespace
 
 void write_causal_report_text(const CausalReportInputs& in, std::ostream& os) {
@@ -117,7 +77,7 @@ void write_causal_report_html(const CausalReportInputs& in, std::ostream& os) {
     return;
   }
   os << "<h2>Causal vs Pearson agreement</h2>\n";
-  html_table(agreement_table(*in.profiles), os);
+  agreement_table(*in.profiles).print_html(os);
   for (const CausalProfile& p : *in.profiles) {
     os << "<h2>" << html_escape(p.scenario) << " (checkpoint "
        << fmt(to_sec(p.checkpoint), 0) << " s)</h2>\n";
@@ -125,7 +85,7 @@ void write_causal_report_html(const CausalReportInputs& in, std::ostream& os) {
     if (t.num_rows() == 0) {
       os << "<p>(no effects measured)</p>\n";
     } else {
-      html_table(t, os);
+      t.print_html(os);
     }
   }
   os << "</body></html>\n";

@@ -69,7 +69,6 @@ class Exporter {
 
   void add(const Trace& t) {
     if (!want_more()) return;
-    if (t.end < options_.from) return;
     ++exported_;
     for (const Span& s : t.spans) {
       if (named_.insert(s.service.value()).second) {
@@ -99,7 +98,7 @@ std::size_t export_chrome_trace(const TraceWarehouse& warehouse,
                                 const ServiceNamer& namer, std::ostream& os,
                                 ChromeTraceOptions options) {
   Exporter exporter(namer, os, options);
-  warehouse.for_each_in_window(options.from, kSimTimeNever,
+  warehouse.for_each_in_window(0, kSimTimeNever,
                                [&](const Trace& t) { exporter.add(t); });
   return exporter.finish();
 }

@@ -26,15 +26,12 @@ namespace sora::obs {
 using ServiceNamer = std::function<std::string(ServiceId)>;
 
 struct ChromeTraceOptions {
-  /// Export only traces completed at or after `from`.
-  SimTime from = 0;
   /// Cap on exported traces (0 = no cap); oldest first, like the warehouse.
   std::size_t max_traces = 0;
 };
 
-/// Write one complete Chrome trace JSON document for every retained trace
-/// completed at or after `options.from`. Returns the number of traces
-/// exported.
+/// Write one complete Chrome trace JSON document for every retained trace.
+/// Returns the number of traces exported.
 std::size_t export_chrome_trace(const TraceWarehouse& warehouse,
                                 const ServiceNamer& namer, std::ostream& os,
                                 ChromeTraceOptions options = {});

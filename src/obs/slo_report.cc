@@ -1,7 +1,7 @@
 #include "obs/slo_report.h"
 
 #include <algorithm>
-#include <sstream>
+#include <ostream>
 #include <vector>
 
 #include "common/table.h"
@@ -191,63 +191,6 @@ void write_slo_report_text(const SloReportInputs& in, std::ostream& os) {
   if (!t.footer.empty()) os << "\n" << t.footer << "\n";
 }
 
-namespace {
-
-std::string html_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '<') {
-      out += "&lt;";
-    } else if (c == '>') {
-      out += "&gt;";
-    } else if (c == '&') {
-      out += "&amp;";
-    } else if (c == '"') {
-      out += "&quot;";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-void html_table(const TextTable& table, std::ostream& os) {
-  // TextTable has no cell iteration API; render via CSV into rows.
-  std::ostringstream csv;
-  table.print_csv(csv);
-  os << "<table>";
-  std::string line;
-  bool header = true;
-  std::istringstream is(csv.str());
-  while (std::getline(is, line)) {
-    os << "<tr>";
-    std::string cell;
-    std::istringstream ls(line);
-    while (std::getline(ls, cell, ',')) {
-      std::string escaped;
-      for (char c : cell) {
-        if (c == '<') {
-          escaped += "&lt;";
-        } else if (c == '>') {
-          escaped += "&gt;";
-        } else if (c == '&') {
-          escaped += "&amp;";
-        } else if (c != '"') {
-          escaped += c;
-        }
-      }
-      os << (header ? "<th>" : "<td>") << escaped
-         << (header ? "</th>" : "</td>");
-    }
-    os << "</tr>";
-    header = false;
-  }
-  os << "</table>\n";
-}
-
-}  // namespace
-
 void write_slo_report_html(const SloReportInputs& in, std::ostream& os) {
   ReportTables t;
   build_tables(in, &t.latency, &t.slo, &t.episodes, &t.attribution, &t.footer);
@@ -271,20 +214,20 @@ void write_slo_report_html(const SloReportInputs& in, std::ostream& os) {
   }
   os << "</p>\n";
   os << "<h2>End-to-end latency (quantile sketch)</h2>\n";
-  html_table(t.latency, os);
+  t.latency.print_html(os);
   os << "<h2>SLO compliance</h2>\n";
-  html_table(t.slo, os);
+  t.slo.print_html(os);
   os << "<h2>Violation episodes</h2>\n";
   if (t.episodes.num_rows() == 0) {
     os << "<p>(none detected)</p>\n";
   } else {
-    html_table(t.episodes, os);
+    t.episodes.print_html(os);
   }
   os << "<h2>Latency-budget attribution</h2>\n";
   if (t.attribution.num_rows() == 0) {
     os << "<p>(no attributed traces)</p>\n";
   } else {
-    html_table(t.attribution, os);
+    t.attribution.print_html(os);
   }
   if (!t.footer.empty()) os << "<p>" << t.footer << "</p>\n";
   os << "</body></html>\n";

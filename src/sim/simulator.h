@@ -125,7 +125,6 @@ class Simulator {
   /// to the primary. Off by default: the hot loop pays only an untaken
   /// branch. Enable before the first event executes for a meaningful value.
   void set_digest_enabled(bool enabled) { digest_enabled_ = enabled; }
-  bool digest_enabled() const { return digest_enabled_; }
   std::uint64_t digest() const { return digest_; }
 
   std::uint64_t events_executed() const { return events_executed_; }

@@ -34,6 +34,9 @@ constexpr int kEntryPool = 64;         ///< entry services
 constexpr int kMidEntryPool = 32;      ///< mid-tier services
 constexpr int kSharedEntryPool = 128;  ///< shared backends
 constexpr int kEdgePool = 32;  ///< caller connection pools toward shared dbs
+/// Trailing fraction of tenants whose traffic runs at batch priority
+/// (multi-tenant interference through the admission path).
+constexpr double kBatchTenantFraction = 0.25;
 
 /// Cumulative table for a discrete truncated power law P(k) ∝ k^-alpha,
 /// k in [1, k_max]. Sampling walks the table: deterministic given the rng.
@@ -93,8 +96,7 @@ Topology synthesize(const TopologyConfig& cfg) {
       c.shared_zipf_s <= 0.0) {
     throw std::invalid_argument("topo: non-positive structural knob");
   }
-  if (c.async_cycle_fraction < 0.0 || c.async_cycle_fraction > 1.0 ||
-      c.batch_tenant_fraction < 0.0 || c.batch_tenant_fraction > 1.0) {
+  if (c.async_cycle_fraction < 0.0 || c.async_cycle_fraction > 1.0) {
     throw std::invalid_argument("topo: fraction knob outside [0, 1]");
   }
   if (c.shared_db == 0) c.shared_db = std::max(2, c.services / 100);
@@ -461,7 +463,7 @@ std::vector<int> Topology::tenant_classes(int tenant) const {
 
 bool Topology::tenant_is_batch(int tenant) const {
   const int batch = static_cast<int>(static_cast<double>(config.tenants) *
-                                         config.batch_tenant_fraction +
+                                         kBatchTenantFraction +
                                      1e-9);
   return tenant >= config.tenants - batch;
 }

@@ -42,9 +42,6 @@ struct TopologyConfig {
   /// Fraction of deep mid services gaining an async callback edge to an
   /// ancestor on their own synchronous path (a directed cycle).
   double async_cycle_fraction = 0.04;
-  /// Trailing fraction of tenants whose traffic runs at batch priority
-  /// (multi-tenant interference through the admission path).
-  double batch_tenant_fraction = 0.25;
   SimTime network_latency = usec(500);
   SimTime request_sla = msec(500);
   /// Multiplier on every sampled CPU demand.
@@ -100,7 +97,8 @@ struct Topology {
   /// Request classes owned by one tenant, ascending.
   std::vector<int> tenant_classes(int tenant) const;
   /// Evenly weighted mix over the tenant's classes; batch tenants (the
-  /// trailing batch_tenant_fraction) carry Priority::kBatch on every class.
+  /// trailing quarter, kBatchTenantFraction in synth.cc) carry
+  /// Priority::kBatch on every class.
   RequestMix tenant_mix(int tenant) const;
   bool tenant_is_batch(int tenant) const;
 };

@@ -47,9 +47,7 @@ TEST(Adapter, AppliesGrowthImmediately) {
 
 TEST(Adapter, ShrinkNeedsConfirmation) {
   Fixture f(testutil::single_service(2.0, 20));
-  AdapterOptions opts;
-  opts.shrink_confirmations = 2;
-  ConcurrencyAdapter adapter(opts);
+  ConcurrencyAdapter adapter;  // shrinks need two agreeing estimates
   ResourceKnob knob = ResourceKnob::entry(f.app.service("svc"));
   // First shrink verdict: deferred.
   auto a = adapter.adapt(knob, valid_estimate(8), 10.0, sec(1));
@@ -76,11 +74,11 @@ TEST(Adapter, ClampsToBounds) {
   Fixture f(testutil::single_service(2.0, 5));
   AdapterOptions opts;
   opts.min_size = 2;
-  opts.max_size = 50;
   ConcurrencyAdapter adapter(opts);
   ResourceKnob knob = ResourceKnob::entry(f.app.service("svc"));
+  // ceil(500 * 1.2 + 1) = 601 > the ceiling.
   auto a = adapter.adapt(knob, valid_estimate(500), 3.0, sec(1));
-  EXPECT_EQ(a.new_size, 50);
+  EXPECT_EQ(a.new_size, ConcurrencyAdapter::kMaxSize);
   // Shrink below min clamps to min (two rounds for confirmation).
   // ceil(1 * 1.2 + 1) = 3 > min_size, so push the floor with min_size 3.
   adapter.adapt(knob, valid_estimate(1), 3.0, sec(2));
@@ -120,9 +118,7 @@ TEST(Adapter, NoExplorationWhenUnsaturated) {
 
 TEST(Adapter, ExplorationCooldownAfterApply) {
   Fixture f(testutil::single_service(2.0, 5));
-  AdapterOptions opts;
-  opts.exploration_cooldown = sec(60);
-  ConcurrencyAdapter adapter(opts);
+  ConcurrencyAdapter adapter;  // 60 s exploration cooldown
   ResourceKnob knob = ResourceKnob::entry(f.app.service("svc"));
   adapter.adapt(knob, valid_estimate(10), 4.0, sec(1));  // applied at t=1s
   // (headroom: pool is now 13.) Saturated right after apply: cooldown

@@ -73,8 +73,7 @@ TEST(AdmissionController, TokenBucketReservesHeadroomFromBatch) {
   AdmissionOptions opts;
   opts.policy = AdmissionPolicy::kTokenBucket;
   opts.tokens_per_sec = 10.0;
-  opts.bucket_burst = 10.0;
-  opts.batch_threshold = 0.5;  // batch may use at most half the burst
+  opts.bucket_burst = 8.0;  // batch may use at most 3/4 of it: 6 tokens
   AdmissionController adm("svc", opts);
 
   int batch_admits = 0;
@@ -82,8 +81,8 @@ TEST(AdmissionController, TokenBucketReservesHeadroomFromBatch) {
     adm.on_admit(0);
     ++batch_admits;
   }
-  EXPECT_EQ(batch_admits, 5);
-  // High priority still gets the reserved half.
+  EXPECT_EQ(batch_admits, 6);
+  // High priority still gets the reserved quarter.
   EXPECT_TRUE(adm.decide(meta_with(Priority::kHigh), 0).admit);
   EXPECT_EQ(adm.shed_by_priority(Priority::kBatch), 1u);
   EXPECT_EQ(adm.shed_by_priority(Priority::kHigh), 0u);
@@ -94,15 +93,14 @@ TEST(AdmissionController, AimdBacksOffOnErrorsAndRecovers) {
   opts.policy = AdmissionPolicy::kAimd;
   opts.initial_limit = 10.0;
   opts.min_limit = 2.0;
-  opts.aimd_backoff = 0.5;
   opts.aimd_latency_threshold = msec(100);
   AdmissionController adm("svc", opts);
   ASSERT_DOUBLE_EQ(adm.current_limit(), 10.0);
 
-  adm.on_departure(0, msec(10), /*ok=*/false);  // error -> backoff
-  EXPECT_DOUBLE_EQ(adm.current_limit(), 5.0);
+  adm.on_departure(0, msec(10), /*ok=*/false);  // error -> backoff (x0.9)
+  EXPECT_DOUBLE_EQ(adm.current_limit(), 9.0);
   adm.on_departure(0, msec(200), /*ok=*/true);  // slow -> backoff
-  EXPECT_DOUBLE_EQ(adm.current_limit(), 2.5);
+  EXPECT_DOUBLE_EQ(adm.current_limit(), 8.1);
 
   const double before = adm.current_limit();
   adm.on_departure(0, msec(10), /*ok=*/true);  // fast -> additive increase
@@ -116,7 +114,6 @@ TEST(AdmissionController, AimdNeverLeavesConfiguredBounds) {
   opts.initial_limit = 4.0;
   opts.min_limit = 2.0;
   opts.max_limit = 6.0;
-  opts.aimd_backoff = 0.1;
   opts.aimd_latency_threshold = msec(100);
   AdmissionController adm("svc", opts);
   for (int i = 0; i < 20; ++i) adm.on_departure(0, msec(10), false);
@@ -236,15 +233,14 @@ TEST(AdmissionController, DeadlineShedUsesMinRttEstimate) {
 TEST(AdmissionController, BatchGatedAtUtilizationThreshold) {
   AdmissionOptions opts;
   opts.policy = AdmissionPolicy::kGradient;
-  opts.initial_limit = 10.0;
-  opts.batch_threshold = 0.5;
+  opts.initial_limit = 8.0;
   AdmissionController adm("svc", opts);
 
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(adm.decide(meta_with(Priority::kBatch), 0).admit);
     adm.on_admit(0);
   }
-  // At 5/10 in flight, batch is out of headroom but high still fits.
+  // At 6/8 in flight (3/4), batch is out of headroom but high still fits.
   EXPECT_FALSE(adm.decide(meta_with(Priority::kBatch), 0).admit);
   EXPECT_TRUE(adm.decide(meta_with(Priority::kHigh), 0).admit);
   EXPECT_EQ(adm.shed_by_priority(Priority::kBatch), 1u);
@@ -437,7 +433,6 @@ TEST(AdmissionExperiment, BatchPriorityShedsBeforeHigh) {
   ao.policy = AdmissionPolicy::kGradient;
   ao.initial_limit = 4.0;
   ao.max_limit = 8.0;
-  ao.batch_threshold = 0.5;
   AdmissionController& adm = exp.enable_admission("svc", ao);
 
   RequestMix mix{{0, 1.0}, {1, 1.0}};
@@ -474,9 +469,7 @@ TEST(AdmissionExperiment, SoraPublishesKneeIntoController) {
   // goodput scatter spans the knee, so the SCG fit converges quickly.
   Experiment exp(testutil::single_service(2.0, 16, 2000, 1000, 0.5), cfg);
 
-  SoraFrameworkOptions so;
-  so.control_period = sec(5);
-  auto& fw = exp.add_sora(so);
+  auto& fw = exp.add_sora();
   fw.manage(ResourceKnob::entry(exp.app().service("svc")));
 
   AdmissionOptions ao;
@@ -487,6 +480,8 @@ TEST(AdmissionExperiment, SoraPublishesKneeIntoController) {
   auto& users = exp.closed_loop(10, msec(50));
   users.follow_trace(
       WorkloadTrace(TraceShape::kLargeVariation, cfg.duration, 10, 60));
+  exp.start_all();
+  testutil::step_rounds(exp.sim(), fw, sec(5));
   exp.run();
 
   EXPECT_GT(adm.knee_updates(), 0u) << "Sora never published a knee";
@@ -516,9 +511,7 @@ AdmittedFaultedRun run_admitted_faulted_point(std::size_t index) {
   app.services[1].with_replicas(2);  // "mid" can crash without refusal
   Experiment exp(app, cfg);
 
-  SoraFrameworkOptions so;
-  so.control_period = sec(5);
-  auto& fw = exp.add_sora(so);
+  auto& fw = exp.add_sora();
   fw.manage(ResourceKnob::entry(exp.app().service("mid")));
 
   AdmissionOptions ao;
@@ -536,6 +529,8 @@ AdmittedFaultedRun run_admitted_faulted_point(std::size_t index) {
   exp.enable_faults(FaultPlan::random(cfg.seed, cfg.duration, fo));
 
   exp.closed_loop(40 + static_cast<int>(index) * 10, msec(50));
+  exp.start_all();
+  testutil::step_rounds(exp.sim(), fw, sec(5));
   exp.run();
 
   AdmittedFaultedRun out;

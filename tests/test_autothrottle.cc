@@ -88,14 +88,11 @@ TEST(LatencyCredits, BudgetBelowFloorFallsBackToEqualSplit) {
 
 TEST(AutothrottleController, FailsClosedWithoutTelemetry) {
   ExperimentConfig ecfg;
-  ecfg.duration = sec(35);
+  ecfg.duration = 2 * kAutothrottlePeriod + sec(5);  // two rounds
   ecfg.seed = 5;
   Experiment exp(testutil::single_service(2.0, 16, 1000, 500, 0.3), ecfg);
   // No workload at all: the trace window stays empty.
-  AutothrottleOptions ao;
-  ao.period = sec(15);
-  ao.min_spans = 20;
-  auto& at = exp.add_autothrottle(ao);
+  auto& at = exp.add_autothrottle();
   at.manage(exp.app().service("svc"));
   exp.run();
 
@@ -126,9 +123,7 @@ TEST(AutothrottleController, ThrottlesDownAndPublishesCapUnderOverload) {
   auto& adm = exp.enable_admission("svc", adm_opts);
 
   AutothrottleOptions ao;
-  ao.period = sec(15);
   ao.budget = msec(4);  // far below the overloaded p99: must throttle
-  ao.min_spans = 10;
   auto& at = exp.add_autothrottle(ao);
   at.manage(exp.app().service("svc"));
   exp.run();
@@ -150,19 +145,19 @@ TEST(AutothrottleController, ThrottlesDownAndPublishesCapUnderOverload) {
 }
 
 TEST(AutothrottleController, FlatLatencyHoldsCaps) {
-  // Light load against a huge budget: p99 is inside [relax * target,
-  // target], so the cap controller holds in both directions.
+  // Light, flat load against a budget just above it: p99 is inside
+  // [0.7 * target, target] (0.7 = the relax fraction), so the cap
+  // controller holds in both directions.
   ExperimentConfig ecfg;
   ecfg.duration = sec(65);
   ecfg.seed = 9;
-  Experiment exp(testutil::single_service(4.0, 16, 1000, 500, 0.2), ecfg);
+  // Deterministic 1.5 ms demand, 4 users on 4 cores: no queueing, so every
+  // span takes the same ~1.5 ms.
+  Experiment exp(testutil::single_service(4.0, 16, 1000, 500, 0.0), ecfg);
   exp.closed_loop(4, msec(20), RequestMix(0));
 
   AutothrottleOptions ao;
-  ao.period = sec(15);
-  ao.budget = sec(10);       // targets far above any observed p99
-  ao.relax_fraction = 0.0;   // and the increase band is unreachable
-  ao.min_spans = 10;
+  ao.budget = usec(2000);  // the one service's target: p99 / target = 0.75
   auto& at = exp.add_autothrottle(ao);
   at.manage(exp.app().service("svc"));
   exp.run();
@@ -183,10 +178,7 @@ TEST(AutothrottleController, TargetsAcrossServicesSumToBudget) {
   exp.closed_loop(16, msec(10), RequestMix(0));
 
   AutothrottleOptions ao;
-  ao.period = sec(15);
   ao.budget = msec(100);
-  ao.min_target_ms = 5.0;
-  ao.min_spans = 10;
   auto& at = exp.add_autothrottle(ao);
   at.manage(exp.app().service("front"));
   at.manage(exp.app().service("mid"));
@@ -195,7 +187,9 @@ TEST(AutothrottleController, TargetsAcrossServicesSumToBudget) {
 
   ASSERT_EQ(at.targets_ms().size(), 3u);
   EXPECT_NEAR(sum(at.targets_ms()), 100.0, 1e-6);
-  for (double t : at.targets_ms()) EXPECT_GE(t, 5.0 - 1e-9);
+  for (double t : at.targets_ms()) {
+    EXPECT_GE(t, kAutothrottleMinTargetMs - 1e-9);
+  }
 }
 
 }  // namespace

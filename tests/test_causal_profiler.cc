@@ -33,7 +33,6 @@ CausalLabOptions fanout_options(int threads) {
   opts.checkpoint = sec(10);
   opts.speedup_factors = {0.75};
   opts.pool_delta = 2;
-  opts.cap_delta = 0;
   opts.services = {"a", "b"};
   opts.threads = threads;
   opts.scenario = "test";

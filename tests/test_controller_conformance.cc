@@ -23,21 +23,24 @@
 namespace sora {
 namespace {
 
-constexpr SimTime kDuration = sec(50);
 constexpr SimTime kSla = msec(8);
 
 struct Rig {
   std::unique_ptr<Experiment> exp;
   Controller* ctl = nullptr;
+  /// Three control periods and a bit: rounds at p, 2p and 3p.
+  SimTime duration = 0;
 };
 
-Rig make_rig(const std::string& name, std::uint64_t seed,
-             SimTime duration = kDuration) {
+Rig make_rig(const std::string& name, std::uint64_t seed) {
+  const SimTime period =
+      name == "autothrottle" ? kAutothrottlePeriod : kControlPeriod;
   ExperimentConfig ecfg;
   ecfg.seed = seed;
-  ecfg.duration = duration;
+  ecfg.duration = 3 * period + sec(5);
   ecfg.sla = kSla;
   Rig rig;
+  rig.duration = ecfg.duration;
   rig.exp = std::make_unique<Experiment>(testutil::chain_app(0.4), ecfg);
   Experiment& exp = *rig.exp;
   exp.closed_loop(16, msec(10), RequestMix(0));
@@ -65,21 +68,19 @@ Rig make_rig(const std::string& name, std::uint64_t seed,
     rig.ctl = &vpa;
   } else if (name == "autothrottle") {
     AutothrottleOptions ao;
-    ao.period = sec(15);
     ao.budget = kSla;
-    ao.min_spans = 5;
     auto& at = exp.add_autothrottle(ao);
     at.manage(exp.app().service("mid"));
     rig.ctl = &at;
   } else if (name == "lsram") {
     LsramOptions lo;
     lo.span_slo = msec(4);
-    lo.min_spans = 5;
     auto& ls = exp.add_lsram(lo);
     ls.manage(ResourceKnob::entry(exp.app().service("mid")));
     rig.ctl = &ls;
   }
   EXPECT_NE(rig.ctl, nullptr) << "unknown controller: " << name;
+  EXPECT_EQ(rig.ctl->period(), period);
   return rig;
 }
 
@@ -149,12 +150,16 @@ TEST_P(ControllerConformance, ActionsPerRoundStayBounded) {
 
 TEST_P(ControllerConformance, StalledRoundsAreGracefulAndAudited) {
   Rig rig = make_rig(GetParam(), 42);
-  // Stall [20s, 35s): the 30s round is skipped, 15s and 45s run normally.
+  // Stall [p + 5s, 2p + 5s): the 2p round is skipped, p and 3p run normally
+  // (p = 15 s: stall [20s, 35s), rounds at 15s and 45s).
+  const SimTime p = rig.ctl->period();
+  const SimTime stall_from = p + sec(5);
+  const SimTime stall_to = 2 * p + sec(5);
   FaultPlan plan;
   FaultEvent ev;
   ev.kind = FaultKind::kControlStall;
-  ev.at = sec(20);
-  ev.duration = sec(15);
+  ev.at = stall_from;
+  ev.duration = stall_to - stall_from;
   plan.add(ev);
   rig.exp->enable_faults(plan);
   rig.exp->run();
@@ -168,22 +173,25 @@ TEST_P(ControllerConformance, StalledRoundsAreGracefulAndAudited) {
     }
   }
   EXPECT_GE(stalled_records, 1) << GetParam() << " left no stall audit trail";
-  // Rounds kept counting through the stall (15s, 30s, 45s at minimum)...
+  // Rounds kept counting through the stall (p, 2p, 3p at minimum)...
   EXPECT_GE(rig.ctl->rounds(), 3u);
   // ...but no action landed inside the stall window.
   for (const ControlAction& a : rig.ctl->actions()) {
-    EXPECT_FALSE(a.at >= sec(20) && a.at < sec(35))
+    EXPECT_FALSE(a.at >= stall_from && a.at < stall_to)
         << GetParam() << " acted while stalled, at=" << a.at;
   }
 }
 
 TEST_P(ControllerConformance, TopologyChangeMidRunIsGraceful) {
   Rig rig = make_rig(GetParam(), 42);
-  rig.exp->run_until(sec(20));
+  // One round in (at p), then the change lands between rounds.
+  rig.exp->run_until(rig.ctl->period() + sec(5));
   const std::uint64_t rounds_before = rig.ctl->rounds();
+  ASSERT_GE(rounds_before, 1u)
+      << GetParam() << " ran no round before the change";
   rig.ctl->on_topology_changed(rig.exp->app().service("mid"),
                                "instance crash");
-  rig.exp->run_until(kDuration);
+  rig.exp->run_until(rig.duration);
   EXPECT_GT(rig.ctl->rounds(), rounds_before)
       << GetParam() << " stopped running rounds after a topology change";
   for (const auto& rec : rig.exp->decision_log().records()) {

@@ -64,7 +64,6 @@ RunOutput run_scenario(const std::vector<std::string>& preload,
 
   ctl::CtlOptions copt;
   copt.start_server = false;  // headless: pure safepoint/replay machinery
-  copt.safepoint_period = msec(500);
   exp.enable_ctl(copt);
   exp.start_all();
 
@@ -196,7 +195,6 @@ TEST(CtlReplay, CausalRoundDecisionLogExportsByteForByte) {
   opts.checkpoint = sec(8);
   opts.speedup_factors = {0.9};
   opts.pool_delta = 0;
-  opts.cap_delta = 0;
   opts.services = {"mid"};
   opts.threads = 2;
   opts.scenario = "replay";

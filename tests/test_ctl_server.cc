@@ -159,7 +159,6 @@ TEST(CtlEndpoints, LiveExperimentServesAndAppliesCommands) {
 
   CtlOptions copt;
   copt.port = 0;  // ephemeral: tests never collide
-  copt.safepoint_period = msec(100);
   exp.enable_ctl(copt);
   exp.start_all();
   CtlPlane* plane = exp.ctl_plane();

@@ -25,23 +25,20 @@ Trace chain_trace(std::uint64_t id, SimTime shift = 0) {
       id);
 }
 
-// The synthetic traces use microsecond-scale timings; disable the
-// millisecond floor so the arithmetic is visible.
-DeadlineOptions usec_opts() {
-  DeadlineOptions o;
-  o.min_threshold = 1;
-  return o;
-}
+// The synthetic traces use microsecond-scale timings; an SLA of a few
+// milliseconds keeps SLA - upstream PT above the kMinDeadlineThreshold
+// (1 ms) floor, so the arithmetic is visible.
+constexpr SimTime kSla = msec(5);
 
 TEST(Deadline, PropagatesSlaMinusUpstreamPt) {
   TraceWarehouse wh(100);
   wh.store(chain_trace(1));
   // Critical = service 2: upstream PT = 20 + 20 = 40.
   const DeadlineResult r =
-      propagate_deadline(wh, 0, 1000, ServiceId(2), usec(500), usec_opts());
+      propagate_deadline(wh, 0, 1000, ServiceId(2), kSla);
   ASSERT_TRUE(r.valid);
   EXPECT_EQ(r.mean_upstream_pt, 40);
-  EXPECT_EQ(r.rt_threshold, 460);
+  EXPECT_EQ(r.rt_threshold, kSla - 40);
   EXPECT_EQ(r.traces_used, 1u);
 }
 
@@ -49,10 +46,10 @@ TEST(Deadline, RootServiceGetsFullSla) {
   TraceWarehouse wh(100);
   wh.store(chain_trace(1));
   const DeadlineResult r =
-      propagate_deadline(wh, 0, 1000, ServiceId(0), usec(500), usec_opts());
+      propagate_deadline(wh, 0, 1000, ServiceId(0), kSla);
   ASSERT_TRUE(r.valid);
   EXPECT_EQ(r.mean_upstream_pt, 0);
-  EXPECT_EQ(r.rt_threshold, 500);
+  EXPECT_EQ(r.rt_threshold, kSla);
 }
 
 TEST(Deadline, AveragesAcrossTraces) {
@@ -67,23 +64,21 @@ TEST(Deadline, AveragesAcrossTraces) {
       },
       2));
   const DeadlineResult r =
-      propagate_deadline(wh, 0, 1000, ServiceId(2), usec(500), usec_opts());
+      propagate_deadline(wh, 0, 1000, ServiceId(2), kSla);
   ASSERT_TRUE(r.valid);
   EXPECT_EQ(r.traces_used, 2u);
   EXPECT_EQ(r.mean_upstream_pt, 60);  // (40 + 80) / 2
-  EXPECT_EQ(r.rt_threshold, 440);
+  EXPECT_EQ(r.rt_threshold, kSla - 60);
 }
 
 TEST(Deadline, FloorsAtMinThreshold) {
   TraceWarehouse wh(100);
   wh.store(chain_trace(1));
-  DeadlineOptions opts;
-  opts.min_threshold = usec(100);
   // SLA 30 < upstream 40 -> would be negative; floored.
   const DeadlineResult r =
-      propagate_deadline(wh, 0, 1000, ServiceId(2), usec(30), opts);
+      propagate_deadline(wh, 0, 1000, ServiceId(2), usec(30));
   ASSERT_TRUE(r.valid);
-  EXPECT_EQ(r.rt_threshold, usec(100));
+  EXPECT_EQ(r.rt_threshold, kMinDeadlineThreshold);
 }
 
 TEST(Deadline, InvalidWhenServiceNotOnPath) {
@@ -105,21 +100,13 @@ TEST(Deadline, WindowFiltersTraces) {
   EXPECT_EQ(r.traces_used, 1u);
 }
 
+// Propagation has no class filter: a trace of any request class counts.
 TEST(Deadline, RequestClassFilter) {
   TraceWarehouse wh(100);
   Trace t = chain_trace(1);
   t.request_class = 2;
   wh.store(std::move(t));
-  DeadlineOptions only_class_1;
-  only_class_1.request_class = 1;
-  EXPECT_FALSE(
-      propagate_deadline(wh, 0, 1000, ServiceId(2), usec(500), only_class_1)
-          .valid);
-  DeadlineOptions only_class_2;
-  only_class_2.request_class = 2;
-  EXPECT_TRUE(
-      propagate_deadline(wh, 0, 1000, ServiceId(2), usec(500), only_class_2)
-          .valid);
+  EXPECT_TRUE(propagate_deadline(wh, 0, 1000, ServiceId(2), kSla).valid);
 }
 
 // Property (Eq. 3): the propagated threshold never exceeds the SLA and
@@ -134,9 +121,9 @@ TEST(Deadline, ThresholdMonotoneInUpstreamPt) {
         {0, 1, pt / 2, 1000 - pt / 2, 0},   // leaf
     }));
     const DeadlineResult r =
-        propagate_deadline(wh, 0, 2000, ServiceId(1), usec(500), usec_opts());
+        propagate_deadline(wh, 0, 2000, ServiceId(1), kSla);
     ASSERT_TRUE(r.valid);
-    EXPECT_LE(r.rt_threshold, usec(500));
+    EXPECT_LE(r.rt_threshold, kSla);
     EXPECT_LT(r.rt_threshold, prev);
     prev = r.rt_threshold;
   }
@@ -150,15 +137,15 @@ TEST(Deadline, MaxTracesBoundsFoldDeterministically) {
   for (std::uint64_t i = 0; i < 100; ++i) {
     wh.store(chain_trace(i + 1, static_cast<SimTime>(i) * 10));
   }
-  DeadlineOptions o = usec_opts();
+  DeadlineOptions o;
   const DeadlineResult full =
-      propagate_deadline(wh, 0, 100000, ServiceId(2), usec(500), o);
+      propagate_deadline(wh, 0, 100000, ServiceId(2), kSla, o);
   ASSERT_TRUE(full.valid);
   EXPECT_EQ(full.traces_used, 100u);
 
   o.max_traces = 8;
   const DeadlineResult sampled =
-      propagate_deadline(wh, 0, 100000, ServiceId(2), usec(500), o);
+      propagate_deadline(wh, 0, 100000, ServiceId(2), kSla, o);
   ASSERT_TRUE(sampled.valid);
   EXPECT_LE(sampled.traces_used, 8u);
   EXPECT_GE(sampled.traces_used, 1u);
@@ -167,14 +154,14 @@ TEST(Deadline, MaxTracesBoundsFoldDeterministically) {
   EXPECT_EQ(sampled.rt_threshold, full.rt_threshold);
 
   const DeadlineResult rerun =
-      propagate_deadline(wh, 0, 100000, ServiceId(2), usec(500), o);
+      propagate_deadline(wh, 0, 100000, ServiceId(2), kSla, o);
   EXPECT_EQ(rerun.traces_used, sampled.traces_used);
   EXPECT_EQ(rerun.mean_upstream_pt, sampled.mean_upstream_pt);
 
   // A bound at or above the window folds everything.
   o.max_traces = 100;
   const DeadlineResult exact =
-      propagate_deadline(wh, 0, 100000, ServiceId(2), usec(500), o);
+      propagate_deadline(wh, 0, 100000, ServiceId(2), kSla, o);
   EXPECT_EQ(exact.traces_used, 100u);
 }
 
@@ -209,11 +196,8 @@ DeadlineResult oracle(const TraceWarehouse& wh, SimTime from, SimTime to,
                       ServiceId critical, SimTime sla,
                       const DeadlineOptions& o) {
   std::vector<const Trace*> window;
-  wh.for_each_in_window(from, to, [&](const Trace& t) {
-    if (o.request_class < 0 || t.request_class == o.request_class) {
-      window.push_back(&t);
-    }
-  });
+  wh.for_each_in_window(from, to,
+                        [&](const Trace& t) { window.push_back(&t); });
   std::size_t stride = 1;
   if (o.max_traces > 0) {
     stride = std::max<std::size_t>(
@@ -232,7 +216,7 @@ DeadlineResult oracle(const TraceWarehouse& wh, SimTime from, SimTime to,
   r.mean_upstream_pt =
       static_cast<SimTime>(sum / static_cast<double>(r.traces_used));
   const SimTime floor = std::max(
-      o.min_threshold,
+      kMinDeadlineThreshold,
       static_cast<SimTime>(kMinDeadlineFractionOfSla *
                            static_cast<double>(sla)));
   r.rt_threshold = std::max(floor, sla - r.mean_upstream_pt);
@@ -242,8 +226,9 @@ DeadlineResult oracle(const TraceWarehouse& wh, SimTime from, SimTime to,
 
 // propagate_deadline reads the critical-path marks the warehouse stamped at
 // store time; it must agree exactly with extracting every path afresh, over
-// random windows, classes, critical services and sampling bounds — with
-// eviction active, so part of the stored history is gone.
+// random windows (over traces of mixed classes), critical services, SLAs
+// and sampling bounds — with eviction active, so part of the stored history
+// is gone.
 TEST(Deadline, MarkedPathsMatchExtractionOracle) {
   Rng rng(2024);
   TraceWarehouse wh(400);
@@ -261,11 +246,12 @@ TEST(Deadline, MarkedPathsMatchExtractionOracle) {
         from + static_cast<SimTime>(rng.uniform_int(
                    static_cast<std::uint64_t>(end)));
     const ServiceId critical(rng.uniform_int(7));  // 6 = never on a path
-    DeadlineOptions o = usec_opts();
-    o.request_class = static_cast<int>(rng.uniform_int(3)) - 1;
+    DeadlineOptions o;
     const std::size_t bounds[] = {0, 1, 7, 64};
     o.max_traces = bounds[rng.uniform_int(4)];
-    const SimTime sla = usec(200 + static_cast<SimTime>(rng.uniform_int(800)));
+    // 2-10 ms: some rounds land above the floors, some on them.
+    const SimTime sla =
+        usec(2000 + static_cast<SimTime>(rng.uniform_int(8000)));
     const DeadlineResult want = oracle(wh, from, to, critical, sla, o);
     const DeadlineResult got =
         propagate_deadline(wh, from, to, critical, sla, o);

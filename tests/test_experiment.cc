@@ -47,8 +47,7 @@ TEST(Experiment, OpenLoopDrivesTrace) {
 
 TEST(Experiment, TimelineTracksService) {
   ExperimentConfig cfg;
-  cfg.duration = sec(10);
-  cfg.timeline_bucket = sec(1);
+  cfg.duration = sec(10);  // ten 1 s timeline buckets
   Experiment exp(testutil::chain_app(0.4), cfg);
   exp.closed_loop(10, msec(100));
   exp.track_service("mid");
@@ -93,9 +92,7 @@ TEST(Experiment, LinkForwardsScaleActions) {
   Experiment exp(testutil::single_service(1.0, 10, 4000, 2000, 0.4), cfg);
   exp.closed_loop(50, msec(50));
 
-  VpaOptions vpa_opts;
-  vpa_opts.period = sec(5);
-  auto& vpa = exp.add_vpa(vpa_opts);
+  auto& vpa = exp.add_vpa();
   vpa.manage(exp.app().service("svc"));
 
   auto& sora = exp.add_sora();
@@ -125,13 +122,15 @@ TEST(Experiment, LinkForwardsScaleActions) {
 TEST(Experiment, LinkRecordsProportionalBeforeScaleUp) {
   ExperimentConfig cfg;
   Experiment exp(testutil::single_service(1.0, 10, 4000, 2000, 0.4), cfg);
-  VpaOptions vpa_opts;
-  vpa_opts.high_utilization = -1.0;  // any utilization reads as too high
-  auto& vpa = exp.add_vpa(vpa_opts);
+  auto& vpa = exp.add_vpa();
   vpa.manage(exp.app().service("svc"));
   auto& sora = exp.add_sora();
   sora.manage(ResourceKnob::entry(exp.app().service("svc")));
   Experiment::link(vpa, sora);
+  // Ten ~6 ms requests keep the single core busy through the first 10 ms,
+  // so the round reads utilization 1.0, above VPA's scale-up threshold.
+  for (int i = 0; i < 10; ++i) exp.app().inject(0, [](SimTime) {});
+  exp.sim().run_until(msec(10));
 
   const std::span<const ControlAction> acts = vpa.round();
   ASSERT_EQ(acts.size(), 1u);

@@ -247,11 +247,9 @@ TEST(FaultInjector, ScatterDropoutDiscardsBucketsBeforeEstimator) {
 }
 
 TEST(FaultInjector, ControlStallSkipsRoundsWithRecords) {
-  ExperimentConfig cfg = short_config(11, sec(90));
+  ExperimentConfig cfg = short_config(11, sec(100));
   Experiment exp(testutil::chain_app(0.3), cfg);
-  SoraFrameworkOptions so;
-  so.control_period = sec(5);
-  auto& sora = exp.add_sora(so);
+  auto& sora = exp.add_sora();
   sora.manage(ResourceKnob::entry(exp.app().service("mid")));
   auto& firm = exp.add_firm();
   firm.manage(exp.app().service("mid"));
@@ -259,7 +257,7 @@ TEST(FaultInjector, ControlStallSkipsRoundsWithRecords) {
   FaultEvent ev;
   ev.kind = FaultKind::kControlStall;
   ev.at = sec(20);
-  ev.duration = sec(30);
+  ev.duration = sec(60);
   FaultPlan plan;
   plan.add(ev);
   exp.enable_faults(plan);
@@ -276,7 +274,8 @@ TEST(FaultInjector, ControlStallSkipsRoundsWithRecords) {
     if (rec.controller == "sora") ++sora_stalled;
     if (rec.controller == "firm") ++firm_stalled;
   }
-  // 30 s stall / 5 s period: several skipped rounds, each with a record.
+  // 60 s stall / 15 s period: the rounds at 30, 45, 60 and 75 s are
+  // skipped, each with a record.
   EXPECT_GE(sora_stalled, 4u);
   EXPECT_GE(firm_stalled, 1u);
   EXPECT_TRUE(log_has(exp.decision_log(), "fault_start", "control_stall"));
@@ -289,9 +288,7 @@ TEST(FaultInjector, FaultedRunIsByteIdenticalAcrossReruns) {
   auto run_once = [](std::string* jsonl) {
     ExperimentConfig cfg = short_config(77, sec(60));
     Experiment exp(crashable_chain(), cfg);
-    SoraFrameworkOptions so;
-    so.control_period = sec(5);
-    auto& sora = exp.add_sora(so);
+    auto& sora = exp.add_sora();
     sora.manage(ResourceKnob::entry(exp.app().service("mid")));
     RandomFaultOptions fo;
     fo.crash_services = {"mid"};
@@ -300,6 +297,8 @@ TEST(FaultInjector, FaultedRunIsByteIdenticalAcrossReruns) {
     fo.stall_duration = sec(10);
     exp.enable_faults(FaultPlan::random(cfg.seed, cfg.duration, fo));
     exp.closed_loop(20, msec(50));
+    exp.start_all();
+    testutil::step_rounds(exp.sim(), sora, sec(5));
     exp.run();
     std::ostringstream os;
     exp.export_decision_log(os);
@@ -323,9 +322,7 @@ TEST(FaultInjector, InsufficientScatterLeavesFallbackReason) {
   // No traffic at all: every control round sees an empty scatter window.
   ExperimentConfig cfg = short_config(5, sec(30));
   Experiment exp(testutil::single_service(), cfg);
-  SoraFrameworkOptions so;
-  so.control_period = sec(5);
-  auto& sora = exp.add_sora(so);
+  auto& sora = exp.add_sora();
   sora.manage(ResourceKnob::entry(exp.app().service("svc")));
   exp.run();
 

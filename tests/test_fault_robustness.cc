@@ -90,6 +90,7 @@ RunOutput run_scenario(Controller controller, Scenario scenario,
   app.services[1].with_replicas(2);  // crashable "mid"
   Experiment exp(app, cfg);
 
+  SoraFramework* framework = nullptr;
   switch (controller) {
     case Controller::kNone:
       break;
@@ -99,9 +100,8 @@ RunOutput run_scenario(Controller controller, Scenario scenario,
                                     ? make_conscale_options()
                                     : SoraFrameworkOptions{};
       so.sla = cfg.sla;
-      so.control_period = sec(5);
-      auto& fw = exp.add_sora(so);
-      fw.manage(ResourceKnob::entry(exp.app().service("mid")));
+      framework = &exp.add_sora(so);
+      framework->manage(ResourceKnob::entry(exp.app().service("mid")));
       break;
     }
     case Controller::kFirm: {
@@ -121,6 +121,12 @@ RunOutput run_scenario(Controller controller, Scenario scenario,
   const FaultPlan plan = scenario_plan(scenario);
   if (!plan.empty()) exp.enable_faults(plan);
   exp.closed_loop(30, msec(50));
+  exp.start_all();
+  // Sora and ConScale step every 5 s, three rounds per hardware-scaler
+  // period, so a fault window spans several of their rounds.
+  if (framework != nullptr) {
+    testutil::step_rounds(exp.sim(), *framework, sec(5));
+  }
   exp.run();
 
   RunOutput out;
@@ -167,7 +173,7 @@ TEST(FaultRobustness, SoraSurvivesTelemetryDropoutWithEvidence) {
 TEST(FaultRobustness, SoraSurvivesControlStallWithEvidence) {
   const RunOutput out = run_scenario(Controller::kSora, Scenario::kStall);
   expect_survived(out);
-  // 25 s stall / 5 s control period: several skipped-but-recorded rounds.
+  // 25 s stall / 5 s rounds: several skipped-but-recorded rounds.
   EXPECT_GE(out.stalled_records, 4u);
 }
 

@@ -25,14 +25,13 @@ TEST(HillClimb, ClimbsOutOfStarvation) {
   Fixture f(testutil::single_service(8.0, 2, 2000, 1000, 0.4));
   ResourceKnob knob = ResourceKnob::entry(f.app.service("svc"));
   HillClimbOptions opts;
-  opts.period = sec(5);
   opts.rt_threshold = msec(50);
   HillClimbTuner tuner(f.sim, f.tracer, knob, opts);
   tuner.start();
 
   ClosedLoopGenerator users(f.sim, f.app, 40, msec(50), 3);
   users.start();
-  f.sim.run_until(sec(60));
+  f.sim.run_until(sec(180));  // twelve 15 s steps
   users.stop();
   tuner.stop();
 
@@ -41,29 +40,27 @@ TEST(HillClimb, ClimbsOutOfStarvation) {
 }
 
 TEST(HillClimb, RespectsBounds) {
-  Fixture f(testutil::single_service(8.0, 2, 2000, 1000, 0.4));
+  // Start two slots under the ceiling: the first upward step reaches it,
+  // and flat goodput beyond the 40 users keeps the climb pushing on it.
+  Fixture f(testutil::single_service(8.0, HillClimbTuner::kMaxSize - 2, 2000,
+                                     1000, 0.4));
   ResourceKnob knob = ResourceKnob::entry(f.app.service("svc"));
-  HillClimbOptions opts;
-  opts.period = sec(5);
-  opts.max_size = 6;
-  HillClimbTuner tuner(f.sim, f.tracer, knob, opts);
+  HillClimbTuner tuner(f.sim, f.tracer, knob);
   tuner.start();
   ClosedLoopGenerator users(f.sim, f.app, 40, msec(50), 4);
   users.start();
   f.sim.run_until(sec(90));
   users.stop();
-  EXPECT_LE(knob.current_size(), 6);
+  EXPECT_LE(knob.current_size(), HillClimbTuner::kMaxSize);
   EXPECT_GE(knob.current_size(), 1);
 }
 
 TEST(HillClimb, StopHaltsSteps) {
   Fixture f(testutil::single_service(8.0, 2, 2000, 1000, 0.4));
   ResourceKnob knob = ResourceKnob::entry(f.app.service("svc"));
-  HillClimbOptions opts;
-  opts.period = sec(5);
-  HillClimbTuner tuner(f.sim, f.tracer, knob, opts);
+  HillClimbTuner tuner(f.sim, f.tracer, knob);
   tuner.start();
-  f.sim.run_until(sec(12));
+  f.sim.run_until(sec(20));  // one 15 s step
   tuner.stop();
   const auto steps = tuner.steps_taken();
   f.sim.run_until(sec(60));

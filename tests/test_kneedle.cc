@@ -54,7 +54,7 @@ TEST(Kneedle, DegenerateFlatCurve) {
 
 TEST(Kneedle, RestrictsToRisingSegment) {
   // Rise to a peak at x=10 then fall: the falling tail must not confuse
-  // detection when restrict_to_rising is on.
+  // detection, which only looks at the rising segment.
   std::vector<double> xs, ys;
   for (double x = 0; x <= 20; x += 1.0) {
     xs.push_back(x);
@@ -109,16 +109,8 @@ TEST(Kneedle, DegenerateMonotoneDecreasing) {
     xs.push_back(i);
     ys.push_back(100.0 - 3.0 * i);
   }
-  // restrict_to_rising truncates to the first point -> rejected.
+  // The rising segment is the first point alone -> rejected.
   EXPECT_FALSE(kneedle(xs, ys).has_value());
-  // Even on the full (falling) curve, no NaN may escape.
-  KneedleOptions opts;
-  opts.restrict_to_rising = false;
-  const auto knee = kneedle(xs, ys, opts);
-  if (knee) {
-    EXPECT_FALSE(std::isnan(knee->x));
-    EXPECT_FALSE(std::isnan(knee->y));
-  }
 }
 
 TEST(Kneedle, DegenerateAllDuplicateX) {

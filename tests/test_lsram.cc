@@ -26,39 +26,31 @@ struct Fixture {
 // -- GradientStepper (pure math) ----------------------------------------------
 
 TEST(GradientStepper, FirstCallProbesToSeedTheWarmStart) {
-  GradientStepperOptions o;
-  o.probe_step = 1.0;
-  GradientStepper s(o);
+  GradientStepper s;  // probe step 1
   EXPECT_FALSE(s.warm());
   EXPECT_DOUBLE_EQ(s.step(10.0, 0.5), 11.0);
   EXPECT_TRUE(s.warm());
 }
 
 TEST(GradientStepper, StepsAreClampedToMaxStep) {
-  GradientStepperOptions o;
-  o.learning_rate = 8.0;
-  o.max_step = 4.0;
-  o.probe_step = 1.0;
-  GradientStepper s(o);
+  GradientStepper s;  // learning rate 8, max step 4, probe step 1
   s.step(10.0, 5.0);  // probe -> 11
   // dj = -5 over dx = +1: raw step = -lr * g = 40, clamped to +4.
   EXPECT_DOUBLE_EQ(s.step(11.0, 0.0), 15.0);
 }
 
 TEST(GradientStepper, RespectsAllocationBounds) {
-  GradientStepperOptions o;
-  o.min_x = 2.0;
-  o.max_x = 12.0;
-  o.probe_step = 4.0;
-  GradientStepper s(o);
-  // Probe from near the ceiling stays inside [min_x, max_x].
-  EXPECT_DOUBLE_EQ(s.step(10.0, 1.0), 12.0);
+  constexpr double kMin = GradientStepper::kMinX;
+  constexpr double kMax = GradientStepper::kMaxX;
+  GradientStepper s;
+  // Probe from near the ceiling stays inside [kMinX, kMaxX].
+  EXPECT_DOUBLE_EQ(s.step(kMax - 0.5, 1.0), kMax);
   // A steep descent direction cannot escape the ceiling either.
-  EXPECT_LE(s.step(12.0, 0.0), 12.0);
+  EXPECT_LE(s.step(kMax, 0.0), kMax);
   // And an ascent direction cannot fall below the floor.
-  GradientStepper down(o);
-  down.step(4.0, 0.0);
-  EXPECT_GE(down.step(5.0, 100.0), 2.0);
+  GradientStepper down;
+  down.step(kMin + 1.0, 0.0);
+  EXPECT_GE(down.step(kMin + 2.0, 100.0), kMin);
 }
 
 TEST(GradientStepper, FlatSurfaceHoldsInsteadOfDrifting) {
@@ -68,21 +60,14 @@ TEST(GradientStepper, FlatSurfaceHoldsInsteadOfDrifting) {
 }
 
 TEST(GradientStepper, AbsorbedStepProbesAgain) {
-  GradientStepperOptions o;
-  o.probe_step = 1.0;
-  GradientStepper s(o);
+  GradientStepper s;  // probe step 1
   s.step(10.0, 1.0);  // probe -> 11, remembers x=10
   // The move was externally reverted (x still 10): no gradient, probe.
   EXPECT_DOUBLE_EQ(s.step(10.0, 1.0), 11.0);
 }
 
 TEST(GradientStepper, ConvergesNearTheMinimumOfAConvexSurface) {
-  GradientStepperOptions o;
-  o.learning_rate = 8.0;
-  o.max_step = 4.0;
-  o.min_x = 1.0;
-  o.max_x = 100.0;
-  GradientStepper s(o);
+  GradientStepper s;  // learning rate 8, max step 4
   auto j = [](double x) { return (x - 20.0) * (x - 20.0) / 100.0; };
   double x = 5.0;
   for (int i = 0; i < 50; ++i) x = s.step(x, j(x));
@@ -90,9 +75,7 @@ TEST(GradientStepper, ConvergesNearTheMinimumOfAConvexSurface) {
 }
 
 TEST(GradientStepper, ResetForgetsTheWarmStart) {
-  GradientStepperOptions o;
-  o.probe_step = 1.0;
-  GradientStepper s(o);
+  GradientStepper s;  // probe step 1
   s.step(10.0, 1.0);
   EXPECT_TRUE(s.warm());
   s.reset();
@@ -106,14 +89,11 @@ TEST(GradientStepper, ResetForgetsTheWarmStart) {
 TEST(LsramController, FailsClosedWithoutTraces) {
   Fixture f(testutil::single_service(2.0, 8, 1000, 500, 0.3));
   obs::DecisionLog log;
-  LsramOptions opts;
-  opts.period = sec(10);
-  opts.min_spans = 20;
-  LsramController ctl(f.app, f.warehouse, opts);
+  LsramController ctl(f.app, f.warehouse);
   ctl.set_decision_log(&log);
   ctl.manage(ResourceKnob::entry(f.app.service("svc")));
   ctl.start();
-  f.sim.run_until(sec(35));  // three starved rounds
+  f.sim.run_until(sec(50));  // three starved 15 s rounds
   ctl.stop();
 
   EXPECT_EQ(f.app.service("svc")->entry_pool_size(), 8);
@@ -132,9 +112,7 @@ TEST(LsramController, GrowsAStarvedPoolUnderViolatingLoad) {
   // objective. The descent must discover that and grow the pool.
   Fixture f(testutil::single_service(4.0, 2, 3000, 0, 0.3), 7);
   LsramOptions opts;
-  opts.period = sec(5);
   opts.span_slo = msec(6);
-  opts.min_spans = 10;
   LsramController ctl(f.app, f.warehouse, opts);
   ctl.manage(ResourceKnob::entry(f.app.service("svc")));
   ctl.start();
@@ -156,16 +134,14 @@ TEST(LsramController, TopologyChangeResetsTheWarmStartAndIsAudited) {
   Fixture f(testutil::single_service(4.0, 2, 3000, 0, 0.3), 7);
   obs::DecisionLog log;
   LsramOptions opts;
-  opts.period = sec(5);
   opts.span_slo = msec(6);
-  opts.min_spans = 10;
   LsramController ctl(f.app, f.warehouse, opts);
   ctl.set_decision_log(&log);
   ctl.manage(ResourceKnob::entry(f.app.service("svc")));
   ctl.start();
   ClosedLoopGenerator users(f.sim, f.app, 20, msec(20), 2);
   users.start();
-  f.sim.run_until(sec(20));
+  f.sim.run_until(sec(20));  // one warm 15 s round
 
   ctl.on_topology_changed(f.app.service("svc"), "instance crash");
   bool audited = false;
@@ -179,7 +155,7 @@ TEST(LsramController, TopologyChangeResetsTheWarmStartAndIsAudited) {
   EXPECT_TRUE(audited);
 
   // The next decided move is a fresh probe, not a stale gradient step.
-  f.sim.run_until(sec(30));
+  f.sim.run_until(sec(35));
   users.stop();
   ctl.stop();
   bool probe_after_reset = false;

@@ -133,13 +133,8 @@ TEST(ChromeTraceExport, WindowAndCapFilter) {
   const std::vector<Trace> traces = {make_trace(1, msec(100)),
                                      make_trace(2, msec(150)),
                                      make_trace(3, msec(200))};
-  std::ostringstream windowed;
-  obs::ChromeTraceOptions opt;
-  opt.from = msec(170);  // only trace 3 (end = 212 ms) completes after this
-  EXPECT_EQ(obs::export_chrome_trace(traces, service_name, windowed, opt), 1u);
-
   std::ostringstream capped;
-  opt = {};
+  obs::ChromeTraceOptions opt;
   opt.max_traces = 2;
   EXPECT_EQ(obs::export_chrome_trace(traces, service_name, capped, opt), 2u);
   EXPECT_TRUE(json_structurally_valid(capped.str()));
@@ -155,7 +150,6 @@ TEST(ExperimentTelemetry, EndToEndExportsAreWellFormed) {
   exp.closed_loop(40, msec(200));
 
   SoraFrameworkOptions so;
-  so.control_period = sec(10);
   so.sla = cfg.sla;
   auto& fw = exp.add_sora(so);
   fw.manage(ResourceKnob::entry(exp.app().service("mid")));

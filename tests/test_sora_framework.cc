@@ -33,11 +33,11 @@ TEST(SoraFramework, GrowsStarvedPool) {
   Fixture f(starved_app());
   SoraFrameworkOptions opts;
   opts.sla = msec(100);
-  opts.control_period = sec(5);
   SoraFramework sora(f.app, f.warehouse, opts);
   ResourceKnob knob = ResourceKnob::entry(f.app.service("svc"));
   sora.manage(knob);
   sora.start();
+  testutil::step_rounds(f.sim, sora, sec(5));
 
   ClosedLoopGenerator users(f.sim, f.app, 40, msec(50), 3);
   users.start();
@@ -61,7 +61,6 @@ TEST(SoraFramework, DeadlinePropagationUpdatesThreshold) {
   Fixture f(testutil::chain_app(0.3));
   SoraFrameworkOptions opts;
   opts.sla = msec(50);
-  opts.control_period = sec(5);
   SoraFramework sora(f.app, f.warehouse, opts);
   ResourceKnob knob = ResourceKnob::entry(f.app.service("leaf"));
   sora.manage(knob);
@@ -81,7 +80,6 @@ TEST(SoraFramework, DeadlinePropagationUpdatesThreshold) {
 TEST(SoraFramework, ConScaleModeSkipsDeadlines) {
   Fixture f(testutil::chain_app(0.3));
   SoraFrameworkOptions opts = make_conscale_options();
-  opts.control_period = sec(5);
   const SimTime default_rtt = opts.estimator.default_rt_threshold;
   SoraFramework conscale(f.app, f.warehouse, opts);
   ResourceKnob knob = ResourceKnob::entry(f.app.service("leaf"));
@@ -100,9 +98,7 @@ TEST(SoraFramework, ConScaleModeSkipsDeadlines) {
 
 TEST(SoraFramework, LocalizationRunsEachRound) {
   Fixture f(testutil::chain_app(0.5));
-  SoraFrameworkOptions opts;
-  opts.control_period = sec(5);
-  SoraFramework sora(f.app, f.warehouse, opts);
+  SoraFramework sora(f.app, f.warehouse);
   sora.manage(ResourceKnob::entry(f.app.service("mid")));
   sora.start();
 
@@ -159,15 +155,13 @@ TEST(SoraFramework, ManageIsIdempotent) {
 
 TEST(SoraFramework, StopHaltsControlLoop) {
   Fixture f(testutil::single_service());
-  SoraFrameworkOptions opts;
-  opts.control_period = sec(1);
-  SoraFramework sora(f.app, f.warehouse, opts);
+  SoraFramework sora(f.app, f.warehouse);
   sora.manage(ResourceKnob::entry(f.app.service("svc")));
   sora.start();
-  f.sim.run_until(sec(3));
+  f.sim.run_until(sec(20));  // one 15 s round
   const auto rounds = sora.control_rounds();
   sora.stop();
-  f.sim.run_until(sec(10));
+  f.sim.run_until(sec(60));
   EXPECT_EQ(sora.control_rounds(), rounds);
 }
 

@@ -179,9 +179,7 @@ FaultedRun run_faulted_point(std::size_t index) {
   ApplicationConfig app = testutil::chain_app(0.4);
   app.services[1].with_replicas(2);  // "mid" can crash without refusal
   Experiment exp(app, cfg);
-  SoraFrameworkOptions so;
-  so.control_period = sec(5);
-  auto& fw = exp.add_sora(so);
+  auto& fw = exp.add_sora();
   fw.manage(ResourceKnob::entry(exp.app().service("mid")));
 
   RandomFaultOptions fo;
@@ -193,6 +191,8 @@ FaultedRun run_faulted_point(std::size_t index) {
   exp.enable_faults(FaultPlan::random(cfg.seed, cfg.duration, fo));
 
   exp.closed_loop(10 + static_cast<int>(index) * 5, msec(100));
+  exp.start_all();
+  testutil::step_rounds(exp.sim(), fw, sec(5));
   exp.run();
 
   FaultedRun out;

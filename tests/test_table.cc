@@ -1,4 +1,4 @@
-// Tests for table/CSV rendering helpers.
+// Tests for table/CSV/HTML rendering helpers.
 #include "common/table.h"
 
 #include <gtest/gtest.h>
@@ -44,6 +44,19 @@ TEST(TextTable, CsvPlain) {
   std::ostringstream out;
   t.print_csv(out);
   EXPECT_EQ(out.str(), "k,v\na,b\n");
+}
+
+// Cells are rendered as they are, not re-parsed from CSV: a comma stays
+// inside its cell, and quotes are escaped rather than dropped.
+TEST(TextTable, HtmlKeepsEachCellWholeAndEscaped) {
+  TextTable t({"k", "v"});
+  t.add_row({"a,b \"c\"", "<x>&"});
+  std::ostringstream out;
+  t.print_html(out);
+  EXPECT_EQ(out.str(),
+            "<table><tr><th>k</th><th>v</th></tr>"
+            "<tr><td>a,b &quot;c&quot;</td><td>&lt;x&gt;&amp;</td></tr>"
+            "</table>\n");
 }
 
 TEST(Fmt, FixedPrecision) {

@@ -116,20 +116,25 @@ TEST(TopoSynth, AsyncEdgesPointAtAncestorsWithTerminalBehaviour) {
 
 TEST(TopoSynth, TenantMixesCoverClassesAndBatchPriority) {
   const Topology topo = synthesize(small_config());
-  // batch_tenant_fraction = 0.25 of 3 tenants -> 0 batch tenants; raise it.
+  // The batch quarter of 3 tenants rounds down to none; of 4 it is the
+  // trailing one.
+  for (int t = 0; t < topo.config.tenants; ++t) {
+    EXPECT_FALSE(topo.tenant_is_batch(t));
+  }
   TopologyConfig cfg = small_config();
-  cfg.batch_tenant_fraction = 0.4;  // trailing 1 of 3
+  cfg.tenants = 4;
   const Topology batchy = synthesize(cfg);
   EXPECT_FALSE(batchy.tenant_is_batch(0));
   EXPECT_FALSE(batchy.tenant_is_batch(1));
-  EXPECT_TRUE(batchy.tenant_is_batch(2));
+  EXPECT_FALSE(batchy.tenant_is_batch(2));
+  EXPECT_TRUE(batchy.tenant_is_batch(3));
 
   const std::vector<int> classes = topo.tenant_classes(1);
   ASSERT_EQ(classes.size(), 2u);
   EXPECT_EQ(classes[0], 2);
   EXPECT_EQ(classes[1], 3);
-  RequestMix mix = batchy.tenant_mix(2);
-  for (int cls : batchy.tenant_classes(2)) {
+  RequestMix mix = batchy.tenant_mix(3);
+  for (int cls : batchy.tenant_classes(3)) {
     EXPECT_EQ(mix.priority_of(cls), Priority::kBatch);
   }
   RequestMix high = batchy.tenant_mix(0);

@@ -1,9 +1,12 @@
-// Shared helpers for the test suite: small topologies and synthetic traces.
+// Shared helpers for the test suite: small topologies, synthetic traces and
+// a faster control cadence.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "autoscale/controller.h"
+#include "sim/simulator.h"
 #include "svc/config.h"
 #include "trace/span.h"
 
@@ -153,6 +156,15 @@ inline Trace make_trace(const std::vector<SyntheticSpan>& spans,
                                         spans[i].departure});
   }
   return t;
+}
+
+/// Step `ctl`'s control rounds every `cadence` instead of its fixed period,
+/// so a short run covers many rounds. Call once the controller has started
+/// (directly, or through Experiment::start_all): stop() cancels its own
+/// schedule and keeps the windows begin() opened.
+inline void step_rounds(Simulator& sim, Controller& ctl, SimTime cadence) {
+  ctl.stop();
+  sim.schedule_periodic(cadence, [&ctl] { ctl.round(); });
 }
 
 }  // namespace sora::testutil
