@@ -219,8 +219,12 @@ void BM_QuantileSketchMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantileSketchMerge);
 
+// range(0) traces in the window; range(1) = 1 tracks the critical service,
+// so the fold reads its upstream column instead of each trace's marks.
 void BM_DeadlinePropagationWindow(benchmark::State& state) {
   TraceWarehouse wh(100000);
+  const bool tracked = state.range(1) != 0;
+  if (tracked) wh.track_upstream(ServiceId(3));
   for (int i = 0; i < state.range(0); ++i) {
     Trace t = make_deep_trace(5, static_cast<std::uint64_t>(i));
     t.end = i;  // spread completion times
@@ -230,9 +234,14 @@ void BM_DeadlinePropagationWindow(benchmark::State& state) {
     benchmark::DoNotOptimize(propagate_deadline(
         wh, 0, state.range(0), ServiceId(3), msec(400)));
   }
-  state.SetLabel("traces=" + std::to_string(state.range(0)));
+  state.SetLabel("traces=" + std::to_string(state.range(0)) +
+                 (tracked ? " tracked" : " marks"));
 }
-BENCHMARK(BM_DeadlinePropagationWindow)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_DeadlinePropagationWindow)
+    ->Args({1000, 0})
+    ->Args({10000, 0})
+    ->Args({1000, 1})
+    ->Args({10000, 1});
 
 }  // namespace
 }  // namespace sora

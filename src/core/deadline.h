@@ -7,7 +7,9 @@
 //     RTT_si <= SLA - sum_{k=0}^{i-1} PT_sk
 //
 // Upstream processing times are measured from the message timestamps in
-// recent traces; we propagate the mean over the analysis window.
+// recent traces; we propagate the mean over the analysis window. For a
+// service the warehouse tracks (TraceWarehouse::track_upstream), the sums were
+// taken when each trace was stored and are read from its upstream column.
 #pragma once
 
 #include <cstddef>

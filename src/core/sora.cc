@@ -40,6 +40,10 @@ void SoraFramework::manage(const ResourceKnob& knob) {
   }
   knobs_.push_back(knob);
   estimator_.watch(knob);
+  // Deadline propagation reads the knob's upstream column every round.
+  if (propagates_deadlines()) {
+    warehouse_.track_upstream(knob.completion_service());
+  }
 }
 
 void SoraFramework::begin() { localizer_.begin_window(); }
@@ -121,8 +125,7 @@ void SoraFramework::decide(SimTime now) {
     const ServiceId knob_service = knob.completion_service();
 
     // RT Threshold Propagation Phase (SCG only).
-    if (options_.deadline_propagation &&
-        options_.model == ModelKind::kScatterConcurrencyGoodput) {
+    if (propagates_deadlines()) {
       const DeadlineResult dl = propagate_deadline(
           warehouse_, now - options_.estimator.window, now, knob_service,
           options_.sla, options_.deadline);

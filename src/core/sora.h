@@ -127,6 +127,12 @@ class SoraFramework : public Controller {
   void decide(SimTime now) override;
 
  private:
+  /// The RT Threshold Propagation Phase runs (SCG model, not disabled).
+  bool propagates_deadlines() const {
+    return options_.deadline_propagation &&
+           options_.model == ModelKind::kScatterConcurrencyGoodput;
+  }
+
   Application& app_;
   TraceWarehouse& warehouse_;
   SoraFrameworkOptions options_;

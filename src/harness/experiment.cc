@@ -14,8 +14,11 @@ namespace sora {
 
 namespace {
 
-/// Traces the warehouse ring retains. The control-path consumers (deadline
-/// propagation, FIRM, LSRAM, Autothrottle) rescan its window every round.
+/// Traces the warehouse ring retains. The control-path consumers (FIRM,
+/// LSRAM, Autothrottle, the localizer's re-fold) read only their window's
+/// traces each round, and deadline propagation reads a tracked service's
+/// upstream column, so a round's cost follows the window, not this bound;
+/// the ring's memory still does.
 constexpr std::size_t kWarehouseCapacity = 200000;
 /// Bucket of the recorder's goodput timeline and of every tracked service's
 /// timeline.

@@ -225,19 +225,38 @@ DeadlineResult oracle(const TraceWarehouse& wh, SimTime from, SimTime to,
 }
 
 // propagate_deadline reads the critical-path marks the warehouse stamped at
-// store time; it must agree exactly with extracting every path afresh, over
-// random windows (over traces of mixed classes), critical services, SLAs
-// and sampling bounds — with eviction active, so part of the stored history
-// is gone.
+// store time, or a tracked service's upstream column; both must agree
+// exactly with extracting every path afresh, over random windows (over
+// traces of mixed classes, some stored out of end order), critical services,
+// SLAs and every sampling bound — with eviction active, so part of the
+// stored history is gone. The column is checked with the service tracked
+// before any trace was stored and back-filled after all of them were.
 TEST(Deadline, MarkedPathsMatchExtractionOracle) {
   Rng rng(2024);
   TraceWarehouse wh(400);
+  TraceWarehouse tracked_before(400);
+  TraceWarehouse tracked_after(400);
+  for (std::uint64_t s = 0; s < 7; ++s) {
+    tracked_before.track_upstream(ServiceId(s));
+  }
   SimTime end = 2000;
   for (std::uint64_t id = 1; id <= 500; ++id) {
     end += 1 + static_cast<SimTime>(rng.uniform_int(50));
-    wh.store(random_trace(rng, id, end));
+    // Every eighth trace or so is deferred: it ended before the last one.
+    const SimTime trace_end =
+        rng.uniform_int(8) == 0
+            ? end - static_cast<SimTime>(rng.uniform_int(400))
+            : end;
+    const Trace t = random_trace(rng, id, trace_end);
+    wh.store(t);
+    tracked_before.store(t);
+    tracked_after.store(t);
+  }
+  for (std::uint64_t s = 0; s < 7; ++s) {
+    tracked_after.track_upstream(ServiceId(s));
   }
   ASSERT_EQ(wh.total_evicted(), 100u);
+  ASSERT_EQ(wh.upstream_column(ServiceId(0)), nullptr);
   std::size_t compared = 0;
   for (int round = 0; round < 200; ++round) {
     const SimTime from = static_cast<SimTime>(rng.uniform_int(
@@ -246,22 +265,61 @@ TEST(Deadline, MarkedPathsMatchExtractionOracle) {
         from + static_cast<SimTime>(rng.uniform_int(
                    static_cast<std::uint64_t>(end)));
     const ServiceId critical(rng.uniform_int(7));  // 6 = never on a path
-    DeadlineOptions o;
-    const std::size_t bounds[] = {0, 1, 7, 64};
-    o.max_traces = bounds[rng.uniform_int(4)];
     // 2-10 ms: some rounds land above the floors, some on them.
     const SimTime sla =
         usec(2000 + static_cast<SimTime>(rng.uniform_int(8000)));
-    const DeadlineResult want = oracle(wh, from, to, critical, sla, o);
-    const DeadlineResult got =
-        propagate_deadline(wh, from, to, critical, sla, o);
-    EXPECT_EQ(got.valid, want.valid) << "round " << round;
-    EXPECT_EQ(got.traces_used, want.traces_used) << "round " << round;
-    EXPECT_EQ(got.mean_upstream_pt, want.mean_upstream_pt) << "round " << round;
-    EXPECT_EQ(got.rt_threshold, want.rt_threshold) << "round " << round;
-    if (want.valid) ++compared;
+    const std::size_t bounds[] = {0, 1, 7, 64};
+    for (const std::size_t bound : bounds) {
+      DeadlineOptions o;
+      o.max_traces = bound;
+      const DeadlineResult want = oracle(wh, from, to, critical, sla, o);
+      for (const TraceWarehouse* w : {&wh, &tracked_before, &tracked_after}) {
+        const DeadlineResult got =
+            propagate_deadline(*w, from, to, critical, sla, o);
+        const char* which = w == &wh              ? "marks"
+                            : w == &tracked_before ? "tracked before"
+                                                   : "tracked after";
+        EXPECT_EQ(got.valid, want.valid)
+            << which << ", round " << round << ", bound " << bound;
+        EXPECT_EQ(got.traces_used, want.traces_used)
+            << which << ", round " << round << ", bound " << bound;
+        EXPECT_EQ(got.mean_upstream_pt, want.mean_upstream_pt)
+            << which << ", round " << round << ", bound " << bound;
+        EXPECT_EQ(got.rt_threshold, want.rt_threshold)
+            << which << ", round " << round << ", bound " << bound;
+      }
+      if (want.valid) ++compared;
+    }
   }
-  EXPECT_GT(compared, 50u);  // most rounds exercised a non-empty fold
+  EXPECT_GT(compared, 200u);  // most rounds exercised a non-empty fold
+}
+
+// A critical path that visits the deadline's service twice: the upstream PT
+// is the sum above its first visit, from the marks and from the column.
+TEST(Deadline, TrackedServiceVisitedTwiceCountsFirstHop) {
+  // svc 0 (PT 100) -> svc 1 (PT 200) -> svc 2 (PT 200) -> svc 1 (PT 700).
+  const Trace t = testutil::make_trace({
+      {-1, 0, 0, 1000, 900},
+      {0, 1, 50, 950, 700},
+      {1, 2, 100, 900, 600},
+      {2, 1, 150, 850, 0},
+  });
+  TraceWarehouse marks(10);
+  TraceWarehouse before(10);
+  TraceWarehouse after(10);
+  before.track_upstream(ServiceId(1));
+  marks.store(t);
+  before.store(t);
+  after.store(t);
+  after.track_upstream(ServiceId(1));
+  for (const TraceWarehouse* w : {&marks, &before, &after}) {
+    const DeadlineResult r =
+        propagate_deadline(*w, 0, 2000, ServiceId(1), kSla);
+    ASSERT_TRUE(r.valid);
+    EXPECT_EQ(r.traces_used, 1u);
+    EXPECT_EQ(r.mean_upstream_pt, 100);
+    EXPECT_EQ(r.rt_threshold, kSla - 100);
+  }
 }
 
 }  // namespace

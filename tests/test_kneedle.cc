@@ -78,7 +78,9 @@ TEST(Kneedle, HigherSensitivityIsMoreConservative) {
   const auto k_cons = kneedle(xs, ys, conservative);
   EXPECT_TRUE(k_aggr.has_value());
   // Very high sensitivity may reject; if it accepts, the knee is no earlier.
-  if (k_cons) EXPECT_GE(k_cons->x, k_aggr->x - 1e-9);
+  if (k_cons) {
+    EXPECT_GE(k_cons->x, k_aggr->x - 1e-9);
+  }
 }
 
 TEST(Kneedle, ReportsCurveValueAtKnee) {

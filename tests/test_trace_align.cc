@@ -99,7 +99,9 @@ TEST(AlignSpans, DroppedSpanResynchronizes) {
   EXPECT_EQ(a.cf_unmatched, 0u);
   // leaf still aligned exactly despite the gap before it.
   for (const EdgeLatencyDelta& e : edges) {
-    if (e.service == ServiceId(2)) EXPECT_EQ(e.aligned, 1u);
+    if (e.service == ServiceId(2)) {
+      EXPECT_EQ(e.aligned, 1u);
+    }
   }
 }
 

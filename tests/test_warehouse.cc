@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "apps/sock_shop.h"
+#include "common/rng.h"
 #include "harness/experiment.h"
 #include "obs/profiler.h"
 #include "test_util.h"
@@ -80,9 +82,36 @@ TEST(TraceWarehouse, WindowFindsTracesStoredOutOfEndOrder) {
   EXPECT_EQ(ends, (std::vector<SimTime>{200, 100}));  // storage order
 }
 
+/// (id, end) of each trace a window query visits, in visiting order.
+std::vector<std::pair<TraceId, SimTime>> visited(const TraceWarehouse& wh,
+                                                 SimTime from, SimTime to) {
+  std::vector<std::pair<TraceId, SimTime>> out;
+  wh.for_each_in_window(from, to, [&out](const Trace& t) {
+    out.emplace_back(t.id, t.end);
+  });
+  return out;
+}
+
+/// The brute-force answer: every retained trace, in storage order, filtered
+/// by [from, to]. `log` is every trace ever stored, in storage order; the
+/// ring retains its last `retained` entries.
+std::vector<std::pair<TraceId, SimTime>> brute_force(
+    const std::vector<std::pair<TraceId, SimTime>>& log, std::size_t retained,
+    SimTime from, SimTime to) {
+  std::vector<std::pair<TraceId, SimTime>> out;
+  for (std::size_t i = log.size() - retained; i < log.size(); ++i) {
+    if (log[i].second >= from && log[i].second <= to) out.push_back(log[i]);
+  }
+  return out;
+}
+
 // Real traces from a synthesized fleet where half the deep mid services fire
-// async callbacks: some arrive after a trace that ended later, and every
-// window query still agrees with a brute-force count over the stored ends.
+// async callbacks: some arrive after a trace that ended later. Every window
+// query visits exactly the traces a full-ring filter selects, in storage
+// order: on the experiment's ring and on a small ring that has evicted most
+// of the run, over sliding, random and edge windows. On the small ring,
+// each upstream column agrees entry by entry with the marks of its trace,
+// whether its service was tracked before the run or back-filled after.
 TEST(TraceWarehouse, WindowCountsMatchBruteForceUnderAsyncCallbacks) {
   topo::TopologyConfig tc;
   tc.seed = 3;
@@ -93,24 +122,78 @@ TEST(TraceWarehouse, WindowCountsMatchBruteForceUnderAsyncCallbacks) {
   ExperimentConfig cfg;
   cfg.duration = sec(10);
   Experiment exp(topo.app, cfg);
+  TraceWarehouse small(97);
+  EXPECT_EQ(small.window_begin(0), 0u);  // an empty ring visits nothing
+  EXPECT_TRUE(visited(small, 0, kSimTimeNever).empty());
+  for (std::uint64_t s = 0; s < 6; ++s) small.track_upstream(ServiceId(s));
+  small.track_upstream(ServiceId(2));  // a second request keeps one column
+  std::vector<std::pair<TraceId, SimTime>> log;
+  exp.warehouse().add_store_listener([&](const Trace& t) {
+    log.emplace_back(t.id, t.end);
+    small.store(t);
+  });
   for (int tenant = 0; tenant < tc.tenants; ++tenant) {
     exp.open_loop(WorkloadTrace(TraceShape::kSteepTriPhase, cfg.duration,
                                 40.0, 160.0),
                   topo.tenant_mix(tenant));
   }
   exp.run();
+  ASSERT_FALSE(log.empty());
   std::vector<SimTime> ends;
-  exp.warehouse().for_each_in_window(
-      0, kSimTimeNever, [&ends](const Trace& t) { ends.push_back(t.end); });
-  ASSERT_FALSE(ends.empty());
+  for (const auto& [id, end] : log) ends.push_back(end);
   EXPECT_FALSE(std::is_sorted(ends.begin(), ends.end()));
+  ASSERT_EQ(exp.warehouse().total_evicted(), 0u);
+  ASSERT_GT(small.total_evicted(), 0u);
+  const SimTime newest_end = log.back().second;
+  const SimTime max_end = *std::max_element(ends.begin(), ends.end());
+
+  std::vector<std::pair<SimTime, SimTime>> windows;
   for (SimTime to = msec(250); to <= cfg.duration; to += msec(250)) {
-    const SimTime from = to - msec(500);
-    const auto want = static_cast<std::size_t>(std::count_if(
-        ends.begin(), ends.end(),
-        [&](SimTime e) { return e >= from && e <= to; }));
-    EXPECT_EQ(traces_in_window(exp.warehouse(), from, to), want) << to;
+    windows.emplace_back(to - msec(500), to);
   }
+  Rng rng(11);
+  for (int i = 0; i < 200; ++i) {
+    const auto span = static_cast<std::uint64_t>(max_end + msec(100));
+    const auto from = static_cast<SimTime>(rng.uniform_int(span));
+    windows.emplace_back(from,
+                         from + static_cast<SimTime>(rng.uniform_int(span)));
+  }
+  for (const SimTime from : {newest_end, max_end, max_end + 1}) {
+    windows.emplace_back(from, kSimTimeNever);
+    windows.emplace_back(from, from);
+  }
+  windows.emplace_back(0, kSimTimeNever);
+  for (const auto& [from, to] : windows) {
+    EXPECT_EQ(visited(exp.warehouse(), from, to),
+              brute_force(log, exp.warehouse().size(), from, to))
+        << "[" << from << ", " << to << "]";
+    EXPECT_EQ(visited(small, from, to),
+              brute_force(log, small.size(), from, to))
+        << "evicted ring, [" << from << ", " << to << "]";
+  }
+  EXPECT_EQ(visited(exp.warehouse(), max_end + 1, kSimTimeNever).size(), 0u);
+  EXPECT_EQ(exp.warehouse().window_begin(max_end + 1), exp.warehouse().size());
+
+  for (std::uint64_t s = 4; s < 10; ++s) small.track_upstream(ServiceId(s));
+  EXPECT_EQ(small.upstream_column(ServiceId(10)), nullptr);
+  std::vector<const Trace*> ring;
+  small.for_each_in_window(0, kSimTimeNever,
+                           [&ring](const Trace& t) { ring.push_back(&t); });
+  ASSERT_EQ(ring.size(), small.size());
+  std::size_t on_path = 0;
+  for (std::uint64_t s = 0; s < 10; ++s) {
+    const auto* column = small.upstream_column(ServiceId(s));
+    ASSERT_NE(column, nullptr) << s;
+    ASSERT_EQ(column->size(), ring.size()) << s;
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      EXPECT_EQ((*column)[i].end, ring[i]->end) << s << " @" << i;
+      EXPECT_EQ((*column)[i].upstream,
+                upstream_processing_time(*ring[i], ServiceId(s)))
+          << s << " @" << i;
+      if ((*column)[i].upstream >= 0) ++on_path;
+    }
+  }
+  EXPECT_GT(on_path, 0u);
 }
 
 TEST(TraceWarehouse, AttachToTracer) {

@@ -19,9 +19,16 @@ operations is larger than the base's, or when this checkout's median is
 worse than the base's median by more than the metric's bound. stdout gets
 one row per (metric, workload) pair; stderr gets one line per run with its
 end-to-end values.
+
+Beside the gated rows, stdout gets one informational row per workload with
+the base and HEAD medians of raw wall time: each run's median over its
+"repeat N: run X s wall" lines. perfbench's run_s is calibrated against a
+kernel that shares the workload's heap, so the two can move apart; the row
+shows whether they did. It never gates.
 """
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -76,17 +83,41 @@ def decide(benchmark, base_runs, head_runs):
     return rows, failures
 
 
+def raw_wall_s(stdout):
+    """Median raw wall time over one perfbench run's repeat lines, or None."""
+    walls = [float(m.group(1)) for m in
+             re.finditer(r"^\s*repeat \d+: run (\S+) s wall", stdout, re.M)]
+    return statistics.median(walls) if walls else None
+
+
+def raw_wall_rows(benchmark, base_runs, head_runs):
+    """Informational rows (passed None) of each side's median raw wall time;
+    a workload where any run printed no repeat line gets no row."""
+    rows = []
+    for w in benchmark["workloads"]:
+        name = w["name"]
+        walls = [[r.get("raw_wall_s") for r in runs[name]]
+                 for runs in (base_runs, head_runs)]
+        if any(v is None for side in walls for v in side):
+            continue
+        b, h = (statistics.median(side) for side in walls)
+        rows.append(("raw_wall_s", name, b, h, (h - b) / b, None))
+    return rows
+
+
 def format_table(rows):
     out = ["| metric | workload | base median | HEAD median | change | verdict |",
            "|---|---|---|---|---|---|"]
     for metric, workload, b, h, change, passed in rows:
+        verdict = "info" if passed is None else "PASS" if passed else "FAIL"
         out.append(f"| {metric} | {workload} | {b:.6g} | {h:.6g} | "
-                   f"{change:+.1%} | {'PASS' if passed else 'FAIL'} |")
+                   f"{change:+.1%} | {verdict} |")
     return "\n".join(out)
 
 
 def run_perfbench(tree, workload, seed, seconds):
-    """One `perfbench/run.py --trace 0` in `tree`; its final JSON object."""
+    """One `perfbench/run.py --trace 0` in `tree`: its final JSON object,
+    with the run's raw wall time added as "raw_wall_s"."""
     env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(tree, ".bench_build"))
     proc = subprocess.run(
         [sys.executable, os.path.join(tree, "perfbench", "run.py"),
@@ -98,7 +129,9 @@ def run_perfbench(tree, workload, seed, seconds):
         sys.stderr.write(proc.stdout + proc.stderr)
         sys.exit(f"perf_gate: perfbench in {tree} printed no result "
                  f"(exit {proc.returncode})")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["raw_wall_s"] = raw_wall_s(proc.stdout)
+    return result
 
 
 def measure(benchmark, base_tree, head_tree):
@@ -143,7 +176,7 @@ def main(argv):
     rows, failures = decide(benchmark, base_runs, head_runs)
     print(f"perf gate: HEAD vs {base_rev} ({sha.stdout.strip()[:12]}), "
           f"{kPairs} pairs per workload, run_seconds {benchmark['run_seconds']}")
-    print(format_table(rows))
+    print(format_table(rows + raw_wall_rows(benchmark, base_runs, head_runs)))
     for f in failures:
         print("FAIL " + f)
     print("gate: " + ("FAIL" if failures else "PASS"))

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Tests of the perf gate's decision (tools/perf_gate.py `decide`).
+"""Tests of the perf gate's decision (tools/perf_gate.py `decide`) and of its
+raw wall time report.
 
 Run from anywhere:
     python3 tools/test_perf_gate.py
@@ -88,6 +89,36 @@ class GateDecision(unittest.TestCase):
         names = [m["name"] for m in BENCHMARK["end_to_end"]]
         self.assertEqual(sorted({r[0] for r in rows}), sorted(names))
         self.assertEqual(len(rows), len(names) * len(WORKLOADS))
+
+
+class RawWallReport(unittest.TestCase):
+    STDOUT = ("perfbench: cart_sora seed 101\n"
+              "  repeat 1: run 2.5 s wall, 2.4 s at nominal speed\n"
+              "  repeat 2: run 2.25 s wall, 2.2 s at nominal speed\n"
+              "  repeat 3: run 3 s wall, 2.9 s at nominal speed\n"
+              "reps 3, setups 101; simulated: p50 20 ms\n")
+
+    def test_parses_the_median_of_the_repeat_lines(self):
+        self.assertEqual(perf_gate.raw_wall_s(self.STDOUT), 2.5)
+        self.assertIsNone(perf_gate.raw_wall_s("reps 0, setups 0\n"))
+
+    def test_rows_are_informational_and_never_gate(self):
+        base, head = runs(), runs(scale={"run_s": 0.9})
+        for side, wall in ((base, 2.0), (head, 3.0)):
+            for results in side.values():
+                for r in results:
+                    r["raw_wall_s"] = wall
+        rows = perf_gate.raw_wall_rows(BENCHMARK, base, head)
+        self.assertEqual([r[1] for r in rows], WORKLOADS)
+        self.assertTrue(all(r[0] == "raw_wall_s" and r[2] == 2.0 and
+                            r[3] == 3.0 and r[5] is None for r in rows))
+        self.assertIn("| info |", perf_gate.format_table(rows))
+        _, failures = verdict(base, head)
+        self.assertEqual(failures, [])
+        # A run that printed no repeat line drops its workload's row.
+        head[WORKLOADS[0]][0]["raw_wall_s"] = None
+        rows = perf_gate.raw_wall_rows(BENCHMARK, base, head)
+        self.assertEqual([r[1] for r in rows], WORKLOADS[1:])
 
 
 if __name__ == "__main__":
