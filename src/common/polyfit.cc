@@ -22,15 +22,6 @@ double Polynomial::operator()(double x) const {
   return y;
 }
 
-double Polynomial::derivative(double x) const {
-  const double t = (x - x_offset_) / x_scale_;
-  double dy = 0.0;
-  for (std::size_t i = coeffs_.size(); i-- > 1;) {
-    dy = dy * t + static_cast<double>(i) * coeffs_[i];
-  }
-  return dy / x_scale_;
-}
-
 namespace {
 
 /// Solve the linear system a*x = b in place with partial pivoting.

@@ -20,8 +20,6 @@ class Polynomial {
   Polynomial(std::vector<double> coeffs, double x_offset, double x_scale);
 
   double operator()(double x) const;
-  /// First derivative with respect to x (not t).
-  double derivative(double x) const;
 
   int degree() const { return static_cast<int>(coeffs_.size()) - 1; }
 

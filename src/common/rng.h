@@ -93,36 +93,10 @@ class Rng {
     return std::exp(mu + std::sqrt(sigma2) * normal());
   }
 
-  /// Poisson-distributed count with the given mean (inversion for small
-  /// means, normal approximation for large).
-  std::uint64_t poisson(double mean) {
-    if (mean <= 0.0) return 0;
-    if (mean < 30.0) {
-      const double l = std::exp(-mean);
-      std::uint64_t k = 0;
-      double p = 1.0;
-      do {
-        ++k;
-        p *= uniform();
-      } while (p > l);
-      return k - 1;
-    }
-    const double v = normal(mean, std::sqrt(mean));
-    return v <= 0.0 ? 0 : static_cast<std::uint64_t>(v + 0.5);
-  }
-
   /// Lognormal with precomputed parameters (see LognormalSampler): one exp
   /// plus a normal draw per sample, no per-sample log/sqrt.
   double lognormal_musigma(double mu, double sigma) {
     return std::exp(mu + sigma * normal());
-  }
-
-  /// Bounded Pareto on [lo, hi] with shape alpha (heavy-tailed demands).
-  double bounded_pareto(double alpha, double lo, double hi) {
-    const double u = uniform();
-    const double la = std::pow(lo, alpha);
-    const double ha = std::pow(hi, alpha);
-    return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
   }
 
  private:

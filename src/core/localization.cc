@@ -13,49 +13,6 @@ constexpr double kUtilizationThreshold = 0.5;
 /// Minimum critical-path appearances for the PCC to be trusted.
 constexpr std::size_t kMinCpAppearances = 10;
 
-std::vector<ServiceId> ranked_by_pcc(const CriticalServiceReport& report) {
-  std::vector<ServiceDiagnostics> by_pcc = report.services;
-  std::sort(by_pcc.begin(), by_pcc.end(),
-            [](const ServiceDiagnostics& a, const ServiceDiagnostics& b) {
-              if (a.pcc != b.pcc) return a.pcc > b.pcc;
-              return a.service.value() < b.service.value();
-            });
-  std::vector<ServiceId> ranking;
-  ranking.reserve(by_pcc.size() + 1);
-  if (report.critical.valid()) ranking.push_back(report.critical);
-  for (const ServiceDiagnostics& d : by_pcc) {
-    if (!(d.service == report.critical)) ranking.push_back(d.service);
-  }
-  return ranking;
-}
-
-namespace {
-std::size_t rank_of(const std::vector<ServiceId>& ranking, ServiceId id) {
-  for (std::size_t i = 0; i < ranking.size(); ++i) {
-    if (ranking[i] == id) return i;
-  }
-  return SIZE_MAX;
-}
-}  // namespace
-
-LocalizerCrossCheck cross_validate(
-    const CriticalServiceReport& report,
-    const std::vector<ServiceId>& causal_ranking) {
-  LocalizerCrossCheck check;
-  check.pearson_pick = report.critical;
-  if (!causal_ranking.empty()) check.causal_pick = causal_ranking.front();
-  check.agree = check.pearson_pick.valid() && check.causal_pick.valid() &&
-                check.pearson_pick == check.causal_pick;
-  const std::vector<ServiceId> pearson_ranking = ranked_by_pcc(report);
-  if (check.causal_pick.valid()) {
-    check.causal_pick_pearson_rank = rank_of(pearson_ranking, check.causal_pick);
-  }
-  if (check.pearson_pick.valid()) {
-    check.pearson_pick_causal_rank = rank_of(causal_ranking, check.pearson_pick);
-  }
-  return check;
-}
-
 CriticalServiceLocalizer::CriticalServiceLocalizer(Application& app,
                                                    TraceWarehouse& warehouse,
                                                    LocalizerOptions options)

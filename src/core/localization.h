@@ -14,6 +14,10 @@
 // itself, and a control round's analyze() costs O(services) instead of
 // rescanning every trace in the window (see bench/micro_model_cost for the
 // sweep).
+//
+// Whether this observational pick agrees with an experimentally measured
+// causal ranking is CausalLab's question (harness/causal_lab.cc, the
+// profile's `agree` flag); the localizer itself only reports.
 #pragma once
 
 #include <cmath>
@@ -118,31 +122,6 @@ struct CorrelationAccumulator {
 
   void reset() { *this = CorrelationAccumulator{}; }
 };
-
-/// Pearson ranking implied by a localization report: services ordered by
-/// descending PCC, with the report's combined verdict forced to the front
-/// (the verdict folds in utilization, which raw PCC ordering ignores).
-/// Ties broken by service id for deterministic output.
-std::vector<ServiceId> ranked_by_pcc(const CriticalServiceReport& report);
-
-/// Agreement check between the observational (Pearson) localizer and an
-/// experimentally measured causal ranking (most-latency-causal first).
-/// The two answer different questions — "what correlates with tail latency"
-/// vs "what, if sped up, would reduce it" — and the divergence regimes are
-/// exactly what fig10's agreement table documents.
-struct LocalizerCrossCheck {
-  ServiceId pearson_pick;  ///< report.critical
-  ServiceId causal_pick;   ///< head of the causal ranking (invalid if empty)
-  bool agree = false;      ///< both valid and equal
-  /// 0-based position of the causal pick within the Pearson ranking
-  /// (SIZE_MAX when absent) and vice versa — how far apart the two methods
-  /// place each other's winner.
-  std::size_t causal_pick_pearson_rank = SIZE_MAX;
-  std::size_t pearson_pick_causal_rank = SIZE_MAX;
-};
-
-LocalizerCrossCheck cross_validate(const CriticalServiceReport& report,
-                                   const std::vector<ServiceId>& causal_ranking);
 
 class CriticalServiceLocalizer {
  public:

@@ -14,6 +14,7 @@
 #include "sim/simulator.h"
 #include "svc/application.h"
 #include "svc/service.h"
+#include "trace/tracer.h"
 
 namespace sora {
 
@@ -32,7 +33,7 @@ void FaultInjector::arm() {
   // The telemetry paths are gated permanently; the gates are free
   // passthroughs outside active windows.
   hooks_.tracer->set_span_interceptor(
-      [this](const Span& s) { return intercept_span(s); });
+      [this](const Span&) { return admit_span(); });
   for (SoraFramework* fw : hooks_.frameworks) {
     for (const ResourceKnob& knob : fw->estimator().knobs()) {
       if (ScatterSampler* sampler = fw->estimator().sampler(knob)) {
@@ -61,7 +62,6 @@ void FaultInjector::fire(const FaultEvent& ev) {
       fire_cpu_step(ev);
       break;
     case FaultKind::kSpanDropout:
-    case FaultKind::kSpanDelay:
       fire_span_window(ev);
       break;
     case FaultKind::kScatterDropout:
@@ -148,25 +148,14 @@ void FaultInjector::fire_cpu_step(const FaultEvent& ev) {
 }
 
 void FaultInjector::fire_span_window(const FaultEvent& ev) {
-  const bool is_delay = ev.kind == FaultKind::kSpanDelay;
-  if (is_delay) {
-    ++span_delay_depth_;
-    span_delay_fraction_ = ev.fraction;
-    span_delay_ = ev.delay;
-  } else {
-    ++span_drop_depth_;
-    span_drop_fraction_ = ev.fraction;
-  }
+  ++span_drop_depth_;
+  span_drop_fraction_ = ev.fraction;
   record(ev, "fault_start", "",
          std::to_string(static_cast<int>(ev.fraction * 100.0)) +
-             "% of span reports " + (is_delay ? "delayed" : "dropped"));
+             "% of span reports dropped");
   if (ev.duration > 0) {
-    hooks_.sim->schedule_after(ev.duration, [this, ev, is_delay] {
-      if (is_delay) {
-        --span_delay_depth_;
-      } else {
-        --span_drop_depth_;
-      }
+    hooks_.sim->schedule_after(ev.duration, [this, ev] {
+      --span_drop_depth_;
       record(ev, "fault_end", "", "span telemetry window ended");
     });
   }
@@ -204,21 +193,13 @@ void FaultInjector::set_stall(bool on) {
   for (Controller* c : hooks_.controllers) c->set_stalled(stalled);
 }
 
-Tracer::SpanFate FaultInjector::intercept_span(const Span& span) {
-  if (span_drop_depth_ > 0 && rng_spans_.uniform() < span_drop_fraction_) {
+bool FaultInjector::admit_span() {
+  if (span_drop_depth_ <= 0) return true;
+  if (rng_spans_.uniform() < span_drop_fraction_) {
     ++spans_dropped_;
-    return Tracer::SpanFate::kDrop;
+    return false;
   }
-  if (span_delay_depth_ > 0 && rng_spans_.uniform() < span_delay_fraction_) {
-    ++spans_delayed_;
-    // Deliver a copy after the delay; the sampler sees it in the wrong
-    // bucket, which is the point.
-    hooks_.sim->schedule_after(span_delay_, [this, copy = span] {
-      hooks_.tracer->deliver_span(copy);
-    });
-    return Tracer::SpanFate::kDefer;
-  }
-  return Tracer::SpanFate::kDeliver;
+  return true;
 }
 
 bool FaultInjector::admit_scatter_bucket() {

@@ -11,7 +11,7 @@
 //                      on_hardware_scaled notification — controllers must
 //                      notice the drift through telemetry
 //   span_dropout    -> a fraction of span reports never reach the span
-//   span_delay         listeners / arrive late (Tracer span interceptor)
+//                      listeners (Tracer span interceptor)
 //   scatter_dropout -> a fraction of scatter buckets are discarded before
 //                      entering the estimators' scatter windows
 //   control_stall   -> every attached framework/autoscaler skips rounds
@@ -32,7 +32,6 @@
 
 #include "common/rng.h"
 #include "fault/fault_plan.h"
-#include "trace/tracer.h"
 
 namespace sora {
 
@@ -41,6 +40,7 @@ class Controller;
 class Service;
 class Simulator;
 class SoraFramework;
+class Tracer;
 namespace obs {
 class DecisionLog;
 }
@@ -88,7 +88,6 @@ class FaultInjector {
   std::uint64_t restarts() const { return restarts_; }
   std::uint64_t cpu_steps() const { return cpu_steps_; }
   std::uint64_t spans_dropped() const { return spans_dropped_; }
-  std::uint64_t spans_delayed() const { return spans_delayed_; }
   std::uint64_t scatter_dropped() const { return scatter_dropped_; }
   std::uint64_t stalls() const { return stalls_; }
 
@@ -100,7 +99,7 @@ class FaultInjector {
   void fire_scatter_window(const FaultEvent& ev);
   void fire_stall(const FaultEvent& ev);
 
-  Tracer::SpanFate intercept_span(const Span& span);
+  bool admit_span();
   bool admit_scatter_bucket();
 
   void set_stall(bool on);
@@ -122,14 +121,11 @@ class FaultInjector {
   Rng rng_scatter_;
 
   // Active telemetry windows (depth counters support overlapping events;
-  // the most recent event's fraction/delay wins).
+  // the most recent event's fraction wins).
   int span_drop_depth_ = 0;
-  int span_delay_depth_ = 0;
   int scatter_drop_depth_ = 0;
   int stall_depth_ = 0;
   double span_drop_fraction_ = 0.0;
-  double span_delay_fraction_ = 0.0;
-  SimTime span_delay_ = 0;
   double scatter_drop_fraction_ = 0.0;
 
   std::uint64_t events_fired_ = 0;
@@ -138,7 +134,6 @@ class FaultInjector {
   std::uint64_t restarts_ = 0;
   std::uint64_t cpu_steps_ = 0;
   std::uint64_t spans_dropped_ = 0;
-  std::uint64_t spans_delayed_ = 0;
   std::uint64_t scatter_dropped_ = 0;
   std::uint64_t stalls_ = 0;
 };

@@ -465,10 +465,6 @@ obs::TimeSeriesSink Experiment::timeline_sink(const std::string& name) const {
   return sink;
 }
 
-void Experiment::export_timelines_jsonl(std::ostream& os) const {
-  for (const Tracked& t : tracked_) timeline_sink(t.name).write_jsonl(os);
-}
-
 void Experiment::export_timelines_csv(const std::string& name,
                                       std::ostream& os) const {
   timeline_sink(name).write_csv(os);

@@ -233,8 +233,6 @@ class Experiment {
                                   obs::ChromeTraceOptions options = {}) const;
   /// A tracked service's timeline as a TimeSeriesSink (CSV/JSONL export).
   obs::TimeSeriesSink timeline_sink(const std::string& name) const;
-  /// Every tracked service's timeline, one JSONL line per bucket.
-  void export_timelines_jsonl(std::ostream& os) const;
   /// One tracked service's timeline as CSV.
   void export_timelines_csv(const std::string& name, std::ostream& os) const;
   /// Collected metrics snapshots as JSONL (takes one now if sampling was

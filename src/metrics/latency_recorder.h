@@ -68,7 +68,6 @@ class LatencyRecorder {
   double good_fraction() const;
 
   SimTime sla() const { return sla_; }
-  void set_sla(SimTime sla) { sla_ = sla; }
 
   // -- timeline ---------------------------------------------------------------
 

@@ -27,10 +27,8 @@ TraceBudget attribute_budget(const Trace& trace, SimTime sla) {
   out.sla = sla;
   out.response = trace.response_time();
   out.met_sla = out.response <= sla;
-  // Walk the path rather than read the warehouse's marks, so hand-built,
-  // never-stored traces decompose too.
   SimTime upstream = 0;
-  walk_critical_path(trace, [&](const Span& s) {
+  for_each_critical_hop(trace, [&](const Span& s) {
     HopBudget hb;
     hb.service = s.service;
     hb.processing = s.processing_time();

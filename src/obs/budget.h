@@ -9,7 +9,8 @@
 // consumption is then aggregated into fixed windows (one per control round)
 // and exported as TimeSeriesSink timelines — answering "which service ate
 // the SLA budget when the episode started?". The experiment harness feeds it
-// from a trace-warehouse store listener; nothing is written back onto spans.
+// from a trace-warehouse store listener and reads the critical path from the
+// marks the warehouse stamped; nothing is written back onto spans.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +50,10 @@ struct TraceBudget {
 };
 
 /// Decompose `trace`'s critical path into per-hop budget consumption.
+/// Precondition: the trace is marked (mark_critical_path,
+/// trace/critical_path.h), as every trace the warehouse stores is; the hops
+/// are read from the marks, not re-walked. An unmarked trace decomposes
+/// into no hops.
 TraceBudget attribute_budget(const Trace& trace, SimTime sla);
 
 /// Aggregates per-trace attributions into fixed windows and per-service

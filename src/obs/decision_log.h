@@ -82,8 +82,8 @@ struct ControlDecisionRecord {
 
   // -- fault injection ----------------------------------------------------------
   /// Fault kind on controller=="fault" records (crash_instance,
-  /// cpu_limit_step, span_dropout, span_delay, scatter_dropout,
-  /// control_stall); empty on ordinary controller records.
+  /// cpu_limit_step, span_dropout, scatter_dropout, control_stall); empty
+  /// on ordinary controller records.
   std::string fault_kind;
 
   // -- causal profiling -----------------------------------------------------------

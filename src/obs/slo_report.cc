@@ -85,7 +85,7 @@ void build_tables(const SloReportInputs& in, TextTable* latency,
                   std::string* footer) {
   if (in.latency != nullptr && in.latency->count() > 0) {
     for (double p : kPercentiles) {
-      latency->add_row({"p" + fmt(p, p == 99.9 ? 1 : 0),
+      latency->add_row({std::string("p").append(fmt(p, p == 99.9 ? 1 : 0)),
                         fmt_or_dash(in.latency->percentile(p) / 1e3, 1)});
     }
     latency->add_row({"mean", fmt(in.latency->mean() / 1e3, 1)});

@@ -29,7 +29,7 @@ EdgeLatencyDelta& edge_slot(std::vector<EdgeLatencyDelta>& edges,
   const auto it = idx.find(key);
   if (it != idx.end()) return edges[it->second];
   idx.emplace(key, edges.size());
-  edges.push_back(EdgeLatencyDelta{parent, service, 0, 0, 0, 0, 0});
+  edges.push_back(EdgeLatencyDelta{parent, service, 0, 0, 0});
   return edges.back();
 }
 
@@ -80,8 +80,6 @@ TraceAlignment align_spans(const Trace& base, const Trace& cf,
     ++e.aligned;
     e.base_duration += b.duration();
     e.cf_duration += c.duration();
-    e.base_processing += b.processing_time();
-    e.cf_processing += c.processing_time();
     ++bi;
     ++ci;
   }

@@ -37,8 +37,6 @@ struct EdgeLatencyDelta {
 
   SimTime base_duration = 0;  ///< sum of baseline span durations
   SimTime cf_duration = 0;    ///< sum of counterfactual span durations
-  SimTime base_processing = 0;  ///< sum of baseline PT (no downstream wait)
-  SimTime cf_processing = 0;
 
   /// Mean per-span duration delta (counterfactual - baseline), ms.
   /// Negative = the perturbation made this edge faster.
@@ -50,13 +48,6 @@ struct EdgeLatencyDelta {
   }
   /// Total duration delta across all aligned spans, ms.
   double total_delta_ms() const { return to_msec(cf_duration - base_duration); }
-  /// Mean per-span processing-time delta, ms.
-  double mean_processing_delta_ms() const {
-    return aligned == 0
-               ? 0.0
-               : to_msec(cf_processing - base_processing) /
-                     static_cast<double>(aligned);
-  }
 };
 
 /// Result of aligning one baseline trace against its counterfactual twin.

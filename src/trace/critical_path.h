@@ -9,7 +9,7 @@
 // Each trace's path is walked once, when the trace warehouse stores it:
 // mark_critical_path() stamps Span::on_critical_path on the warehouse's
 // copy, and every consumer of stored traces (deadline propagation, the
-// critical-service localizer) reads the marks. Because spans are stored
+// critical-service localizer, budget attribution) reads the marks. Because spans are stored
 // parent-before-child, the marked spans in storage order are the path,
 // root first.
 #pragma once

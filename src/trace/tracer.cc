@@ -57,12 +57,7 @@ void Tracer::finish_span(Span& s, SimTime departure) {
   }
 
   if (!open.root_finished || open.open_spans > 0) {
-    if (is_root && root_hook_) root_hook_(open.trace);
-    const SpanFate fate =
-        span_interceptor_ ? span_interceptor_(s) : SpanFate::kDeliver;
-    if (fate == SpanFate::kDeliver) {
-      for (const auto& listener : span_listeners_) listener(s);
-    }
+    span_closed(s, is_root, open.trace);
     return;
   }
 
@@ -75,12 +70,7 @@ void Tracer::finish_span(Span& s, SimTime departure) {
 
   // `s` still names the closing span, now inside `done`: moving a deque
   // hands its element blocks over without relocating any element.
-  if (is_root && root_hook_) root_hook_(done);
-  const SpanFate fate =
-      span_interceptor_ ? span_interceptor_(s) : SpanFate::kDeliver;
-  if (fate == SpanFate::kDeliver) {
-    for (const auto& listener : span_listeners_) listener(s);
-  }
+  span_closed(s, is_root, done);
   if (!is_root && deferred_delivery_) {
     // The trace outlived its root (async callbacks): hand it off so the
     // harness can send it back to the collector over the network.
@@ -88,6 +78,12 @@ void Tracer::finish_span(Span& s, SimTime departure) {
     return;
   }
   deliver_trace(done);
+}
+
+void Tracer::span_closed(const Span& s, bool is_root, const Trace& trace) {
+  if (is_root && root_hook_) root_hook_(trace);
+  if (span_interceptor_ && !span_interceptor_(s)) return;
+  for (const auto& listener : span_listeners_) listener(s);
 }
 
 }  // namespace sora

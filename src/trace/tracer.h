@@ -6,7 +6,8 @@
 // span of a trace closes, the assembled Trace goes to a single sink — the
 // TraceWarehouse (TraceWarehouse::attach), whose store listeners are every
 // per-trace consumer. Span listeners (metric samplers) see each visit as it
-// closes, and one root hook sees the response the instant the root departs.
+// closes, unless the span interceptor drops its report, and one root hook
+// sees the response the instant the root departs.
 #pragma once
 
 #include <functional>
@@ -40,17 +41,12 @@ class Tracer {
   /// collector. Without a hook, finish_span calls deliver_trace inline.
   using DeferredDelivery = std::function<void(Trace&&)>;
 
-  /// What the span interceptor decided for one completed span's report.
-  enum class SpanFate {
-    kDeliver,  ///< fan out to span listeners now (the default path)
-    kDrop,     ///< suppress the report entirely (lost agent message)
-    kDefer,    ///< the interceptor retained a copy and will redeliver it
-               ///< later via deliver_span (delayed agent message)
-  };
-  /// Gate on span-listener delivery, installed by the fault injector to
-  /// model a lossy/laggy tracing agent. Trace assembly (the warehouse path)
-  /// is unaffected: only the per-span metrics feed is filtered.
-  using SpanInterceptor = std::function<SpanFate(const Span&)>;
+  /// Keep/drop gate on span-listener delivery, installed by the fault
+  /// injector to model a lossy tracing agent: returning false suppresses
+  /// that span's report (a lost agent message). Trace assembly (the
+  /// warehouse path) is unaffected: only the per-span metrics feed is
+  /// filtered.
+  using SpanInterceptor = std::function<bool(const Span&)>;
 
   /// Start a new trace for a request of the given class. Returns its id.
   TraceId begin_trace(int request_class, SimTime now);
@@ -93,17 +89,17 @@ class Tracer {
   void set_span_interceptor(SpanInterceptor fn) {
     span_interceptor_ = std::move(fn);
   }
-  /// Deliver a span to the span listeners now — used to redeliver a copy
-  /// the interceptor deferred. Safe after the owning trace closed.
-  void deliver_span(const Span& s) {
-    for (const auto& listener : span_listeners_) listener(s);
-  }
 
   /// Number of traces currently in flight (diagnostics / leak checks).
   std::size_t open_traces() const { return open_.size(); }
   std::uint64_t traces_completed() const { return traces_completed_; }
 
  private:
+  /// A span closed: root hook (when `s` is the root), then the interceptor,
+  /// then the span listeners. `trace` is the span's trace, wherever it
+  /// lives at that moment.
+  void span_closed(const Span& s, bool is_root, const Trace& trace);
+
   struct OpenTrace {
     Trace trace;
     std::size_t open_spans = 0;

@@ -72,12 +72,6 @@ void OpenLoopGenerator::stop() {
   next_.cancel();
 }
 
-void OpenLoopGenerator::schedule_mix_change(SimTime at, RequestMix mix) {
-  sim_.schedule_at(at, [this, mix = std::move(mix)]() mutable {
-    mix_ = std::move(mix);
-  });
-}
-
 void OpenLoopGenerator::schedule_next() {
   if (!running_) return;
   const double lambda_max = trace_.max_rate();

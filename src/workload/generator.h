@@ -83,8 +83,6 @@ class OpenLoopGenerator {
   void stop();
 
   void set_mix(RequestMix mix) { mix_ = std::move(mix); }
-  /// Change the class mix at a future point (state-drift experiments).
-  void schedule_mix_change(SimTime at, RequestMix mix);
 
   void set_observer(CompletionObserver obs) { observer_ = std::move(obs); }
 

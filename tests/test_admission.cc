@@ -520,13 +520,8 @@ AdmittedFaultedRun run_admitted_faulted_point(std::size_t index) {
   ao.max_limit = 32.0;
   AdmissionController& adm = exp.enable_admission("mid", ao);
 
-  RandomFaultOptions fo;
-  fo.crash_services = {"mid"};
-  fo.cpu_services = {"leaf"};
-  fo.crash_downtime = sec(8);
-  fo.stall_duration = sec(6);
-  fo.dropout_duration = sec(6);
-  exp.enable_faults(FaultPlan::random(cfg.seed, cfg.duration, fo));
+  exp.enable_faults(testutil::every_fault_kind(
+      cfg.duration, sec(static_cast<SimTime>(index))));
 
   exp.closed_loop(40 + static_cast<int>(index) * 10, msec(50));
   exp.start_all();
@@ -566,9 +561,11 @@ TEST(AdmissionSweep, ParallelMatchesSerialWithFaultsByteForByte) {
     EXPECT_EQ(s[i].ctrl_shed, p[i].ctrl_shed);
     EXPECT_EQ(s[i].decisions_jsonl, p[i].decisions_jsonl)
         << "decision log of run " << i << " diverged";
-    // Both subsystems must actually be active in the witness log.
-    EXPECT_NE(s[i].decisions_jsonl.find("\"controller\":\"fault\""),
-              std::string::npos);
+    // Both subsystems must actually be active in the witness log, with
+    // every fault kind fired.
+    EXPECT_EQ(testutil::kinds_not_fired(s[i].decisions_jsonl),
+              std::vector<std::string>{})
+        << "admitted+faulted run " << i;
     if (s[i].ctrl_shed > 0) any_shed = true;
   }
   EXPECT_TRUE(any_shed) << "no run shed anything; parity proves too little";

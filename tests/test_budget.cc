@@ -7,21 +7,25 @@
 #include <sstream>
 
 #include "test_util.h"
+#include "trace/critical_path.h"
 
 namespace sora {
 namespace {
 
 using testutil::make_trace;
 
-// front(0..100, pt 20) -> mid(10..90, pt 20) -> leaf(20..80, pt 60).
+// front(0..100, pt 20) -> mid(10..90, pt 20) -> leaf(20..80, pt 60),
+// marked as the warehouse marks every trace it stores.
 Trace chain_trace(std::uint64_t id = 1) {
-  return make_trace(
+  Trace t = make_trace(
       {
           {-1, 0, 0, 100, 80},
           {0, 1, 10, 90, 60},
           {1, 2, 20, 80, 0},
       },
       id);
+  mark_critical_path(t);
+  return t;
 }
 
 TEST(BudgetAttribution, DeadlinePropagatesDownCriticalPath) {

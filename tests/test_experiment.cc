@@ -254,7 +254,8 @@ TEST(Experiment, SloAnalyticsDetectsEpisodesAndAttributes) {
 
   // Attribution is a warehouse store listener: it saw every stored trace
   // (none of the chain's are shed), and each stored copy is marked, with
-  // the marks naming exactly the hops attribution walked.
+  // the marks naming exactly the hops a fresh walk finds and attribution
+  // reports.
   EXPECT_EQ(exp.attribution().traces_attributed(),
             exp.warehouse().total_stored());
   std::size_t checked = 0;
@@ -263,11 +264,15 @@ TEST(Experiment, SloAnalyticsDetectsEpisodesAndAttributes) {
     for_each_critical_hop(
         t, [&marked](const Span& sp) { marked.push_back(sp.service); });
     std::vector<ServiceId> walked;
+    walk_critical_path(
+        t, [&walked](const Span& sp) { walked.push_back(sp.service); });
+    std::vector<ServiceId> attributed;
     for (const obs::HopBudget& hop : obs::attribute_budget(t, cfg.sla).hops) {
-      walked.push_back(hop.service);
+      attributed.push_back(hop.service);
     }
     EXPECT_FALSE(marked.empty());
     EXPECT_EQ(marked, walked);
+    EXPECT_EQ(attributed, marked);
     ++checked;
   });
   EXPECT_GT(checked, 0u);

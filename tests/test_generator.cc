@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-
 namespace sora {
 namespace {
 
@@ -16,7 +14,6 @@ class InstantTarget : public LoadTarget {
 
   void inject(const RequestMeta& meta, Completion on_complete) override {
     ++count_;
-    ++per_class_[meta.request_class];
     ++per_priority_[static_cast<int>(meta.priority)];
     if (rt_ == 0) {
       on_complete(0, true);
@@ -27,10 +24,6 @@ class InstantTarget : public LoadTarget {
   }
 
   std::uint64_t count() const { return count_; }
-  std::uint64_t per_class(int cls) const {
-    auto it = per_class_.find(cls);
-    return it == per_class_.end() ? 0 : it->second;
-  }
   std::uint64_t per_priority(Priority p) const {
     return per_priority_[static_cast<int>(p)];
   }
@@ -39,7 +32,6 @@ class InstantTarget : public LoadTarget {
   Simulator& sim_;
   SimTime rt_;
   std::uint64_t count_ = 0;
-  std::map<int, std::uint64_t> per_class_;
   std::uint64_t per_priority_[kNumPriorities] = {};
 };
 
@@ -105,20 +97,6 @@ TEST(OpenLoop, StopHaltsInjection) {
   sim.schedule_at(sec(2), [&] { gen.stop(); });
   sim.run_all();
   EXPECT_NEAR(static_cast<double>(target.count()), 400.0, 80.0);
-}
-
-TEST(OpenLoop, MixChangeAtRuntime) {
-  Simulator sim;
-  InstantTarget target(sim);
-  WorkloadTrace trace(TraceShape::kSlowlyVarying, sec(20), 300.0, 300.0);
-  OpenLoopGenerator gen(sim, target, trace, 5);
-  gen.set_mix(RequestMix(0));
-  gen.schedule_mix_change(sec(10), RequestMix(2));
-  gen.start();
-  sim.run_all();
-  EXPECT_GT(target.per_class(0), 2000u);
-  EXPECT_GT(target.per_class(2), 2000u);
-  EXPECT_EQ(target.per_class(1), 0u);
 }
 
 TEST(OpenLoop, ObserverSeesCompletions) {

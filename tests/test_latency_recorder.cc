@@ -104,17 +104,5 @@ TEST(LatencyRecorder, DistributionHistogram) {
   EXPECT_EQ(h.bucket_count(1), 2u);
 }
 
-TEST(LatencyRecorder, SetSlaAffectsFutureRecords) {
-  Simulator sim;
-  LatencyRecorder rec(sim, msec(100));
-  sim.schedule_at(sec(1), [&] {
-    rec.record(msec(150));  // bad under 100ms SLA
-    rec.set_sla(msec(200));
-    rec.record(msec(150));  // good under 200ms SLA
-  });
-  sim.run_all();
-  EXPECT_DOUBLE_EQ(rec.good_fraction(), 0.5);
-}
-
 }  // namespace
 }  // namespace sora

@@ -21,7 +21,6 @@ TEST(Polyfit, ExactLine) {
   for (double x : {0.5, 1.5, 3.7}) {
     EXPECT_NEAR(fit.poly(x), 3.0 * x + 2.0, 1e-8);
   }
-  EXPECT_NEAR(fit.poly.derivative(1.0), 3.0, 1e-8);
 }
 
 TEST(Polyfit, ExactCubic) {
@@ -35,18 +34,6 @@ TEST(Polyfit, ExactCubic) {
   ASSERT_TRUE(fit.ok);
   EXPECT_NEAR(fit.r_squared, 1.0, 1e-9);
   EXPECT_NEAR(fit.poly(2.5), 0.5 * 15.625 - 2.0 * 6.25 + 2.5 - 7.0, 1e-6);
-}
-
-TEST(Polyfit, DerivativeOfQuadratic) {
-  std::vector<double> xs, ys;
-  for (int i = 0; i <= 8; ++i) {
-    const double x = static_cast<double>(i);
-    xs.push_back(x);
-    ys.push_back(x * x);
-  }
-  const auto fit = polyfit(xs, ys, 2);
-  ASSERT_TRUE(fit.ok);
-  EXPECT_NEAR(fit.poly.derivative(3.0), 6.0, 1e-6);
 }
 
 TEST(Polyfit, UnderdeterminedFails) {
@@ -106,7 +93,6 @@ TEST(Polyfit, ConstantData) {
 TEST(Polynomial, DefaultIsZero) {
   Polynomial p;
   EXPECT_DOUBLE_EQ(p(3.0), 0.0);
-  EXPECT_DOUBLE_EQ(p.derivative(3.0), 0.0);
   EXPECT_EQ(p.degree(), -1);
 }
 
@@ -117,7 +103,6 @@ TEST(Polyfit, DegenerateEmptyInput) {
   EXPECT_FALSE(fit.ok);
   // The documented fallback: a default Polynomial is identically zero.
   EXPECT_DOUBLE_EQ(fit.poly(1.0), 0.0);
-  EXPECT_DOUBLE_EQ(fit.poly.derivative(1.0), 0.0);
 }
 
 TEST(Polyfit, DegenerateSinglePoint) {
@@ -140,7 +125,6 @@ TEST(Polyfit, DegenerateMonotoneDecreasingStaysFinite) {
   ASSERT_TRUE(fit.ok);
   for (double x : xs) {
     EXPECT_TRUE(std::isfinite(fit.poly(x)));
-    EXPECT_TRUE(std::isfinite(fit.poly.derivative(x)));
   }
   EXPECT_TRUE(std::isfinite(fit.r_squared));
 }
@@ -152,7 +136,7 @@ TEST(Polyfit, DegenerateDuplicateXMixedInIsFine) {
   std::vector<double> ys{2, 2.2, 4, 3.8, 6, 6.1, 8, 7.9, 10, 10.2};
   const auto fit = polyfit(xs, ys, 1);
   ASSERT_TRUE(fit.ok);
-  EXPECT_NEAR(fit.poly.derivative(3.0), 2.0, 0.1);
+  EXPECT_NEAR((fit.poly(4.0) - fit.poly(2.0)) / 2.0, 2.0, 0.1);
   EXPECT_TRUE(std::isfinite(fit.rss));
 }
 

@@ -109,33 +109,6 @@ TEST(Rng, LognormalZeroCvIsDeterministic) {
   EXPECT_DOUBLE_EQ(r.lognormal_mean_cv(42.0, 0.0), 42.0);
 }
 
-TEST(Rng, PoissonMean) {
-  Rng r(11);
-  const int n = 100000;
-  double small_sum = 0.0, large_sum = 0.0;
-  for (int i = 0; i < n; ++i) {
-    small_sum += static_cast<double>(r.poisson(4.0));
-    large_sum += static_cast<double>(r.poisson(80.0));
-  }
-  EXPECT_NEAR(small_sum / n, 4.0, 0.05);
-  EXPECT_NEAR(large_sum / n, 80.0, 0.5);
-}
-
-TEST(Rng, PoissonZeroMean) {
-  Rng r(12);
-  EXPECT_EQ(r.poisson(0.0), 0u);
-  EXPECT_EQ(r.poisson(-1.0), 0u);
-}
-
-TEST(Rng, BoundedParetoWithinBounds) {
-  Rng r(13);
-  for (int i = 0; i < 10000; ++i) {
-    const double x = r.bounded_pareto(1.5, 1.0, 100.0);
-    EXPECT_GE(x, 1.0);
-    EXPECT_LE(x, 100.0);
-  }
-}
-
 TEST(Rng, UniformIntBounds) {
   Rng r(14);
   for (int i = 0; i < 1000; ++i) {

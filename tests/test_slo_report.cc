@@ -12,6 +12,7 @@
 #include "obs/quantile_sketch.h"
 #include "obs/slo_monitor.h"
 #include "test_util.h"
+#include "trace/critical_path.h"
 
 namespace sora::obs {
 namespace {
@@ -42,13 +43,14 @@ struct Fixture {
     for (SimTime t = 0; t < sec(30); t += sec(1)) {
       for (int i = 0; i < 10; ++i) monitor.record("e2e", t, false);
       monitor.evaluate(t);
-      const Trace tr = testutil::make_trace(
+      Trace tr = testutil::make_trace(
           {
               {-1, 0, 0, 100, 80},
               {0, 1, 10, 90, 60},
               {1, 2, 20, 80, 0},
           },
           static_cast<std::uint64_t>(t / sec(1)) + 1);
+      mark_critical_path(tr);
       attribution.on_budget(attribute_budget(tr, 150), t);
     }
     monitor.finish(sec(30));

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/log.h"
-#include "fault/fault_plan.h"
 #include "harness/experiment.h"
 #include "sim/simulator.h"
 #include "test_util.h"
@@ -162,10 +161,11 @@ TEST(SweepRunner, DefaultWorkerCountParsesEnv) {
   EXPECT_EQ(std::getenv("SORA_SWEEP_THREADS") != nullptr, saved.has_value());
 }
 
-/// A faulted run: seed-derived fault plan (crash + cpu step + stall +
-/// scatter dropout) under an active Sora control loop. Returns the summary
-/// plus the full decision-log JSONL, the strictest determinism witness we
-/// have (every fault event and every controller reaction, byte for byte).
+/// A faulted run: a scripted plan that fires every fault kind once (crash,
+/// CPU step, span dropout, scatter dropout, stall), shifted by the point
+/// index, under an active Sora control loop. Returns the summary plus the
+/// full decision-log JSONL, the strictest determinism witness we have
+/// (every fault event and every controller reaction, byte for byte).
 struct FaultedRun {
   ExperimentSummary summary;
   std::string decisions_jsonl;
@@ -182,13 +182,8 @@ FaultedRun run_faulted_point(std::size_t index) {
   auto& fw = exp.add_sora();
   fw.manage(ResourceKnob::entry(exp.app().service("mid")));
 
-  RandomFaultOptions fo;
-  fo.crash_services = {"mid"};
-  fo.cpu_services = {"leaf"};
-  fo.crash_downtime = sec(8);
-  fo.stall_duration = sec(6);
-  fo.dropout_duration = sec(6);
-  exp.enable_faults(FaultPlan::random(cfg.seed, cfg.duration, fo));
+  exp.enable_faults(testutil::every_fault_kind(
+      cfg.duration, sec(static_cast<SimTime>(index))));
 
   exp.closed_loop(10 + static_cast<int>(index) * 5, msec(100));
   exp.start_all();
@@ -220,10 +215,11 @@ TEST(SweepRunner, FaultedParallelSweepMatchesSerialByteForByte) {
     EXPECT_FALSE(s[i].decisions_jsonl.empty());
     EXPECT_EQ(s[i].decisions_jsonl, p[i].decisions_jsonl)
         << "decision log of faulted run " << i << " diverged";
-    // The log must actually contain injected-fault records, or this parity
-    // test silently degenerates to the fault-free one.
-    EXPECT_NE(s[i].decisions_jsonl.find("\"controller\":\"fault\""),
-              std::string::npos);
+    // Every fault kind must actually fire, or this parity test silently
+    // degenerates to a test of fewer fault paths.
+    EXPECT_EQ(testutil::kinds_not_fired(s[i].decisions_jsonl),
+              std::vector<std::string>{})
+        << "faulted run " << i;
   }
   // Distinct seeds must produce distinct fault histories.
   EXPECT_NE(s[0].decisions_jsonl, s[1].decisions_jsonl);

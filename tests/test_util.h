@@ -1,11 +1,14 @@
-// Shared helpers for the test suite: small topologies, synthetic traces and
-// a faster control cadence.
+// Shared helpers for the test suite: small topologies, synthetic traces, a
+// scripted fault plan and a faster control cadence.
 #pragma once
 
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autoscale/controller.h"
+#include "fault/fault_plan.h"
 #include "sim/simulator.h"
 #include "svc/config.h"
 #include "trace/span.h"
@@ -165,6 +168,79 @@ inline Trace make_trace(const std::vector<SyntheticSpan>& spans,
 inline void step_rounds(Simulator& sim, Controller& ctl, SimTime cadence) {
   ctl.stop();
   sim.schedule_periodic(cadence, [&ctl] { ctl.round(); });
+}
+
+/// A scripted plan that fires each fault kind once inside a run of `horizon`
+/// on chain_app with "mid" at two or more replicas: a crash of "mid" that
+/// drops its in-flight visits, a CPU step on "leaf", a span dropout, a
+/// scatter dropout and a control stall. Every event lands `shift` later, so
+/// sweep points can differ in fault timing.
+inline FaultPlan every_fault_kind(SimTime horizon, SimTime shift = 0) {
+  const auto at = [&](double fraction) {
+    return static_cast<SimTime>(fraction * static_cast<double>(horizon)) +
+           shift;
+  };
+  const SimTime window = horizon / 5;
+  FaultPlan plan;
+  FaultEvent crash;
+  crash.kind = FaultKind::kCrashInstance;
+  crash.at = at(0.2);
+  crash.service = "mid";
+  crash.drop_inflight = true;
+  crash.duration = horizon / 4;
+  plan.add(crash);
+  FaultEvent step;
+  step.kind = FaultKind::kCpuLimitStep;
+  step.at = at(0.3);
+  step.service = "leaf";
+  step.cores = 1.5;
+  plan.add(step);
+  FaultEvent spans;
+  spans.kind = FaultKind::kSpanDropout;
+  spans.at = at(0.35);
+  spans.fraction = 0.5;
+  spans.duration = window;
+  plan.add(spans);
+  FaultEvent scatter;
+  scatter.kind = FaultKind::kScatterDropout;
+  scatter.at = at(0.4);
+  scatter.fraction = 0.5;
+  scatter.duration = window;
+  plan.add(scatter);
+  FaultEvent stall;
+  stall.kind = FaultKind::kControlStall;
+  stall.at = at(0.5);
+  stall.duration = window;
+  plan.add(stall);
+  return plan;
+}
+
+/// The fault kinds that have no record of taking effect in a decision-log
+/// JSONL dump: a "crash" record for crashes, "cpu_step" for CPU steps and
+/// "fault_start" for the windowed kinds. Empty when every kind fired.
+inline std::vector<std::string> kinds_not_fired(const std::string& jsonl) {
+  const std::pair<FaultKind, const char*> fired_by[] = {
+      {FaultKind::kCrashInstance, "crash"},
+      {FaultKind::kCpuLimitStep, "cpu_step"},
+      {FaultKind::kSpanDropout, "fault_start"},
+      {FaultKind::kScatterDropout, "fault_start"},
+      {FaultKind::kControlStall, "fault_start"},
+  };
+  std::vector<std::string> missing;
+  for (const auto& [kind, action] : fired_by) {
+    const std::string want_kind =
+        std::string("\"fault_kind\":\"") + to_string(kind) + "\"";
+    const std::string want_action =
+        std::string("\"action\":\"") + action + "\"";
+    bool seen = false;
+    std::istringstream lines(jsonl);
+    for (std::string line; !seen && std::getline(lines, line);) {
+      seen = line.find(want_kind) != std::string::npos &&
+             line.find(want_action) != std::string::npos;
+    }
+    if (!seen) missing.push_back(to_string(kind));
+  }
+  return missing;
 }
 
 }  // namespace sora::testutil
