@@ -327,6 +327,12 @@ void Experiment::start_all() {
       }
     }
   }
+  // The per-span latency histograms have two readers, /statusz and the
+  // sampled metrics stream; without either, recording them is pure cost.
+  // No event has run yet, so a recorded run still sees every span.
+  if (ctl_options_.has_value() || metrics_period_ > 0) {
+    app_->record_span_latency();
+  }
   if (ctl_options_.has_value()) {
     // Built here, like the fault injector: the snapshot hooks must see
     // every control plane, whatever the enable_* call order was.

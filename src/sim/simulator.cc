@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/log.h"
@@ -114,6 +115,29 @@ EventHandle Simulator::schedule_at(SimTime at, Callback cb) {
   return EventHandle(this, slot, gen);
 }
 
+void Simulator::schedule_in_order(SimTime at, Callback cb) {
+  assert(at >= now_ && "cannot schedule in the past");
+  if (ring_size_ > 0 &&
+      at < ring_[(ring_head_ + ring_size_ - 1) & (ring_.size() - 1)].at) {
+    schedule_at(at, std::move(cb));
+    return;
+  }
+  if (ring_size_ == ring_.size()) grow_ring();
+  const std::uint32_t slot = alloc_slot();
+  records_[slot].cb = std::move(cb);
+  ring_[(ring_head_ + ring_size_++) & (ring_.size() - 1)] =
+      HeapEntry{at, next_seq_++, slot};
+}
+
+void Simulator::grow_ring() {
+  std::vector<HeapEntry> bigger(std::max<std::size_t>(16, 2 * ring_.size()));
+  for (std::size_t i = 0; i < ring_size_; ++i) {
+    bigger[i] = ring_[(ring_head_ + i) & (ring_.size() - 1)];
+  }
+  ring_.swap(bigger);
+  ring_head_ = 0;
+}
+
 EventHandle Simulator::schedule_periodic(SimTime period, Callback cb) {
   assert(period > 0);
   // The chain's user callback lives in an anchor slot that is never queued;
@@ -143,17 +167,28 @@ void Simulator::schedule_tick(SimTime period, std::uint32_t chain_slot,
   });
 }
 
-void Simulator::execute_top() {
+Simulator::HeapEntry Simulator::pop_ring() {
+  const HeapEntry e = ring_[ring_head_];
+  ring_head_ = (ring_head_ + 1) & (ring_.size() - 1);
+  --ring_size_;
+  return e;
+}
+
+Simulator::HeapEntry Simulator::pop_heap() {
   const HeapEntry top = heap_.front();
   erase_at(0);
-  now_ = top.at;
+  return top;
+}
+
+void Simulator::execute(const HeapEntry& e) {
+  now_ = e.at;
   if (digest_enabled_) [[unlikely]] {
-    fold_digest(static_cast<std::uint64_t>(top.at), top.seq);
+    fold_digest(static_cast<std::uint64_t>(e.at), e.seq);
   }
   // Free the slot before invoking so handles report !pending() inside the
   // callback and the slot is immediately reusable by new events.
-  Callback cb = std::move(records_[top.slot].cb);
-  release_slot(top.slot);
+  Callback cb = std::move(records_[e.slot].cb);
+  release_slot(e.slot);
   ++events_executed_;
   cb();
 }
@@ -172,21 +207,30 @@ void Simulator::fold_digest(std::uint64_t at, std::uint64_t seq) {
 }
 
 bool Simulator::step() {
-  if (heap_.empty()) return false;
+  if (events_pending() == 0) return false;
   const obs::StageTable::Install stages(stages_);
-  execute_top();
+  execute(ring_first() ? pop_ring() : pop_heap());
   return true;
 }
 
 void Simulator::run_until(SimTime until) {
   const obs::StageTable::Install stages(stages_);
-  while (!heap_.empty() && heap_.front().at <= until) execute_top();
+  for (;;) {
+    if (ring_first()) {
+      if (ring_[ring_head_].at > until) break;
+      execute(pop_ring());
+    } else if (!heap_.empty() && heap_.front().at <= until) {
+      execute(pop_heap());
+    } else {
+      break;
+    }
+  }
   if (now_ < until) now_ = until;
 }
 
 void Simulator::run_all() {
   const obs::StageTable::Install stages(stages_);
-  while (!heap_.empty()) execute_top();
+  while (events_pending() > 0) execute(ring_first() ? pop_ring() : pop_heap());
 }
 
 }  // namespace sora

@@ -18,6 +18,12 @@
 // O(log n) in place: cancel erases the entry (and frees the record with its
 // callback captures immediately), reschedule re-keys it and keeps the
 // callback. The heap never holds a dead entry, so every pop is a live event.
+//
+// Beside the heap sits an in-order ring for handle-less events whose times
+// arrive non-decreasing (constant network delays): appending to it and
+// popping its front are O(1). The run loop executes whichever of heap top
+// and ring front fires first, so the executed (time, seq) stream is the one
+// a heap alone would produce.
 #pragma once
 
 #include <cassert>
@@ -83,6 +89,14 @@ class Simulator {
     return schedule_at(now_ + delay, std::move(cb));
   }
 
+  /// Schedule `cb` at absolute time `at` (must be >= now()) without a
+  /// handle. Meant for callers whose times mostly arrive in order, such as a
+  /// constant delay after now(): such an event is appended to the in-order
+  /// ring instead of the heap. An `at` earlier than the ring's last entry
+  /// falls back to schedule_at. Either way the event takes the next sequence
+  /// number and fires exactly where schedule_at would have put it.
+  void schedule_in_order(SimTime at, Callback cb);
+
   /// Schedule `cb` every `period` starting at now()+period, until the
   /// returned handle is cancelled or the simulation ends. A periodic handle
   /// can be cancelled but not rescheduled.
@@ -128,14 +142,14 @@ class Simulator {
   std::uint64_t digest() const { return digest_; }
 
   std::uint64_t events_executed() const { return events_executed_; }
-  /// Scheduled-and-not-yet-fired events.
-  std::size_t events_pending() const { return heap_.size(); }
+  /// Scheduled-and-not-yet-fired events (heap and in-order ring).
+  std::size_t events_pending() const { return heap_.size() + ring_size_; }
   /// Events cancelled before firing over the simulator's lifetime.
   std::uint64_t events_cancelled() const { return events_cancelled_; }
   /// Successful reschedule() calls over the simulator's lifetime.
   std::uint64_t events_rescheduled() const { return events_rescheduled_; }
-  /// Heap entries; equal to events_pending(). Kept for perfbench's
-  /// heap-size probe.
+  /// Heap entries only: events_pending() minus the in-order ring's
+  /// entries. Kept for perfbench's heap-size probe.
   std::size_t heap_entries() const { return heap_.size(); }
 
   /// Publish event-loop state (events executed/cancelled, queue depth, sim
@@ -155,8 +169,9 @@ class Simulator {
     Callback cb;
     std::uint32_t gen = 0;
     std::uint32_t next_free = kNilSlot;
-    /// Index of this event's entry in heap_; kNilSlot for free slots and
-    /// periodic chain anchors, which own no entry.
+    /// Index of this event's entry in heap_; kNilSlot for free slots,
+    /// periodic chain anchors (which own no entry) and ring events (which
+    /// have no handle to cancel or move them).
     std::uint32_t heap_pos = kNilSlot;
   };
 
@@ -194,18 +209,35 @@ class Simulator {
   void resift(std::size_t pos, const HeapEntry& e);
   /// Remove the entry at `pos`; the last entry fills the hole.
   void erase_at(std::size_t pos);
-  /// Pop and execute the top entry (heap must be non-empty).
-  void execute_top();
+  /// True when the ring front fires before the heap top (ring non-empty).
+  bool ring_first() const {
+    return ring_size_ > 0 &&
+           (heap_.empty() || fires_before(ring_[ring_head_], heap_.front()));
+  }
+  /// Pop the ring front (ring must be non-empty).
+  HeapEntry pop_ring();
+  /// Pop the heap top (heap must be non-empty).
+  HeapEntry pop_heap();
+  /// Grow the ring to twice its capacity (at least 16), keeping its order.
+  void grow_ring();
+  /// Execute the popped entry `e`.
+  void execute(const HeapEntry& e);
 
   void schedule_tick(SimTime period, std::uint32_t chain_slot,
                      std::uint32_t chain_gen);
 
   /// FNV-1a fold of one executed event's (time, seq) pair. Deliberately
-  /// out of line: the digest branch in execute_top must stay a bare
+  /// out of line: the digest branch in execute must stay a bare
   /// untaken test so the disabled-mode hot loop keeps its code layout.
   void fold_digest(std::uint64_t at, std::uint64_t seq);
 
   std::vector<HeapEntry> heap_;
+  /// In-order ring: ring_size_ entries starting at ring_head_, sorted by
+  /// (time, seq) because each append is no earlier than the last entry and
+  /// takes a larger seq. Capacity is zero or a power of two.
+  std::vector<HeapEntry> ring_;
+  std::size_t ring_head_ = 0;
+  std::size_t ring_size_ = 0;
   std::vector<EventRecord> records_;
   std::uint32_t free_head_ = kNilSlot;
   SimTime now_ = 0;

@@ -44,19 +44,14 @@ Application::Application(Simulator& sim, Tracer& tracer,
     metrics_.counter("app.shed", {{"service", entry->name()}});
   }
 
-  // Per-span RPC latency, recorded as spans complete. Handles are resolved
-  // once here so the span listener is a vector index + histogram record.
+  // Per-span RPC latency histograms (filled by record_span_latency()).
+  // Handles are resolved once here so the span listener is a vector index +
+  // histogram record.
   span_latency_.reserve(services_.size());
   for (const auto& svc : services_) {
     span_latency_.push_back(
         &metrics_.histogram("rpc.latency_us", {{"service", svc->name()}}));
   }
-  tracer_.add_span_listener([this](const Span& span) {
-    if (span.service.valid() && span.service.value() < span_latency_.size()) {
-      span_latency_[span.service.value()]->observe(
-          static_cast<double>(span.duration()));
-    }
-  });
   // Served-vs-rejected verdict for the injection callback (see
   // last_trace_ok_ in the header for the ordering argument). The root hook,
   // not the trace sink: trace assembly is deferred while async callback
@@ -133,6 +128,15 @@ void Application::inject(const RequestMeta& meta, Completion on_complete) {
       pre_admitted);
 }
 
+void Application::record_span_latency() {
+  tracer_.add_span_listener([this](const Span& span) {
+    if (span.service.valid() && span.service.value() < span_latency_.size()) {
+      span_latency_[span.service.value()]->observe(
+          static_cast<double>(span.duration()));
+    }
+  });
+}
+
 void Application::publish_metrics() {
   sim_.publish_metrics(metrics_);
   for (auto& svc : services_) svc->publish_metrics(metrics_);
@@ -147,7 +151,9 @@ void Application::deliver(UniqueFunction fn) {
     fn();
     return;
   }
-  sim_.schedule_after(config_.network_latency, std::move(fn));
+  // Every hop waits the same delay, so hops scheduled later fire later: the
+  // simulator's in-order ring takes them without a heap operation.
+  sim_.schedule_in_order(sim_.now() + config_.network_latency, std::move(fn));
 }
 
 }  // namespace sora

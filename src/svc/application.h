@@ -64,11 +64,20 @@ class Application : public LoadTarget {
   const ApplicationConfig& config() const { return config_; }
 
   /// Application-wide metrics registry (sim-time stamped). Per-span RPC
-  /// latency histograms are recorded automatically; call publish_metrics()
-  /// (typically from a periodic sampler) to refresh the service/pool/sim
-  /// gauges.
+  /// latency histograms are recorded once record_span_latency() was called;
+  /// call publish_metrics() (typically from a periodic sampler) to refresh
+  /// the service/pool/sim gauges.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
+
+  /// Start recording every span's duration into its service's
+  /// `rpc.latency_us` histogram. The histograms exist from construction, so
+  /// the registry's series order is the same either way, but they stay
+  /// empty until this is called: a sketch record per span is a real share
+  /// of the hot path, so only runs that read the histograms (a ctl plane or
+  /// metrics sampling) pay for it. Call at most once, before the run
+  /// (Experiment::start_all does).
+  void record_span_latency();
 
   /// Publish current event-loop and per-service state (replicas, CPU, pool
   /// capacity/in-use/waits) into the registry.

@@ -45,7 +45,7 @@ void CpuScheduler::advance() {
   const SimTime now = sim_.now();
   const SimTime dt = now - last_advance_;
   if (dt <= 0) return;
-  const int n = static_cast<int>(jobs_.size());
+  const int n = static_cast<int>(heap_.size());
   if (n > 0) {
     v_ += static_cast<double>(dt) * rate(n);
     // Cores occupied: overhead keeps the CPU busy even when useful progress
@@ -57,12 +57,12 @@ void CpuScheduler::advance() {
 }
 
 void CpuScheduler::reschedule() {
-  if (jobs_.empty()) {
+  if (heap_.empty()) {
     completion_event_.cancel();
     return;
   }
-  const double remaining_v = jobs_.begin()->first - v_;
-  const double r = rate(static_cast<int>(jobs_.size()));
+  const double remaining_v = heap_.front().tag - v_;
+  const double r = rate(static_cast<int>(heap_.size()));
   const double dt = std::max(remaining_v, 0.0) / r;
   const SimTime at = sim_.now() + std::max<SimTime>(
       0, static_cast<SimTime>(std::ceil(dt)));
@@ -80,20 +80,18 @@ void CpuScheduler::complete_front() {
   Completion first;
   std::vector<Completion> rest;
   std::uint64_t n = 0;
-  while (!jobs_.empty() && jobs_.begin()->first <= v_ + kTagEps) {
-    Completion done = std::move(jobs_.begin()->second.done);
-    jobs_.erase(jobs_.begin());
+  while (!heap_.empty() && heap_.front().tag <= v_ + kTagEps) {
+    Completion done = pop_front();
     if (n++ == 0) {
       first = std::move(done);
     } else {
       rest.push_back(std::move(done));
     }
   }
-  if (n == 0 && !jobs_.empty()) {
+  if (n == 0 && !heap_.empty()) {
     // Rounding scheduled us a hair early; the front job has sub-nanosecond
     // residual work. Complete it rather than spin.
-    first = std::move(jobs_.begin()->second.done);
-    jobs_.erase(jobs_.begin());
+    first = pop_front();
     n = 1;
   }
   jobs_completed_ += n;
@@ -109,8 +107,50 @@ void CpuScheduler::submit(SimTime demand, Completion done) {
     return;
   }
   advance();
-  jobs_.emplace(v_ + static_cast<double>(demand), Job{std::move(done)});
+  std::uint32_t slot = static_cast<std::uint32_t>(slab_.size());
+  if (free_slots_.empty()) {
+    slab_.push_back(std::move(done));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slab_[slot] = std::move(done);
+  }
+  // Sift the new key up from the end (hole technique).
+  const JobKey key{v_ + static_cast<double>(demand), next_seq_++, slot};
+  std::size_t pos = heap_.size();
+  heap_.emplace_back();
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!finishes_before(key, heap_[parent])) break;
+    heap_[pos] = heap_[parent];
+    pos = parent;
+  }
+  heap_[pos] = key;
   reschedule();
+}
+
+CpuScheduler::Completion CpuScheduler::pop_front() {
+  const std::uint32_t slot = heap_.front().slot;
+  Completion done = std::move(slab_[slot]);
+  free_slots_.push_back(slot);
+  // Sift the last key down from the root (hole technique).
+  const JobKey last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n > 0) {
+    std::size_t pos = 0;
+    while (2 * pos + 1 < n) {
+      std::size_t child = 2 * pos + 1;
+      if (child + 1 < n && finishes_before(heap_[child + 1], heap_[child])) {
+        ++child;
+      }
+      if (!finishes_before(heap_[child], last)) break;
+      heap_[pos] = heap_[child];
+      pos = child;
+    }
+    heap_[pos] = last;
+  }
+  return done;
 }
 
 void CpuScheduler::set_cores(double cores) {
@@ -123,7 +163,7 @@ void CpuScheduler::set_cores(double cores) {
 
 double CpuScheduler::busy_integral() const {
   double busy = busy_integral_;
-  const int n = static_cast<int>(jobs_.size());
+  const int n = static_cast<int>(heap_.size());
   if (n > 0) {
     busy += static_cast<double>(sim_.now() - last_advance_) *
             std::min(static_cast<double>(n), cores_);

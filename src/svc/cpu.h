@@ -17,11 +17,12 @@
 // everyone's latency (right side).
 //
 // Implementation uses the classic virtual-time formulation of PS so each
-// arrival/completion costs O(log n).
+// arrival/completion costs O(log n). Jobs sit in a flat binary min-heap of
+// (finish tag, submission seq, slot) keys; their completions live in a
+// recycled slab, so a submit allocates nothing in steady state.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/function.h"
@@ -46,7 +47,7 @@ class CpuScheduler {
 
   double cores() const { return cores_; }
   double overhead_beta() const { return beta_; }
-  int active_jobs() const { return static_cast<int>(jobs_.size()); }
+  int active_jobs() const { return static_cast<int>(heap_.size()); }
 
   // -- metrics ---------------------------------------------------------------
 
@@ -57,9 +58,18 @@ class CpuScheduler {
   std::uint64_t jobs_completed() const { return jobs_completed_; }
 
  private:
-  struct Job {
-    Completion done;
+  /// Heap key of one active job. Among equal finish tags the earlier
+  /// submission completes first (FIFO), and keys are unique because seq is
+  /// never reused, so completion order depends only on the key set.
+  struct JobKey {
+    double tag;
+    std::uint64_t seq;
+    std::uint32_t slot;  // index of the job's completion in slab_
   };
+  static bool finishes_before(const JobKey& a, const JobKey& b) {
+    if (a.tag != b.tag) return a.tag < b.tag;
+    return a.seq < b.seq;
+  }
 
   /// Per-job progress rate with n active jobs. Memoized per n (invalidated
   /// by set_cores): advance() calls this on every event affecting the
@@ -73,15 +83,21 @@ class CpuScheduler {
   /// one only when it already fired; cancel it when no job is left).
   void reschedule();
   void complete_front();
+  /// Remove the front job and return its completion.
+  Completion pop_front();
 
   Simulator& sim_;
   double cores_;
   double beta_;
 
   // Virtual time: every active job has received v_ service; a job with
-  // finish tag f completes when v_ reaches f. Multimap orders by finish tag.
+  // finish tag f completes when v_ reaches f. heap_ keeps the job that
+  // finishes first (lowest tag, then lowest seq) at its front.
   double v_ = 0.0;
-  std::multimap<double, Job> jobs_;
+  std::vector<JobKey> heap_;
+  std::vector<Completion> slab_;
+  std::vector<std::uint32_t> free_slots_;
+  std::uint64_t next_seq_ = 0;
   SimTime last_advance_ = 0;
   EventHandle completion_event_;
 

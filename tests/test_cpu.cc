@@ -3,8 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <map>
+#include <type_traits>
+#include <utility>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace sora {
 namespace {
@@ -220,6 +227,139 @@ TEST(CpuScheduler, MonotoneSlowdownWithConcurrency) {
     EXPECT_GE(done, prev_done);
     prev_done = done;
   }
+}
+
+
+// Reference model: the processor-sharing scheduler with its jobs in a
+// std::multimap keyed by finish tag (equal tags complete in submission
+// order) and one completion event cancelled and re-placed on every change.
+// Same rate formula, same virtual-time arithmetic, same kTagEps sweep.
+class MultimapCpu {
+ public:
+  MultimapCpu(Simulator& sim, double cores, double beta)
+      : sim_(sim), cores_(cores), beta_(beta) {}
+
+  void submit(SimTime demand, std::function<void()> done) {
+    advance();
+    jobs_.emplace(v_ + static_cast<double>(demand), std::move(done));
+    reschedule();
+  }
+  void set_cores(double cores) {
+    advance();
+    cores_ = cores;
+    reschedule();
+  }
+  /// Jobs a completion swept up with a tag other than the previous job's.
+  int eps_sweeps = 0;
+
+ private:
+  static constexpr double kTagEps = 1e-3;
+
+  double rate(std::size_t n) const {
+    const double nd = static_cast<double>(n);
+    double r = std::min(1.0, cores_ / nd);
+    if (nd > cores_) r /= 1.0 + beta_ * std::log1p((nd - cores_) / cores_);
+    return r;
+  }
+  void advance() {
+    const SimTime dt = sim_.now() - last_;
+    if (dt <= 0) return;
+    if (!jobs_.empty()) v_ += static_cast<double>(dt) * rate(jobs_.size());
+    last_ = sim_.now();
+  }
+  void reschedule() {
+    event_.cancel();
+    if (jobs_.empty()) return;
+    const double dt =
+        std::max(jobs_.begin()->first - v_, 0.0) / rate(jobs_.size());
+    event_ = sim_.schedule_at(
+        sim_.now() + std::max<SimTime>(0, static_cast<SimTime>(std::ceil(dt))),
+        [this] { complete_front(); });
+  }
+  void complete_front() {
+    advance();
+    std::vector<std::function<void()>> done;
+    double last_tag = 0.0;
+    while (!jobs_.empty() && jobs_.begin()->first <= v_ + kTagEps) {
+      if (!done.empty() && jobs_.begin()->first != last_tag) ++eps_sweeps;
+      last_tag = jobs_.begin()->first;
+      done.push_back(std::move(jobs_.begin()->second));
+      jobs_.erase(jobs_.begin());
+    }
+    if (done.empty() && !jobs_.empty()) {
+      done.push_back(std::move(jobs_.begin()->second));
+      jobs_.erase(jobs_.begin());
+    }
+    reschedule();
+    for (auto& d : done) d();
+  }
+
+  Simulator& sim_;
+  double cores_;
+  double beta_;
+  double v_ = 0.0;
+  SimTime last_ = 0;
+  std::multimap<double, std::function<void()>> jobs_;
+  EventHandle event_;
+};
+
+// A seeded stream of submits (bursts at one instant and at consecutive
+// microseconds, few distinct demands, so finish tags tie exactly and within
+// kTagEps) and set_cores calls, with some completions submitting a follow-up
+// job. Returns (completion time, job id) in completion order.
+template <typename Cpu>
+std::vector<std::pair<SimTime, int>> run_cpu_mix(int* eps_sweeps) {
+  Simulator sim;
+  Cpu cpu(sim, 0.5, 0.4);
+  Rng rng(0xc9a1ULL);
+  std::vector<std::pair<SimTime, int>> out;
+  int next_id = 0;
+  std::function<void(SimTime)> submit = [&](SimTime demand) {
+    const int id = next_id++;
+    cpu.submit(demand, [&, id] {
+      out.emplace_back(sim.now(), id);
+      if (id % 7 == 0) submit(100);
+    });
+  };
+  static constexpr SimTime kDemands[] = {100, 100, 100, 200, 250, 1000};
+  static constexpr double kCores[] = {0.25, 0.5, 1.0, 2.0, 4.0};
+  SimTime t = 0;
+  for (int op = 0; op < 600; ++op) {
+    t += static_cast<SimTime>(rng.uniform_int(4) == 0 ? rng.uniform_int(3)
+                                                       : rng.uniform_int(400));
+    if (rng.uniform_int(20) == 0) {
+      const double cores = kCores[rng.uniform_int(5)];
+      sim.schedule_at(t, [&cpu, cores] { cpu.set_cores(cores); });
+      continue;
+    }
+    const int burst = 1 + static_cast<int>(rng.uniform_int(12));
+    const SimTime demand = kDemands[rng.uniform_int(6)];
+    for (int i = 0; i < burst; ++i) {
+      // Half the bursts spread over consecutive microseconds: under heavy
+      // sharing, v advances by far less than kTagEps per microsecond.
+      const SimTime at = rng.uniform_int(2) == 0 ? t : t + i;
+      sim.schedule_at(at, [&submit, demand] { submit(demand); });
+    }
+  }
+  sim.run_all();
+  if constexpr (std::is_same_v<Cpu, MultimapCpu>) *eps_sweeps = cpu.eps_sweeps;
+  return out;
+}
+
+// The flat job heap completes jobs in exactly the multimap's order and at
+// exactly its times, ties and kTagEps sweeps included.
+TEST(CpuScheduler, JobHeapMatchesMultimapModel) {
+  int eps_sweeps = 0;
+  const auto model = run_cpu_mix<MultimapCpu>(&eps_sweeps);
+  const auto heap = run_cpu_mix<CpuScheduler>(nullptr);
+  EXPECT_GT(model.size(), 3000u);
+  EXPECT_GT(eps_sweeps, 0);
+  std::size_t same_time = 0;  // completions sharing an instant
+  for (std::size_t i = 1; i < model.size(); ++i) {
+    if (model[i].first == model[i - 1].first) ++same_time;
+  }
+  EXPECT_GT(same_time, 100u);
+  EXPECT_EQ(heap, model);
 }
 
 }  // namespace

@@ -301,5 +301,77 @@ TEST(Experiment, SloAnalyticsQuietWhenHealthy) {
   EXPECT_GT(exp.slo_monitor().good_ratio("e2e"), 0.99);
 }
 
+
+// The per-service `rpc.latency_us` histograms of a short chain run, read
+// after `attach_reader` set the run up.
+template <typename Setup>
+std::vector<const obs::HistogramMetric*> run_span_latency(Experiment& exp,
+                                                          Setup attach_reader) {
+  exp.closed_loop(10, msec(100));
+  attach_reader(exp);
+  exp.run();
+  std::vector<const obs::HistogramMetric*> out;
+  for (const auto& svc : exp.app().services()) {
+    out.push_back(exp.app().metrics().find_histogram(
+        "rpc.latency_us", {{"service", svc->name()}}));
+  }
+  return out;
+}
+
+ExperimentConfig span_latency_config() {
+  ExperimentConfig cfg;
+  cfg.duration = sec(10);
+  cfg.sla = msec(100);
+  cfg.seed = 5;
+  return cfg;
+}
+
+// Nothing reads the span-latency histograms: they exist (the registry's
+// series order does not depend on a reader) but record nothing.
+TEST(Experiment, SpanLatencyUnrecordedWithoutAReader) {
+  Experiment exp(testutil::chain_app(0.4), span_latency_config());
+  const auto hists = run_span_latency(exp, [](Experiment&) {});
+  ASSERT_EQ(hists.size(), 3u);
+  for (const obs::HistogramMetric* h : hists) {
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->count(), 0u);
+  }
+  EXPECT_GT(exp.summary().completed, 100u);
+}
+
+// Metrics sampling reads them, so every span a span listener sees is
+// recorded under its service.
+TEST(Experiment, SpanLatencyRecordsEverySpanWhenSampled) {
+  Experiment exp(testutil::chain_app(0.4), span_latency_config());
+  std::vector<std::uint64_t> spans(exp.app().services().size(), 0);
+  exp.tracer().add_span_listener(
+      [&spans](const Span& s) { ++spans[s.service.value()]; });
+  const auto hists = run_span_latency(
+      exp, [](Experiment& e) { e.enable_metrics_sampling(sec(5)); });
+  ASSERT_EQ(hists.size(), spans.size());
+  for (std::size_t i = 0; i < hists.size(); ++i) {
+    ASSERT_NE(hists[i], nullptr);
+    EXPECT_GT(spans[i], 100u);
+    EXPECT_EQ(hists[i]->count(), spans[i]) << "service " << i;
+  }
+}
+
+// An attached ctl plane reads them for /statusz's per-service p99.
+TEST(Experiment, SpanLatencyFeedsStatuszWithCtlPlane) {
+  Experiment exp(testutil::chain_app(0.4), span_latency_config());
+  const auto hists = run_span_latency(exp, [](Experiment& e) {
+    ctl::CtlOptions copt;
+    copt.start_server = false;  // headless: the snapshot board still fills
+    e.enable_ctl(copt);
+  });
+  for (const obs::HistogramMetric* h : hists) EXPECT_GT(h->count(), 0u);
+  ASSERT_NE(exp.ctl_plane(), nullptr);
+  const ctl::StatusSnapshot& snap = exp.ctl_plane()->board().read();
+  ASSERT_EQ(snap.services.size(), 3u);
+  for (const ctl::ServiceStatus& s : snap.services) {
+    EXPECT_GT(s.p99_ms, 0.0) << s.name;
+  }
+}
+
 }  // namespace
 }  // namespace sora

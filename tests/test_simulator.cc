@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -513,6 +514,131 @@ TEST(Simulator, RescheduleRefusesHandlesWithoutAPendingEvent) {
   // Periodic ticks at 12 and 22 are undisturbed by the refused move.
   EXPECT_EQ(probed.first, (std::vector<int>{1, 4, 3, 3, 5, 6}));
   EXPECT_EQ(probed, scenario(false));
+}
+
+// One simulator driven through a seeded mix of schedule_at, constant-delay
+// schedule_in_order (network hops, some chained from their own callbacks),
+// out-of-order schedule_in_order (the fallback to the heap), reschedule,
+// cancel and periodic chains. With `ring` false every schedule_in_order
+// call is a schedule_at instead. All random draws happen before that
+// branch, so both modes see the same operation stream.
+struct RingMixResult {
+  std::vector<std::pair<SimTime, int>> fired;  // (now, id) per callback
+  // After every operation: events_pending(), events_executed(), digest().
+  std::vector<std::size_t> pending;
+  std::vector<std::uint64_t> executed;
+  std::vector<std::uint64_t> digests;
+  std::size_t max_ring = 0;  // most events_pending() - heap_entries() seen
+};
+
+RingMixResult run_ring_mix(bool ring) {
+  constexpr SimTime kHop = 500;
+  Simulator sim;
+  sim.set_digest_enabled(true);
+  Rng rng(0x41a9ULL);
+  RingMixResult r;
+  std::vector<EventHandle> handles;
+  std::vector<EventHandle> chains;
+  const auto in_order = [&sim, ring](SimTime at, Simulator::Callback cb) {
+    if (ring) {
+      sim.schedule_in_order(at, std::move(cb));
+    } else {
+      sim.schedule_at(at, std::move(cb));
+    }
+  };
+  // A hop's callback forwards one more hop for a third of the ids, as a
+  // request hop's arrival leads to a response hop.
+  std::function<void(int)> hop = [&](int id) {
+    in_order(sim.now() + kHop, [&, id] {
+      r.fired.emplace_back(sim.now(), id);
+      if (id % 3 == 0) hop(id + 1);
+    });
+  };
+  const auto pick = [&rng](std::size_t n) {
+    return n - 1 - rng.uniform_int(std::min<std::size_t>(n, 32));
+  };
+  // now() plus `unit` times a draw below `steps`.
+  const auto draw_time = [&sim, &rng](std::uint64_t steps, SimTime unit) {
+    return sim.now() + unit * static_cast<SimTime>(rng.uniform_int(steps));
+  };
+  int next_id = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const std::uint64_t kind = rng.uniform_int(100);
+    const int id = next_id++;
+    if (kind < 20 || handles.empty()) {
+      handles.push_back(sim.schedule_at(draw_time(120, 10), [&, id] {
+        r.fired.emplace_back(sim.now(), id);
+      }));
+    } else if (kind < 45) {
+      hop(id * 3);
+    } else if (kind < 52) {
+      // Earlier than the hops already queued whenever any are: fallback.
+      in_order(draw_time(kHop, 1),
+               [&, id] { r.fired.emplace_back(sim.now(), id); });
+    } else if (kind < 60) {
+      const std::size_t k = pick(handles.size());
+      sim.reschedule(handles[k], draw_time(2 * kHop, 1));
+    } else if (kind < 65) {
+      handles[pick(handles.size())].cancel();
+    } else if (kind < 67) {
+      const SimTime period = 50 * static_cast<SimTime>(1 + rng.uniform_int(10));
+      chains.push_back(sim.schedule_periodic(
+          period, [&, id] { r.fired.emplace_back(sim.now(), id); }));
+      if (chains.size() > 4) chains[rng.uniform_int(chains.size())].cancel();
+    } else if (kind < 95) {
+      sim.step();
+    } else {
+      sim.run_until(draw_time(30, 10));
+    }
+    r.pending.push_back(sim.events_pending());
+    r.executed.push_back(sim.events_executed());
+    r.digests.push_back(sim.digest());
+    r.max_ring =
+        std::max(r.max_ring, sim.events_pending() - sim.heap_entries());
+  }
+  for (EventHandle& c : chains) c.cancel();
+  while (sim.step()) {
+    r.pending.push_back(sim.events_pending());
+    r.executed.push_back(sim.events_executed());
+    r.digests.push_back(sim.digest());
+  }
+  return r;
+}
+
+// The in-order ring changes where an event waits, never when it fires: the
+// merged heap + ring run must execute the same (time, seq) stream as the
+// heap alone, with the same queue depth after every operation.
+TEST(Simulator, InOrderRingMatchesHeapOnlySchedule) {
+  const RingMixResult ringed = run_ring_mix(true);
+  const RingMixResult heaped = run_ring_mix(false);
+  EXPECT_GT(ringed.fired.size(), 10000u);
+  EXPECT_GT(ringed.max_ring, 20u);  // the ring was really used
+  EXPECT_EQ(heaped.max_ring, 0u);
+  EXPECT_EQ(ringed.fired, heaped.fired);
+  EXPECT_EQ(ringed.pending, heaped.pending);
+  EXPECT_EQ(ringed.executed, heaped.executed);
+  EXPECT_EQ(ringed.digests, heaped.digests);
+  EXPECT_EQ(ringed.pending.back(), 0u);
+}
+
+// Same-time ties between ring and heap entries follow scheduling order, and
+// an out-of-order call still fires at its own time.
+TEST(Simulator, InOrderRingTiesAndFallback) {
+  Simulator sim;
+  std::vector<int> fired;
+  sim.schedule_in_order(10, [&] { fired.push_back(1); });
+  sim.schedule_at(10, [&] { fired.push_back(2); });
+  sim.schedule_in_order(10, [&] { fired.push_back(3); });
+  sim.schedule_in_order(5, [&] { fired.push_back(4); });  // falls back
+  sim.schedule_at(7, [&] { fired.push_back(5); });
+  EXPECT_EQ(sim.events_pending(), 5u);
+  EXPECT_EQ(sim.heap_entries(), 3u);
+  sim.run_until(9);
+  EXPECT_EQ(fired, (std::vector<int>{4, 5}));
+  sim.run_all();
+  EXPECT_EQ(fired, (std::vector<int>{4, 5, 1, 2, 3}));
+  EXPECT_EQ(sim.events_pending(), 0u);
+  EXPECT_EQ(sim.events_executed(), 5u);
 }
 
 }  // namespace
