@@ -6,10 +6,14 @@
 // libstdc++, copy-constructible payloads only) forces a heap allocation for
 // almost every capture list on the hot path, and it requires copyability.
 // UniqueFunction stores any nothrow-movable callable of up to kInlineSize
-// bytes inline and only falls back to the heap beyond that.
+// bytes inline and only falls back to the heap beyond that. A payload that
+// is trivially copyable and trivially destructible (most hot captures are
+// `[this, v]`) moves by copying the buffer and has nothing to destroy; so
+// does a heap payload, whose buffer holds only its pointer.
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -66,7 +70,7 @@ class UniqueFunction {
   /// Destroy the held callable (and free its captures) immediately.
   void reset() {
     if (ops_ != nullptr) {
-      ops_->destroy(storage_);
+      if (ops_->destroy != nullptr) ops_->destroy(storage_);
       ops_ = nullptr;
     }
   }
@@ -74,35 +78,45 @@ class UniqueFunction {
  private:
   struct Ops {
     void (*invoke)(void* storage);
-    /// Move-construct dst's payload from src's and destroy src's.
+    /// Move-construct dst's payload from src's and destroy src's; null when
+    /// copying the buffer does both.
     void (*relocate)(void* dst, void* src);
+    /// Null when the payload has nothing to destroy.
     void (*destroy)(void* storage);
   };
 
   template <typename D>
+  static constexpr bool kTrivial = std::is_trivially_copyable_v<D> &&
+                                   std::is_trivially_destructible_v<D>;
+
+  template <typename D>
   static constexpr Ops kInlineOps = {
       [](void* s) { (*static_cast<D*>(s))(); },
-      [](void* dst, void* src) {
-        D* from = static_cast<D*>(src);
-        ::new (dst) D(std::move(*from));
-        from->~D();
-      },
-      [](void* s) { static_cast<D*>(s)->~D(); },
+      kTrivial<D> ? nullptr
+                  : +[](void* dst, void* src) {
+                      D* from = static_cast<D*>(src);
+                      ::new (dst) D(std::move(*from));
+                      from->~D();
+                    },
+      kTrivial<D> ? nullptr
+                  : +[](void* s) { static_cast<D*>(s)->~D(); },
   };
 
   template <typename D>
   static constexpr Ops kHeapOps = {
       [](void* s) { (**reinterpret_cast<D**>(s))(); },
-      [](void* dst, void* src) {
-        *reinterpret_cast<D**>(dst) = *reinterpret_cast<D**>(src);
-      },
+      nullptr,
       [](void* s) { delete *reinterpret_cast<D**>(s); },
   };
 
   void move_from(UniqueFunction& other) noexcept {
     ops_ = other.ops_;
     if (ops_ != nullptr) {
-      ops_->relocate(storage_, other.storage_);
+      if (ops_->relocate != nullptr) {
+        ops_->relocate(storage_, other.storage_);
+      } else {
+        std::memcpy(storage_, other.storage_, kInlineSize);
+      }
       other.ops_ = nullptr;
     }
   }

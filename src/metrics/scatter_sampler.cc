@@ -11,7 +11,11 @@ ScatterSampler::ScatterSampler(Simulator& sim, Tracer& tracer,
       interval_(interval),
       rt_threshold_(rt_threshold),
       max_points_(max_points) {
-  tracer.add_span_listener([this](const Span& s) { on_span(s); });
+  // A knob without a completion service never sees a completion.
+  if (completion_service_.valid()) {
+    tracer.add_span_listener(completion_service_,
+                             [this](const Span& s) { on_span(s); });
+  }
 }
 
 ScatterSampler::~ScatterSampler() { stop(); }
@@ -32,7 +36,7 @@ void ScatterSampler::stop() {
 }
 
 void ScatterSampler::on_span(const Span& span) {
-  if (!running_ || span.service != completion_service_) return;
+  if (!running_) return;
   // Aborted visits (crash drops) are error responses, not completions:
   // they must not inflate goodput with their artificially short durations.
   if (span.failed) return;

@@ -45,7 +45,7 @@ Application::Application(Simulator& sim, Tracer& tracer,
   }
 
   // Per-span RPC latency histograms (filled by record_span_latency()).
-  // Handles are resolved once here so the span listener is a vector index +
+  // Handles are resolved once here so each service's span listener is one
   // histogram record.
   span_latency_.reserve(services_.size());
   for (const auto& svc : services_) {
@@ -129,12 +129,12 @@ void Application::inject(const RequestMeta& meta, Completion on_complete) {
 }
 
 void Application::record_span_latency() {
-  tracer_.add_span_listener([this](const Span& span) {
-    if (span.service.valid() && span.service.value() < span_latency_.size()) {
-      span_latency_[span.service.value()]->observe(
-          static_cast<double>(span.duration()));
-    }
-  });
+  for (std::size_t i = 0; i < span_latency_.size(); ++i) {
+    tracer_.add_span_listener(
+        ServiceId(i), [h = span_latency_[i]](const Span& span) {
+          h->observe(static_cast<double>(span.duration()));
+        });
+  }
 }
 
 void Application::publish_metrics() {

@@ -13,8 +13,13 @@ namespace {
 constexpr double kTagEps = 1e-3;
 }  // namespace
 
-CpuScheduler::CpuScheduler(Simulator& sim, double cores, double overhead_beta)
-    : sim_(sim), cores_(cores), beta_(overhead_beta) {
+CpuScheduler::CpuScheduler(Simulator& sim, double cores, double overhead_beta,
+                           Handler on_done, void* owner)
+    : sim_(sim),
+      on_done_(on_done),
+      owner_(owner),
+      cores_(cores),
+      beta_(overhead_beta) {
   assert(cores > 0.0);
   assert(overhead_beta >= 0.0);
   last_advance_ = sim_.now();
@@ -76,16 +81,18 @@ void CpuScheduler::reschedule() {
 void CpuScheduler::complete_front() {
   advance();
   // Typically exactly one job finishes per completion event; keep that case
-  // free of heap traffic and only spill ties into a vector.
-  Completion first;
-  std::vector<Completion> rest;
+  // free of heap traffic and only spill ties into a vector. Every finished
+  // token is gathered, in key order, before any handler runs: a handler may
+  // submit, and its new job must not join this sweep.
+  Token first = 0;
+  std::vector<Token> rest;
   std::uint64_t n = 0;
   while (!heap_.empty() && heap_.front().tag <= v_ + kTagEps) {
-    Completion done = pop_front();
+    const Token token = pop_front();
     if (n++ == 0) {
-      first = std::move(done);
+      first = token;
     } else {
-      rest.push_back(std::move(done));
+      rest.push_back(token);
     }
   }
   if (n == 0 && !heap_.empty()) {
@@ -96,27 +103,19 @@ void CpuScheduler::complete_front() {
   }
   jobs_completed_ += n;
   reschedule();
-  if (n > 0) first();
-  for (auto& done : rest) done();
+  if (n > 0) on_done_(owner_, first);
+  for (const Token token : rest) on_done_(owner_, token);
 }
 
-void CpuScheduler::submit(SimTime demand, Completion done) {
+void CpuScheduler::submit(SimTime demand, Token token) {
   if (demand <= 0) {
     ++jobs_completed_;
-    done();
+    on_done_(owner_, token);
     return;
   }
   advance();
-  std::uint32_t slot = static_cast<std::uint32_t>(slab_.size());
-  if (free_slots_.empty()) {
-    slab_.push_back(std::move(done));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    slab_[slot] = std::move(done);
-  }
   // Sift the new key up from the end (hole technique).
-  const JobKey key{v_ + static_cast<double>(demand), next_seq_++, slot};
+  const JobKey key{v_ + static_cast<double>(demand), next_seq_++, token};
   std::size_t pos = heap_.size();
   heap_.emplace_back();
   while (pos > 0) {
@@ -129,10 +128,8 @@ void CpuScheduler::submit(SimTime demand, Completion done) {
   reschedule();
 }
 
-CpuScheduler::Completion CpuScheduler::pop_front() {
-  const std::uint32_t slot = heap_.front().slot;
-  Completion done = std::move(slab_[slot]);
-  free_slots_.push_back(slot);
+CpuScheduler::Token CpuScheduler::pop_front() {
+  const Token token = heap_.front().token;
   // Sift the last key down from the root (hole technique).
   const JobKey last = heap_.back();
   heap_.pop_back();
@@ -150,7 +147,7 @@ CpuScheduler::Completion CpuScheduler::pop_front() {
     }
     heap_[pos] = last;
   }
-  return done;
+  return token;
 }
 
 void CpuScheduler::set_cores(double cores) {

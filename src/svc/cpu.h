@@ -18,14 +18,15 @@
 //
 // Implementation uses the classic virtual-time formulation of PS so each
 // arrival/completion costs O(log n). Jobs sit in a flat binary min-heap of
-// (finish tag, submission seq, slot) keys; their completions live in a
-// recycled slab, so a submit allocates nothing in steady state.
+// (finish tag, submission seq, token) keys. A job is only its key: the
+// owner passes a token at submit and gets it back through the one
+// completion handler fixed at construction, so a submit touches the heap
+// and nothing else, and allocates nothing in steady state.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "common/function.h"
 #include "common/time.h"
 #include "sim/simulator.h"
 
@@ -33,13 +34,19 @@ namespace sora {
 
 class CpuScheduler {
  public:
-  using Completion = UniqueFunction;
+  /// Opaque job identity chosen by the owner (ServiceInstance packs a
+  /// visit pointer and a phase bit into it).
+  using Token = std::uint64_t;
+  /// Runs once per completed job with that job's token.
+  using Handler = void (*)(void* owner, Token token);
 
-  CpuScheduler(Simulator& sim, double cores, double overhead_beta);
+  CpuScheduler(Simulator& sim, double cores, double overhead_beta,
+               Handler on_done, void* owner);
 
-  /// Submit a job needing `demand` microseconds of CPU work; `done` runs at
-  /// completion. Demands <= 0 complete immediately (synchronously).
-  void submit(SimTime demand, Completion done);
+  /// Submit a job needing `demand` microseconds of CPU work; the handler
+  /// runs with `token` at completion. Demands <= 0 complete immediately
+  /// (synchronously).
+  void submit(SimTime demand, Token token);
 
   /// Change the CPU limit at runtime (vertical scaling). Takes effect
   /// immediately for all active jobs.
@@ -64,7 +71,7 @@ class CpuScheduler {
   struct JobKey {
     double tag;
     std::uint64_t seq;
-    std::uint32_t slot;  // index of the job's completion in slab_
+    Token token;
   };
   static bool finishes_before(const JobKey& a, const JobKey& b) {
     if (a.tag != b.tag) return a.tag < b.tag;
@@ -83,10 +90,12 @@ class CpuScheduler {
   /// one only when it already fired; cancel it when no job is left).
   void reschedule();
   void complete_front();
-  /// Remove the front job and return its completion.
-  Completion pop_front();
+  /// Remove the front job and return its token.
+  Token pop_front();
 
   Simulator& sim_;
+  Handler on_done_;
+  void* owner_;
   double cores_;
   double beta_;
 
@@ -95,8 +104,6 @@ class CpuScheduler {
   // finishes first (lowest tag, then lowest seq) at its front.
   double v_ = 0.0;
   std::vector<JobKey> heap_;
-  std::vector<Completion> slab_;
-  std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;
   SimTime last_advance_ = 0;
   EventHandle completion_event_;

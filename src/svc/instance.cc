@@ -20,32 +20,10 @@ int effective_pool_size(int configured) {
 }
 }  // namespace
 
-/// Per-request-visit state shared by the callbacks of the state machine.
-/// Pooled: recycled through visit_free_ rather than heap-allocated per
-/// request, so capturing a raw Visit* is safe until finish() releases it.
-struct ServiceInstance::Visit {
-  /// This visit's span. Open until finish()/abort_visit() closes it, and
-  /// spans live in a deque, so the pointer stays valid for the whole visit.
-  Span* span = nullptr;
-  int request_class = 0;
-  Priority priority = Priority::kHigh;
-  SimTime deadline = 0;  ///< absolute; propagated to downstream calls
-  SimTime arrived = 0;   ///< serve() time; visit RTT = departure - arrived
-  Done done;
-  const CompiledBehavior* behavior = nullptr;
-  SimTime blocked_since = 0;
-  int pending_calls = 0;  ///< downstream calls outstanding in current group
-  bool in_flight = false;  ///< slab entry currently serving a request
-  bool condemned = false;  ///< crash dropped this visit; abort at next step
-};
-
 ServiceInstance::Visit* ServiceInstance::alloc_visit() {
-  if (visit_free_.empty()) {
-    visit_slab_.push_back(std::make_unique<Visit>());
-    return visit_slab_.back().get();
-  }
-  Visit* v = visit_free_.back();
-  visit_free_.pop_back();
+  if (free_visits_ == nullptr) return &visits_.emplace_back();
+  Visit* v = free_visits_;
+  free_visits_ = v->next_free;
   return v;
 }
 
@@ -60,14 +38,28 @@ void ServiceInstance::free_visit(Visit* v) {
   v->pending_calls = 0;
   v->in_flight = false;
   v->condemned = false;
-  visit_free_.push_back(v);
+  v->next_free = free_visits_;
+  free_visits_ = v;
+}
+
+void ServiceInstance::on_cpu_done(void* self, CpuScheduler::Token token) {
+  static_assert(sizeof(Visit*) <= sizeof(CpuScheduler::Token) &&
+                alignof(Visit) > kResponsePhase);
+  auto* inst = static_cast<ServiceInstance*>(self);
+  Visit* v = reinterpret_cast<Visit*>(token & ~kResponsePhase);
+  if ((token & kResponsePhase) != 0) {
+    inst->finish(v);
+  } else {
+    inst->run_group(v, 0);
+  }
 }
 
 ServiceInstance::ServiceInstance(Service& service, InstanceId id)
     : svc_(service),
       id_(id),
       cpu_(service.app().sim(), service.cpu_limit(),
-           service.config().overhead_beta),
+           service.config().overhead_beta, &ServiceInstance::on_cpu_done,
+           this),
       entry_pool_(service.app().sim(), service.config().entry_pool_kind,
                   service.name() + "/entry",
                   effective_pool_size(service.entry_pool_size())),
@@ -119,8 +111,8 @@ void ServiceInstance::serve(Span& span, const RequestMeta& meta, Done done) {
 }
 
 void ServiceInstance::condemn_in_flight() {
-  for (const auto& v : visit_slab_) {
-    if (v->in_flight) v->condemned = true;
+  for (Visit& v : visits_) {
+    if (v.in_flight) v.condemned = true;
   }
 }
 
@@ -133,7 +125,7 @@ void ServiceInstance::on_admitted(Visit* v) {
 
   const SimTime demand =
       static_cast<SimTime>(v->behavior->request_sampler.sample(rng_));
-  cpu_.submit(demand, [this, v] { run_group(v, 0); });
+  cpu_.submit(demand, reinterpret_cast<CpuScheduler::Token>(v));
 }
 
 void ServiceInstance::run_group(Visit* v, std::size_t group_index) {
@@ -210,7 +202,8 @@ void ServiceInstance::issue_call(Visit* v, std::size_t group_index,
 void ServiceInstance::on_groups_done(Visit* v) {
   const SimTime demand =
       static_cast<SimTime>(v->behavior->response_sampler.sample(rng_));
-  cpu_.submit(demand, [this, v] { finish(v); });
+  cpu_.submit(demand,
+              reinterpret_cast<CpuScheduler::Token>(v) | kResponsePhase);
 }
 
 void ServiceInstance::issue_async_callbacks(Visit* v) {

@@ -12,6 +12,7 @@
 // which is how soft-resource pressure propagates along the call chain.
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -26,6 +27,7 @@
 namespace sora {
 
 class Service;
+struct CompiledBehavior;
 struct Span;
 
 class ServiceInstance {
@@ -71,7 +73,31 @@ class ServiceInstance {
   const SoftResourcePool* edge_pool(int edge_index) const;
 
  private:
-  struct Visit;
+  /// Per-request-visit state shared by the callbacks of the state machine.
+  /// Pooled: recycled through the free list rather than heap-allocated per
+  /// request, so capturing a raw Visit* is safe until finish() releases it.
+  struct Visit {
+    /// This visit's span. Open until finish()/abort_visit() closes it, and
+    /// spans live in a deque, so the pointer stays valid for the whole
+    /// visit.
+    Span* span = nullptr;
+    int request_class = 0;
+    Priority priority = Priority::kHigh;
+    SimTime deadline = 0;  ///< absolute; propagated to downstream calls
+    SimTime arrived = 0;   ///< serve() time; visit RTT = departure - arrived
+    Done done;
+    const CompiledBehavior* behavior = nullptr;
+    SimTime blocked_since = 0;
+    int pending_calls = 0;  ///< downstream calls outstanding in current group
+    bool in_flight = false;  ///< currently serving a request
+    bool condemned = false;  ///< crash dropped this visit; abort at next step
+    Visit* next_free = nullptr;  ///< free-list link while idle
+  };
+
+  /// CPU job tokens: the visit's address with the low bit naming the phase
+  /// (Visit is pointer-aligned, so the bit is always free).
+  static constexpr CpuScheduler::Token kResponsePhase = 1;
+  static void on_cpu_done(void* self, CpuScheduler::Token token);
 
   /// Grab a recycled Visit (or grow the pool). Visits return to the free
   /// list in finish(); instances are never destroyed mid-run (scale-down
@@ -106,10 +132,11 @@ class ServiceInstance {
   std::vector<std::unique_ptr<SoftResourcePool>> edge_pools_;
   Rng rng_;
 
-  // Visit pool: visit_slab_ owns every Visit ever allocated; visit_free_
-  // holds the currently idle ones.
-  std::vector<std::unique_ptr<Visit>> visit_slab_;
-  std::vector<Visit*> visit_free_;
+  // Visit pool: visits_ owns every Visit ever allocated, in chunks that
+  // never move (a deque grows at the back without relocating); the idle
+  // ones are linked through Visit::next_free from free_visits_.
+  std::deque<Visit> visits_;
+  Visit* free_visits_ = nullptr;
 };
 
 }  // namespace sora

@@ -91,6 +91,12 @@ const CompiledBehavior& Service::behavior(int request_class) const {
 ServiceInstance& Service::pick_replica(Priority priority) {
   assert(active_count_ > 0 && "dispatch to service with no active replicas");
   std::uint64_t& next = rr_next_[static_cast<std::size_t>(priority)];
+  // One replica: it is the only one active. The turn still advances, so a
+  // later scale-out sees the same round-robin position.
+  if (instances_.size() == 1) {
+    ++next;
+    return *instances_.front();
+  }
   std::uint64_t turn = next++ % static_cast<std::uint64_t>(active_count_);
   for (auto& inst : instances_) {
     if (inst->active() && turn-- == 0) return *inst;

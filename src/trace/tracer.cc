@@ -80,10 +80,19 @@ void Tracer::finish_span(Span& s, SimTime departure) {
   deliver_trace(done);
 }
 
+void Tracer::add_span_listener(ServiceId service, SpanListener cb) {
+  assert(service.valid());
+  if (service.value() >= span_listeners_.size()) {
+    span_listeners_.resize(service.value() + 1);
+  }
+  span_listeners_[service.value()].push_back(std::move(cb));
+}
+
 void Tracer::span_closed(const Span& s, bool is_root, const Trace& trace) {
   if (is_root && root_hook_) root_hook_(trace);
   if (span_interceptor_ && !span_interceptor_(s)) return;
-  for (const auto& listener : span_listeners_) listener(s);
+  if (s.service.value() >= span_listeners_.size()) return;
+  for (const auto& listener : span_listeners_[s.service.value()]) listener(s);
 }
 
 }  // namespace sora

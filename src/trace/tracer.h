@@ -5,9 +5,10 @@
 // is an in-process collector: services open and close spans; when the last
 // span of a trace closes, the assembled Trace goes to a single sink — the
 // TraceWarehouse (TraceWarehouse::attach), whose store listeners are every
-// per-trace consumer. Span listeners (metric samplers) see each visit as it
-// closes, unless the span interceptor drops its report, and one root hook
-// sees the response the instant the root departs.
+// per-trace consumer. Span listeners (metric samplers) see each visit to
+// the service they registered on as it closes, unless the span interceptor
+// drops its report, and one root hook sees the response the instant the
+// root departs.
 #pragma once
 
 #include <functional>
@@ -24,8 +25,9 @@ class Tracer {
  public:
   /// Receives each assembled trace exactly once.
   using TraceSink = std::function<void(const Trace&)>;
-  /// Span listeners fire on every span completion (service visit), which is
-  /// what the scatter samplers consume.
+  /// Span listeners fire on each span completion (service visit) of the
+  /// service they were registered on, which is what the scatter samplers
+  /// consume.
   using SpanListener = std::function<void(const Span&)>;
   /// The root hook fires the instant the ROOT span closes — the
   /// user-visible response time — even when async callback spans keep the
@@ -82,9 +84,9 @@ class Tracer {
   void deliver_trace(const Trace& t) {
     if (trace_sink_) trace_sink_(t);
   }
-  void add_span_listener(SpanListener cb) {
-    span_listeners_.push_back(std::move(cb));
-  }
+  /// Register `cb` for the spans of `service`. A closing span calls only
+  /// its own service's listeners, in registration order.
+  void add_span_listener(ServiceId service, SpanListener cb);
   /// Install (or clear, with nullptr) the span-report gate.
   void set_span_interceptor(SpanInterceptor fn) {
     span_interceptor_ = std::move(fn);
@@ -96,8 +98,8 @@ class Tracer {
 
  private:
   /// A span closed: root hook (when `s` is the root), then the interceptor,
-  /// then the span listeners. `trace` is the span's trace, wherever it
-  /// lives at that moment.
+  /// then its service's span listeners. `trace` is the span's trace,
+  /// wherever it lives at that moment.
   void span_closed(const Span& s, bool is_root, const Trace& trace);
 
   struct OpenTrace {
@@ -115,7 +117,8 @@ class Tracer {
   RootHook root_hook_;
   SpanInterceptor span_interceptor_;
   DeferredDelivery deferred_delivery_;
-  std::vector<SpanListener> span_listeners_;
+  /// Span listeners by ServiceId value; services past the end have none.
+  std::vector<std::vector<SpanListener>> span_listeners_;
   std::uint64_t traces_completed_ = 0;
 };
 

@@ -16,9 +16,72 @@
 namespace sora {
 namespace {
 
+// The scheduler's completion handler with a callback per job: each submit
+// stores its callback and passes the callback's index as the job token.
+class CallbackCpu {
+ public:
+  CallbackCpu(Simulator& sim, double cores, double beta)
+      : cpu_(sim, cores, beta, &CallbackCpu::on_done, this) {}
+
+  void submit(SimTime demand, std::function<void()> done) {
+    jobs_.push_back(std::move(done));
+    cpu_.submit(demand, jobs_.size() - 1);
+  }
+  void set_cores(double cores) { cpu_.set_cores(cores); }
+  double busy_integral() const { return cpu_.busy_integral(); }
+  std::uint64_t jobs_completed() const { return cpu_.jobs_completed(); }
+  int active_jobs() const { return cpu_.active_jobs(); }
+
+ private:
+  static void on_done(void* self, CpuScheduler::Token token) {
+    auto& jobs = static_cast<CallbackCpu*>(self)->jobs_;
+    ASSERT_LT(token, jobs.size());
+    ASSERT_TRUE(jobs[token]) << "token " << token << " completed twice";
+    std::function<void()> done = std::move(jobs[token]);
+    jobs[token] = nullptr;
+    done();
+  }
+
+  std::vector<std::function<void()>> jobs_;
+  CpuScheduler cpu_;
+};
+
+// Tokens come back through the one handler exactly as submitted, once
+// each: synchronously for zero demand, in finish order otherwise, and tied
+// jobs in submission order.
+TEST(CpuScheduler, HandlerGetsEachTokenOnceInKeyOrder) {
+  Simulator sim;
+  std::vector<std::pair<SimTime, CpuScheduler::Token>> seen;
+  struct Ctx {
+    Simulator* sim;
+    std::vector<std::pair<SimTime, CpuScheduler::Token>>* seen;
+  } ctx{&sim, &seen};
+  CpuScheduler cpu(
+      sim, 1.0, 0.0,
+      [](void* owner, CpuScheduler::Token token) {
+        auto* c = static_cast<Ctx*>(owner);
+        c->seen->emplace_back(c->sim->now(), token);
+      },
+      &ctx);
+  const CpuScheduler::Token big = ~CpuScheduler::Token{0} - 1;
+  cpu.submit(0, 7);
+  ASSERT_EQ(seen.size(), 1u);
+  cpu.submit(300, big);
+  cpu.submit(100, 42);
+  cpu.submit(100, 41);
+  cpu.submit(100, 43);
+  sim.run_all();
+  // Three 100 us jobs and one 300 us job share one core: the three tie at
+  // t=400 and complete in submission order; the long one ends at t=600.
+  const std::vector<std::pair<SimTime, CpuScheduler::Token>> expected = {
+      {0, 7}, {400, 42}, {400, 41}, {400, 43}, {600, big}};
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(cpu.jobs_completed(), 5u);
+}
+
 TEST(CpuScheduler, SingleJobRunsAtFullSpeed) {
   Simulator sim;
-  CpuScheduler cpu(sim, 2.0, 0.5);
+  CallbackCpu cpu(sim, 2.0, 0.5);
   SimTime done_at = -1;
   cpu.submit(1000, [&] { done_at = sim.now(); });
   sim.run_all();
@@ -28,7 +91,7 @@ TEST(CpuScheduler, SingleJobRunsAtFullSpeed) {
 
 TEST(CpuScheduler, ZeroDemandCompletesSynchronously) {
   Simulator sim;
-  CpuScheduler cpu(sim, 1.0, 0.0);
+  CallbackCpu cpu(sim, 1.0, 0.0);
   bool done = false;
   cpu.submit(0, [&] { done = true; });
   EXPECT_TRUE(done);
@@ -36,7 +99,7 @@ TEST(CpuScheduler, ZeroDemandCompletesSynchronously) {
 
 TEST(CpuScheduler, TwoJobsOnTwoCoresNoInterference) {
   Simulator sim;
-  CpuScheduler cpu(sim, 2.0, 0.5);
+  CallbackCpu cpu(sim, 2.0, 0.5);
   std::vector<SimTime> done;
   cpu.submit(1000, [&] { done.push_back(sim.now()); });
   cpu.submit(2000, [&] { done.push_back(sim.now()); });
@@ -48,7 +111,7 @@ TEST(CpuScheduler, TwoJobsOnTwoCoresNoInterference) {
 
 TEST(CpuScheduler, TwoJobsShareOneCore) {
   Simulator sim;
-  CpuScheduler cpu(sim, 1.0, 0.0);  // no overhead
+  CallbackCpu cpu(sim, 1.0, 0.0);  // no overhead
   std::vector<SimTime> done;
   cpu.submit(1000, [&] { done.push_back(sim.now()); });
   cpu.submit(1000, [&] { done.push_back(sim.now()); });
@@ -62,7 +125,7 @@ TEST(CpuScheduler, TwoJobsShareOneCore) {
 TEST(CpuScheduler, OverheadSlowsExcessConcurrency) {
   Simulator sim;
   const double beta = 1.0;
-  CpuScheduler cpu(sim, 1.0, beta);
+  CallbackCpu cpu(sim, 1.0, beta);
   std::vector<SimTime> done;
   cpu.submit(1000, [&] { done.push_back(sim.now()); });
   cpu.submit(1000, [&] { done.push_back(sim.now()); });
@@ -75,7 +138,7 @@ TEST(CpuScheduler, OverheadSlowsExcessConcurrency) {
 
 TEST(CpuScheduler, ShorterJobFinishesFirst) {
   Simulator sim;
-  CpuScheduler cpu(sim, 1.0, 0.0);
+  CallbackCpu cpu(sim, 1.0, 0.0);
   std::vector<int> order;
   cpu.submit(3000, [&] { order.push_back(1); });
   cpu.submit(1000, [&] { order.push_back(2); });
@@ -85,7 +148,7 @@ TEST(CpuScheduler, ShorterJobFinishesFirst) {
 
 TEST(CpuScheduler, LateArrivalSharesRemaining) {
   Simulator sim;
-  CpuScheduler cpu(sim, 1.0, 0.0);
+  CallbackCpu cpu(sim, 1.0, 0.0);
   std::vector<SimTime> done;
   cpu.submit(2000, [&] { done.push_back(sim.now()); });
   sim.schedule_at(1000, [&] {
@@ -101,7 +164,7 @@ TEST(CpuScheduler, LateArrivalSharesRemaining) {
 
 TEST(CpuScheduler, SetCoresSpeedsUpInFlight) {
   Simulator sim;
-  CpuScheduler cpu(sim, 1.0, 0.0);
+  CallbackCpu cpu(sim, 1.0, 0.0);
   SimTime done_at = -1;
   cpu.submit(2000, [&] { done_at = sim.now(); });
   cpu.submit(2000, [&] {});
@@ -118,7 +181,7 @@ TEST(CpuScheduler, SetCoresSpeedsUpInFlight) {
 // cancelled.
 TEST(CpuScheduler, ArrivalsAndCoreChangeMoveOneCompletionEvent) {
   Simulator sim;
-  CpuScheduler cpu(sim, 1.0, 0.0);
+  CallbackCpu cpu(sim, 1.0, 0.0);
   std::vector<SimTime> done(3, -1);
   for (int i = 0; i < 3; ++i) {
     cpu.submit(1000 * (i + 1), [&done, &sim, i] { done[i] = sim.now(); });
@@ -145,7 +208,7 @@ TEST(CpuScheduler, ArrivalsAndCoreChangeMoveOneCompletionEvent) {
 
 TEST(CpuScheduler, BusyIntegralSingleJob) {
   Simulator sim;
-  CpuScheduler cpu(sim, 4.0, 0.0);
+  CallbackCpu cpu(sim, 4.0, 0.0);
   cpu.submit(1000, [] {});
   sim.run_all();
   // One job on 4 cores occupies 1 core for 1000us.
@@ -154,7 +217,7 @@ TEST(CpuScheduler, BusyIntegralSingleJob) {
 
 TEST(CpuScheduler, BusyIntegralCapsAtCores) {
   Simulator sim;
-  CpuScheduler cpu(sim, 2.0, 0.0);
+  CallbackCpu cpu(sim, 2.0, 0.0);
   for (int i = 0; i < 8; ++i) cpu.submit(1000, [] {});
   sim.run_all();
   // 8000us of work on 2 cores: busy 2 cores x 4000us = 8000 core-us.
@@ -163,7 +226,7 @@ TEST(CpuScheduler, BusyIntegralCapsAtCores) {
 
 TEST(CpuScheduler, CompletionCallbackCanResubmit) {
   Simulator sim;
-  CpuScheduler cpu(sim, 1.0, 0.0);
+  CallbackCpu cpu(sim, 1.0, 0.0);
   int chain = 0;
   std::function<void()> next = [&] {
     if (++chain < 4) cpu.submit(100, next);
@@ -176,7 +239,7 @@ TEST(CpuScheduler, CompletionCallbackCanResubmit) {
 
 TEST(CpuScheduler, FractionalCores) {
   Simulator sim;
-  CpuScheduler cpu(sim, 0.5, 0.0);
+  CallbackCpu cpu(sim, 0.5, 0.0);
   SimTime done_at = -1;
   cpu.submit(1000, [&] { done_at = sim.now(); });
   sim.run_all();
@@ -193,7 +256,7 @@ class CpuWorkConservation : public ::testing::TestWithParam<int> {};
 TEST_P(CpuWorkConservation, BatchTiming) {
   const int jobs = GetParam();
   Simulator sim;
-  CpuScheduler cpu(sim, 2.0, 0.0);
+  CallbackCpu cpu(sim, 2.0, 0.0);
   SimTime last = 0;
   for (int i = 0; i < jobs; ++i) {
     cpu.submit(1000, [&] { last = sim.now(); });
@@ -218,7 +281,7 @@ TEST(CpuScheduler, MonotoneSlowdownWithConcurrency) {
   SimTime prev_done = 0;
   for (int n : {1, 2, 4, 8, 16}) {
     Simulator sim;
-    CpuScheduler cpu(sim, 2.0, 0.5);
+    CallbackCpu cpu(sim, 2.0, 0.5);
     SimTime done = 0;
     for (int i = 0; i < n; ++i) {
       cpu.submit(1000, [&] { done = sim.now(); });
@@ -347,11 +410,12 @@ std::vector<std::pair<SimTime, int>> run_cpu_mix(int* eps_sweeps) {
 }
 
 // The flat job heap completes jobs in exactly the multimap's order and at
-// exactly its times, ties and kTagEps sweeps included.
+// exactly its times, ties and kTagEps sweeps included; the tokens it hands
+// back name exactly the jobs the model completes.
 TEST(CpuScheduler, JobHeapMatchesMultimapModel) {
   int eps_sweeps = 0;
   const auto model = run_cpu_mix<MultimapCpu>(&eps_sweeps);
-  const auto heap = run_cpu_mix<CpuScheduler>(nullptr);
+  const auto heap = run_cpu_mix<CallbackCpu>(nullptr);
   EXPECT_GT(model.size(), 3000u);
   EXPECT_GT(eps_sweeps, 0);
   std::size_t same_time = 0;  // completions sharing an instant

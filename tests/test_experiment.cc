@@ -344,8 +344,10 @@ TEST(Experiment, SpanLatencyUnrecordedWithoutAReader) {
 TEST(Experiment, SpanLatencyRecordsEverySpanWhenSampled) {
   Experiment exp(testutil::chain_app(0.4), span_latency_config());
   std::vector<std::uint64_t> spans(exp.app().services().size(), 0);
-  exp.tracer().add_span_listener(
-      [&spans](const Span& s) { ++spans[s.service.value()]; });
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    exp.tracer().add_span_listener(
+        ServiceId(i), [&spans](const Span& s) { ++spans[s.service.value()]; });
+  }
   const auto hists = run_span_latency(
       exp, [](Experiment& e) { e.enable_metrics_sampling(sec(5)); });
   ASSERT_EQ(hists.size(), spans.size());

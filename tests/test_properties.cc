@@ -49,11 +49,19 @@ TEST_P(PsFairness, EqualJobsFinishTogether) {
   const int jobs = std::get<0>(GetParam());
   const double beta = std::get<1>(GetParam());
   Simulator sim;
-  CpuScheduler cpu(sim, 3.0, beta);
-  std::vector<SimTime> done;
-  for (int i = 0; i < jobs; ++i) {
-    cpu.submit(5000, [&] { done.push_back(sim.now()); });
-  }
+  struct Ctx {
+    Simulator* sim;
+    std::vector<SimTime> done;
+  } ctx{&sim, {}};
+  CpuScheduler cpu(
+      sim, 3.0, beta,
+      [](void* owner, CpuScheduler::Token) {
+        auto* c = static_cast<Ctx*>(owner);
+        c->done.push_back(c->sim->now());
+      },
+      &ctx);
+  const std::vector<SimTime>& done = ctx.done;
+  for (int i = 0; i < jobs; ++i) cpu.submit(5000, 0);
   sim.run_all();
   ASSERT_EQ(done.size(), static_cast<std::size_t>(jobs));
   const SimTime spread = done.back() - done.front();

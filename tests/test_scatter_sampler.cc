@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "svc/application.h"
 #include "test_util.h"
 #include "trace/tracer.h"
@@ -124,6 +127,81 @@ TEST(ScatterSampler, StopHaltsSampling) {
   const std::size_t n = sampler.size();
   f.sim.run_until(sec(1));
   EXPECT_EQ(sampler.size(), n);
+}
+
+// Test-side oracle: a listener on every service sees all spans, and a
+// tick armed right after the samplers' own fires right after theirs at every
+// bucket boundary. Each sampler's goodput and throughput must equal the
+// oracle's count over its completion service, bucket by bucket, with spans
+// the interceptor drops and failed spans excluded.
+TEST(ScatterSampler, PointsMatchAllSpansOracle) {
+  Fixture f(testutil::chain_app(0.6));
+  f.app.service("mid")->scale_replicas(2);
+  // Drop every third span report; assembly is unaffected.
+  int reports = 0;
+  f.tracer.set_span_interceptor([&reports](const Span&) {
+    return ++reports % 3 != 0;
+  });
+
+  struct Probe {
+    std::unique_ptr<ScatterSampler> sampler;
+    std::uint64_t good = 0;
+    std::uint64_t all = 0;
+    std::size_t checked = 0;
+  };
+  const SimTime interval = msec(100);
+  std::vector<Probe> probes;
+  const auto add = [&](ResourceKnob knob, SimTime threshold) {
+    Probe p;
+    p.sampler = std::make_unique<ScatterSampler>(f.sim, f.tracer, knob,
+                                                 interval, threshold);
+    probes.push_back(std::move(p));
+  };
+  add(ResourceKnob::entry(f.app.service("front")), msec(8));
+  add(ResourceKnob::entry(f.app.service("mid")), msec(4));
+  add(ResourceKnob::entry(f.app.service("mid")), msec(2));  // same service
+  add(ResourceKnob::entry(f.app.service("leaf")), msec(2));
+
+  std::uint64_t oracle_spans = 0;
+  for (const auto& svc : f.app.services()) {
+    f.tracer.add_span_listener(svc->id(), [&](const Span& s) {
+      ++oracle_spans;
+      if (s.failed) return;
+      for (Probe& p : probes) {
+        if (p.sampler->knob().completion_service() != s.service) continue;
+        ++p.all;
+        if (s.duration() <= p.sampler->rt_threshold()) ++p.good;
+      }
+    });
+  }
+  for (Probe& p : probes) p.sampler->start();
+  std::size_t ticks = 0;
+  EventHandle oracle_tick = f.sim.schedule_periodic(interval, [&] {
+    ++ticks;
+    const double secs = to_sec(interval);
+    for (Probe& p : probes) {
+      const auto pts = p.sampler->points();
+      ASSERT_EQ(pts.size(), ticks);
+      EXPECT_EQ(pts.back().at, f.sim.now());
+      EXPECT_DOUBLE_EQ(pts.back().throughput,
+                       static_cast<double>(p.all) / secs);
+      EXPECT_DOUBLE_EQ(pts.back().goodput, static_cast<double>(p.good) / secs);
+      p.all = 0;
+      p.good = 0;
+      ++p.checked;
+    }
+  });
+  f.drive(400, sec(2));
+  f.sim.schedule_at(msec(700), [&] {
+    f.app.service("mid")->crash_replica(1, /*drop_inflight=*/true);
+  });
+  f.sim.run_until(sec(2));
+  oracle_tick.cancel();
+
+  EXPECT_EQ(ticks, 20u);
+  EXPECT_GT(oracle_spans, 1500u);
+  EXPECT_GT(f.app.service("mid")->visits_dropped(), 0u);
+  for (const Probe& p : probes) EXPECT_EQ(p.checked, 20u);
 }
 
 }  // namespace

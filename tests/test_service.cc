@@ -146,7 +146,7 @@ struct RoutingProbe {
   std::vector<std::size_t> served;  // replica index of each finished visit
 
   RoutingProbe() {
-    f.tracer.add_span_listener([this](const Span& s) {
+    f.tracer.add_span_listener(svc->id(), [this](const Span& s) {
       for (std::size_t i = 0; i < svc->total_replicas(); ++i) {
         if (svc->instance(i).id() == s.instance) served.push_back(i);
       }
@@ -206,6 +206,58 @@ TEST(Service, RoundRobinKeepsOneRotationPerPriority) {
   EXPECT_EQ(probe.send(Priority::kBatch), 2u);
   EXPECT_EQ(probe.send(Priority::kHigh), 2u);
   EXPECT_EQ(probe.send(Priority::kHigh), 0u);
+}
+
+// A crash that drops in-flight visits aborts exactly the visits the replica
+// was serving, waiting or running, and none of the idle pooled visits: after
+// the replica comes back, requests on recycled visits all succeed.
+TEST(Service, DropInflightCondemnsExactlyTheInFlightVisits) {
+  // No response CPU and no calls: a visit in flight at the crash reaches a
+  // condemned-check continuation (admission or the end of its request CPU)
+  // before it could finish, so every one of them aborts.
+  ApplicationConfig cfg = testutil::single_service(1.0, 3, 2000, 0, 0.0);
+  Fixture f(std::move(cfg));
+  Service* svc = f.app.service("svc");
+  svc->scale_replicas(2);
+  std::uint64_t failed = 0;
+  std::uint64_t ok = 0;
+  f.tracer.add_span_listener(svc->id(), [&](const Span& s) {
+    ++(s.failed ? failed : ok);
+  });
+  const auto send_burst = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      f.app.inject(RequestMeta{0, Priority::kHigh, 0}, [](SimTime, bool) {});
+    }
+  };
+
+  // Warm the pool: replica 0 holds eight visits at once, then recycles
+  // them, so three of them stay idle through the crash below.
+  send_burst(16);
+  f.sim.run_all();
+  ASSERT_EQ(failed, 0u);
+  ASSERT_EQ(ok, 16u);
+
+  // Five arrivals on replica 0: three hold its entry slots, two queue.
+  send_burst(10);
+  f.sim.run_until(f.sim.now() + 500);
+  ServiceInstance& inst = svc->instance(0);
+  const int in_flight = inst.outstanding();
+  ASSERT_EQ(in_flight, 5);
+  ASSERT_TRUE(svc->crash_replica(0, /*drop_inflight=*/true));
+  f.sim.run_all();
+  EXPECT_EQ(inst.visits_dropped(), static_cast<std::uint64_t>(in_flight));
+  EXPECT_EQ(failed, static_cast<std::uint64_t>(in_flight));
+  EXPECT_EQ(ok, 16u + 10u - static_cast<std::uint64_t>(in_flight));
+  EXPECT_EQ(inst.outstanding(), 0);
+
+  // Back up: the eight visits replica 0 holds at once now are all recycled,
+  // the five aborted ones and the three that sat idle through the crash.
+  ASSERT_TRUE(svc->restore_replica(0));
+  send_burst(16);
+  f.sim.run_all();
+  EXPECT_EQ(inst.visits_dropped(), static_cast<std::uint64_t>(in_flight));
+  EXPECT_EQ(failed, static_cast<std::uint64_t>(in_flight));
+  EXPECT_EQ(ok, 16u + 10u + 16u - static_cast<std::uint64_t>(in_flight));
 }
 
 }  // namespace

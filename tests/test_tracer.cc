@@ -67,8 +67,10 @@ TEST(Tracer, NestedSpans) {
 TEST(Tracer, SpanListenerFiresPerSpan) {
   Tracer tracer;
   std::vector<std::uint64_t> services;
-  tracer.add_span_listener(
-      [&](const Span& s) { services.push_back(s.service.value()); });
+  for (const ServiceId svc : {ServiceId(10), ServiceId(20)}) {
+    tracer.add_span_listener(
+        svc, [&](const Span& s) { services.push_back(s.service.value()); });
+  }
 
   const TraceId tid = tracer.begin_trace(0, 0);
   Span& root = tracer.start_span(tid, nullptr, ServiceId(10), 0, 0);
@@ -80,6 +82,48 @@ TEST(Tracer, SpanListenerFiresPerSpan) {
   ASSERT_EQ(services.size(), 2u);
   EXPECT_EQ(services[0], 20u);
   EXPECT_EQ(services[1], 10u);
+}
+
+// A listener registered on one service sees exactly that service's spans,
+// in the order they close, and none the interceptor drops; each service's
+// listeners run in registration order.
+TEST(Tracer, ServiceListenerSeesOnlyItsService) {
+  Tracer tracer;
+  std::vector<std::pair<int, SpanId>> seen;  // (listener, span)
+  tracer.add_span_listener(ServiceId(1), [&](const Span& s) {
+    EXPECT_EQ(s.service, ServiceId(1));
+    seen.emplace_back(1, s.id);
+  });
+  tracer.add_span_listener(ServiceId(3), [&](const Span& s) {
+    EXPECT_EQ(s.service, ServiceId(3));
+    seen.emplace_back(3, s.id);
+  });
+  tracer.add_span_listener(ServiceId(1), [&](const Span& s) {
+    seen.emplace_back(11, s.id);
+  });
+  // Drop every span that arrived at t=7.
+  tracer.set_span_interceptor([](const Span& s) { return s.arrival != 7; });
+
+  const TraceId tid = tracer.begin_trace(0, 0);
+  Span& root = tracer.start_span(tid, nullptr, ServiceId(0), 0, 0);
+  Span& a = tracer.start_span(tid, &root, ServiceId(1), 0, 1);
+  Span& b = tracer.start_span(tid, &root, ServiceId(2), 0, 2);
+  Span& c = tracer.start_span(tid, &root, ServiceId(3), 0, 3);
+  Span& d = tracer.start_span(tid, &root, ServiceId(1), 0, 4);
+  Span& dropped = tracer.start_span(tid, &root, ServiceId(1), 0, 7);
+  Span& beyond = tracer.start_span(tid, &root, ServiceId(99), 0, 8);
+  const SpanId a_id = a.id, c_id = c.id, d_id = d.id;
+  tracer.finish_span(d, 10);
+  tracer.finish_span(dropped, 11);
+  tracer.finish_span(c, 12);
+  tracer.finish_span(b, 13);
+  tracer.finish_span(beyond, 14);
+  tracer.finish_span(a, 15);
+  tracer.finish_span(root, 20);
+
+  const std::vector<std::pair<int, SpanId>> expected = {
+      {1, d_id}, {11, d_id}, {3, c_id}, {1, a_id}, {11, a_id}};
+  EXPECT_EQ(seen, expected);
 }
 
 TEST(Tracer, ConcurrentTraces) {
@@ -181,7 +225,8 @@ TEST(Tracer, SpanReferencesSurviveRehashAndGrowth) {
   Tracer tracer;
   std::vector<Trace> done;
   const Span* reported = nullptr;
-  tracer.add_span_listener([&](const Span& s) { reported = &s; });
+  tracer.add_span_listener(ServiceId(0),
+                           [&](const Span& s) { reported = &s; });
   tracer.set_trace_sink([&](const Trace& t) {
     if (t.spans.size() > 1) {
       EXPECT_EQ(reported, &t.root());  // the very span, not a relocated copy
@@ -250,10 +295,12 @@ TEST(Tracer, DeferredAssemblyReportsTheClosingSpan) {
   Tracer tracer;
   std::vector<const Span*> reported;
   std::vector<SimTime> reported_departures;
-  tracer.add_span_listener([&](const Span& s) {
-    reported.push_back(&s);
-    reported_departures.push_back(s.departure);
-  });
+  for (const ServiceId svc : {ServiceId(0), ServiceId(1), ServiceId(2)}) {
+    tracer.add_span_listener(svc, [&](const Span& s) {
+      reported.push_back(&s);
+      reported_departures.push_back(s.departure);
+    });
+  }
   std::vector<SimTime> root_hook_ends;
   tracer.set_root_hook([&](const Trace& t) {
     root_hook_ends.push_back(t.end);
