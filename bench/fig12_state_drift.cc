@@ -42,7 +42,7 @@ DriftResult run(bool with_sora, std::uint64_t seed,
       400, sec(1), RequestMix(social_network::kReadTimelineLight));
   users.follow_trace(trace);
   // State drift at 5/8 of the run (the paper flips at 450s of 720s).
-  exp.sim().schedule_at(ecfg.duration * 5 / 8, [&users] {
+  exp.sim().post_at(ecfg.duration * 5 / 8, [&users] {
     users.set_mix(RequestMix(social_network::kReadTimelineHeavy));
   });
 

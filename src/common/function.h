@@ -36,15 +36,7 @@ class UniqueFunction {
             typename = std::enable_if_t<!std::is_same_v<D, UniqueFunction> &&
                                         std::is_invocable_r_v<void, D&>>>
   UniqueFunction(F&& f) {  // NOLINT(google-explicit-constructor)
-    if constexpr (sizeof(D) <= kInlineSize &&
-                  alignof(D) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<D>) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      *reinterpret_cast<D**>(storage_) = new D(std::forward<F>(f));
-      ops_ = &kHeapOps<D>;
-    }
+    construct<D>(std::forward<F>(f));
   }
 
   UniqueFunction(UniqueFunction&& other) noexcept { move_from(other); }
@@ -66,6 +58,27 @@ class UniqueFunction {
   explicit operator bool() const { return ops_ != nullptr; }
 
   void operator()() { ops_->invoke(storage_); }
+
+  /// Replace the held callable with `f`, built directly in this function's
+  /// storage: no temporary UniqueFunction and no relocation. The payload
+  /// lands inline or on the heap by the constructor's rule.
+  template <typename F, typename D = std::decay_t<F>>
+  void emplace(F&& f) {
+    if constexpr (std::is_same_v<D, UniqueFunction>) {
+      *this = std::forward<F>(f);  // an rvalue: moves take over the payload
+    } else {
+      static_assert(std::is_invocable_r_v<void, D&>);
+      reset();
+      construct<D>(std::forward<F>(f));
+    }
+  }
+
+  /// True when moving this function copies its buffer and runs no payload
+  /// code: it is empty, holds a heap payload (the buffer holds only the
+  /// pointer), or holds a trivially copyable inline payload.
+  bool moves_by_copy() const {
+    return ops_ == nullptr || ops_->relocate == nullptr;
+  }
 
   /// Destroy the held callable (and free its captures) immediately.
   void reset() {
@@ -108,6 +121,21 @@ class UniqueFunction {
       nullptr,
       [](void* s) { delete *reinterpret_cast<D**>(s); },
   };
+
+  /// Build `f`'s payload in the (empty) storage: inline when it fits and
+  /// moves without throwing, on the heap otherwise.
+  template <typename D, typename F>
+  void construct(F&& f) {
+    if constexpr (sizeof(D) <= kInlineSize &&
+                  alignof(D) <= alignof(std::max_align_t) &&
+                  std::is_nothrow_move_constructible_v<D>) {
+      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+      ops_ = &kInlineOps<D>;
+    } else {
+      *reinterpret_cast<D**>(storage_) = new D(std::forward<F>(f));
+      ops_ = &kHeapOps<D>;
+    }
+  }
 
   void move_from(UniqueFunction& other) noexcept {
     ops_ = other.ops_;

@@ -45,7 +45,7 @@ void FaultInjector::arm() {
 
   const SimTime now = hooks_.sim->now();
   for (const FaultEvent& ev : plan_.events()) {
-    hooks_.sim->schedule_at(std::max(ev.at, now), [this, ev] { fire(ev); });
+    hooks_.sim->post_at(std::max(ev.at, now), [this, ev] { fire(ev); });
   }
 }
 
@@ -114,7 +114,7 @@ void FaultInjector::fire_crash(const FaultEvent& ev) {
   SORA_INFO << "fault: crashed " << svc->name() << "[" << chosen << "]";
 
   if (ev.duration > 0) {
-    hooks_.sim->schedule_after(ev.duration, [this, ev, svc, chosen] {
+    hooks_.sim->post_after(ev.duration, [this, ev, svc, chosen] {
       const int was = svc->active_replicas();
       if (!svc->restore_replica(chosen)) return;  // autoscaler revived it
       ++restarts_;
@@ -154,7 +154,7 @@ void FaultInjector::fire_span_window(const FaultEvent& ev) {
          std::to_string(static_cast<int>(ev.fraction * 100.0)) +
              "% of span reports dropped");
   if (ev.duration > 0) {
-    hooks_.sim->schedule_after(ev.duration, [this, ev] {
+    hooks_.sim->post_after(ev.duration, [this, ev] {
       --span_drop_depth_;
       record(ev, "fault_end", "", "span telemetry window ended");
     });
@@ -168,7 +168,7 @@ void FaultInjector::fire_scatter_window(const FaultEvent& ev) {
          std::to_string(static_cast<int>(ev.fraction * 100.0)) +
              "% of scatter sample buckets dropped");
   if (ev.duration > 0) {
-    hooks_.sim->schedule_after(ev.duration, [this, ev] {
+    hooks_.sim->post_after(ev.duration, [this, ev] {
       --scatter_drop_depth_;
       record(ev, "fault_end", "", "scatter dropout window ended");
     });
@@ -180,7 +180,7 @@ void FaultInjector::fire_stall(const FaultEvent& ev) {
   set_stall(true);
   record(ev, "fault_start", "", "control planes stalled");
   if (ev.duration > 0) {
-    hooks_.sim->schedule_after(ev.duration, [this, ev] {
+    hooks_.sim->post_after(ev.duration, [this, ev] {
       set_stall(false);
       record(ev, "fault_end", "", "control planes resumed");
     });

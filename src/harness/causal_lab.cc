@@ -165,8 +165,8 @@ obs::CausalEffect CausalLab::evaluate(const obs::Perturbation& p) const {
   std::unique_ptr<Experiment> exp = build_one(/*with_digest=*/false);
   Application* app = &exp->app();
   const obs::Perturbation pert = p;
-  exp->sim().schedule_at(options_.checkpoint,
-                         [pert, app] { apply_perturbation(pert, *app); });
+  exp->sim().post_at(options_.checkpoint,
+                     [pert, app] { apply_perturbation(pert, *app); });
   exp->run();
 
   obs::CausalEffect effect;

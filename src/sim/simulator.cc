@@ -115,20 +115,6 @@ EventHandle Simulator::schedule_at(SimTime at, Callback cb) {
   return EventHandle(this, slot, gen);
 }
 
-void Simulator::schedule_in_order(SimTime at, Callback cb) {
-  assert(at >= now_ && "cannot schedule in the past");
-  if (ring_size_ > 0 &&
-      at < ring_[(ring_head_ + ring_size_ - 1) & (ring_.size() - 1)].at) {
-    schedule_at(at, std::move(cb));
-    return;
-  }
-  if (ring_size_ == ring_.size()) grow_ring();
-  const std::uint32_t slot = alloc_slot();
-  records_[slot].cb = std::move(cb);
-  ring_[(ring_head_ + ring_size_++) & (ring_.size() - 1)] =
-      HeapEntry{at, next_seq_++, slot};
-}
-
 void Simulator::grow_ring() {
   std::vector<HeapEntry> bigger(std::max<std::size_t>(16, 2 * ring_.size()));
   for (std::size_t i = 0; i < ring_size_; ++i) {
@@ -154,7 +140,7 @@ EventHandle Simulator::schedule_periodic(SimTime period, Callback cb) {
 
 void Simulator::schedule_tick(SimTime period, std::uint32_t chain_slot,
                               std::uint32_t chain_gen) {
-  schedule_at(now_ + period, [this, period, chain_slot, chain_gen] {
+  post_at(now_ + period, [this, period, chain_slot, chain_gen] {
     if (!slot_live(chain_slot, chain_gen)) return;  // cancelled
     // Run the callback from a local so the slab may grow (or the chain
     // cancel itself) underneath us, then put it back if the chain survived.
@@ -167,17 +153,22 @@ void Simulator::schedule_tick(SimTime period, std::uint32_t chain_slot,
   });
 }
 
-Simulator::HeapEntry Simulator::pop_ring() {
-  const HeapEntry e = ring_[ring_head_];
+Simulator::HeapEntry Simulator::pop(Source src) {
+  if (src == Source::kIndexed) {
+    const HeapEntry top = heap_.front();
+    erase_at(0);
+    return top;
+  }
+  if (src == Source::kPosted) {
+    std::pop_heap(posted_.begin(), posted_.end(), fires_after);
+    const HeapEntry top = posted_.back();
+    posted_.pop_back();
+    return top;
+  }
+  const HeapEntry front = ring_[ring_head_];
   ring_head_ = (ring_head_ + 1) & (ring_.size() - 1);
   --ring_size_;
-  return e;
-}
-
-Simulator::HeapEntry Simulator::pop_heap() {
-  const HeapEntry top = heap_.front();
-  erase_at(0);
-  return top;
+  return front;
 }
 
 void Simulator::execute(const HeapEntry& e) {
@@ -207,30 +198,28 @@ void Simulator::fold_digest(std::uint64_t at, std::uint64_t seq) {
 }
 
 bool Simulator::step() {
-  if (events_pending() == 0) return false;
+  Source src = Source::kIndexed;
+  if (next_event(src) == nullptr) return false;
   const obs::StageTable::Install stages(stages_);
-  execute(ring_first() ? pop_ring() : pop_heap());
+  execute(pop(src));
   return true;
 }
 
 void Simulator::run_until(SimTime until) {
   const obs::StageTable::Install stages(stages_);
+  Source src = Source::kIndexed;
   for (;;) {
-    if (ring_first()) {
-      if (ring_[ring_head_].at > until) break;
-      execute(pop_ring());
-    } else if (!heap_.empty() && heap_.front().at <= until) {
-      execute(pop_heap());
-    } else {
-      break;
-    }
+    const HeapEntry* e = next_event(src);
+    if (e == nullptr || e->at > until) break;
+    execute(pop(src));
   }
   if (now_ < until) now_ = until;
 }
 
 void Simulator::run_all() {
   const obs::StageTable::Install stages(stages_);
-  while (events_pending() > 0) execute(ring_first() ? pop_ring() : pop_heap());
+  Source src = Source::kIndexed;
+  while (next_event(src) != nullptr) execute(pop(src));
 }
 
 }  // namespace sora

@@ -1,8 +1,9 @@
 // Discrete-event simulation engine.
 //
-// A Simulator owns a binary min-heap of timestamped events. Events scheduled
-// for the same instant fire in scheduling order (FIFO), which together with
-// seeded RNGs makes every run bit-for-bit reproducible.
+// A Simulator owns timestamped events in three sources (below) and runs them
+// in time order. Events scheduled for the same instant fire in scheduling
+// order (FIFO), which together with seeded RNGs makes every run bit-for-bit
+// reproducible.
 //
 // The engine is single-threaded by design: microsecond-scale event handlers
 // dominate, and determinism is a hard requirement for the experiments.
@@ -13,21 +14,33 @@
 // Hot-path layout: event callbacks live in a slab of pooled records indexed
 // by a free list, so steady-state scheduling performs no heap allocation
 // (callback captures up to UniqueFunction::kInlineSize bytes included). The
-// heap itself stores 24-byte (time, seq, slot) entries, and each record
+// indexed heap stores 24-byte (time, seq, slot) entries, and each record
 // tracks the position of its entry. That makes both cancel and reschedule
 // O(log n) in place: cancel erases the entry (and frees the record with its
 // callback captures immediately), reschedule re-keys it and keeps the
-// callback. The heap never holds a dead entry, so every pop is a live event.
+// callback. No source ever holds a dead entry, so every pop is a live event.
 //
-// Beside the heap sits an in-order ring for handle-less events whose times
-// arrive non-decreasing (constant network delays): appending to it and
-// popping its front are O(1). The run loop executes whichever of heap top
-// and ring front fires first, so the executed (time, seq) stream is the one
-// a heap alone would produce.
+// Events come from three sources, and the run loop executes whichever
+// source's next event fires first:
+// - the indexed heap above, for schedule_at events, which hand out a handle
+//   to cancel or move them (CPU completions, the open-loop generator's next
+//   arrival);
+// - a posted heap of the same (time, seq, slot) entries without positions,
+//   for fire-and-forget events (post_at, periodic ticks, think timers,
+//   fault windows): nothing can cancel or move them, so its sifts write no
+//   record, and its many far-future timers never deepen the indexed heap;
+// - an in-order ring for handle-less events whose times arrive
+//   non-decreasing (constant network delays): appending to it and popping
+//   its front are O(1).
+// Every event takes its sequence number from one global counter, so the
+// (time, seq) keys are unique across the sources and the merged stream is
+// the one a single heap would produce.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/function.h"
@@ -89,13 +102,46 @@ class Simulator {
     return schedule_at(now_ + delay, std::move(cb));
   }
 
-  /// Schedule `cb` at absolute time `at` (must be >= now()) without a
+  /// Schedule `f` at absolute time `at` (must be >= now()) without a
+  /// handle: the event can be neither cancelled nor moved, so it waits in
+  /// the posted heap. It takes the next sequence number and fires exactly
+  /// where schedule_at would have put it. `f` (any `void()` callable) is
+  /// built directly in its event slot.
+  template <typename F>
+  void post_at(SimTime at, F&& f) {
+    assert(at >= now_ && "cannot schedule in the past");
+    const std::uint32_t slot = alloc_slot();
+    records_[slot].cb.emplace(std::forward<F>(f));
+    posted_.push_back(HeapEntry{at, next_seq_++, slot});
+    std::push_heap(posted_.begin(), posted_.end(), fires_after);
+  }
+
+  /// post_at after a relative delay (>= 0).
+  template <typename F>
+  void post_after(SimTime delay, F&& f) {
+    post_at(now_ + delay, std::forward<F>(f));
+  }
+
+  /// Schedule `f` at absolute time `at` (must be >= now()) without a
   /// handle. Meant for callers whose times mostly arrive in order, such as a
   /// constant delay after now(): such an event is appended to the in-order
-  /// ring instead of the heap. An `at` earlier than the ring's last entry
-  /// falls back to schedule_at. Either way the event takes the next sequence
-  /// number and fires exactly where schedule_at would have put it.
-  void schedule_in_order(SimTime at, Callback cb);
+  /// ring. An `at` earlier than the ring's last entry falls back to post_at.
+  /// Either way the event takes the next sequence number and fires exactly
+  /// where schedule_at would have put it, and `f` is built in its slot.
+  template <typename F>
+  void schedule_in_order(SimTime at, F&& f) {
+    assert(at >= now_ && "cannot schedule in the past");
+    if (ring_size_ > 0 &&
+        at < ring_[(ring_head_ + ring_size_ - 1) & (ring_.size() - 1)].at) {
+      post_at(at, std::forward<F>(f));
+      return;
+    }
+    if (ring_size_ == ring_.size()) grow_ring();
+    const std::uint32_t slot = alloc_slot();
+    records_[slot].cb.emplace(std::forward<F>(f));
+    ring_[(ring_head_ + ring_size_++) & (ring_.size() - 1)] =
+        HeapEntry{at, next_seq_++, slot};
+  }
 
   /// Schedule `cb` every `period` starting at now()+period, until the
   /// returned handle is cancelled or the simulation ends. A periodic handle
@@ -142,15 +188,19 @@ class Simulator {
   std::uint64_t digest() const { return digest_; }
 
   std::uint64_t events_executed() const { return events_executed_; }
-  /// Scheduled-and-not-yet-fired events (heap and in-order ring).
-  std::size_t events_pending() const { return heap_.size() + ring_size_; }
+  /// Scheduled-and-not-yet-fired events (both heaps and the in-order ring).
+  std::size_t events_pending() const {
+    return heap_.size() + posted_.size() + ring_size_;
+  }
   /// Events cancelled before firing over the simulator's lifetime.
   std::uint64_t events_cancelled() const { return events_cancelled_; }
   /// Successful reschedule() calls over the simulator's lifetime.
   std::uint64_t events_rescheduled() const { return events_rescheduled_; }
-  /// Heap entries only: events_pending() minus the in-order ring's
+  /// Entries of both heaps: events_pending() minus the in-order ring's
   /// entries. Kept for perfbench's heap-size probe.
-  std::size_t heap_entries() const { return heap_.size(); }
+  std::size_t heap_entries() const { return heap_.size() + posted_.size(); }
+  /// Indexed heap entries only: the pending schedule_at events.
+  std::size_t indexed_entries() const { return heap_.size(); }
 
   /// Publish event-loop state (events executed/cancelled, queue depth, sim
   /// clock) into a metrics registry. Called by periodic samplers; the hot
@@ -170,8 +220,8 @@ class Simulator {
     std::uint32_t gen = 0;
     std::uint32_t next_free = kNilSlot;
     /// Index of this event's entry in heap_; kNilSlot for free slots,
-    /// periodic chain anchors (which own no entry) and ring events (which
-    /// have no handle to cancel or move them).
+    /// periodic chain anchors (which own no entry) and posted and ring
+    /// events (which have no handle to cancel or move them).
     std::uint32_t heap_pos = kNilSlot;
   };
 
@@ -188,6 +238,13 @@ class Simulator {
     if (a.at != b.at) return a.at < b.at;
     return a.seq < b.seq;
   }
+  /// The posted heap's std:: heap comparator (a max-heap of "fires later"
+  /// is a min-heap of fire order).
+  static bool fires_after(const HeapEntry& a, const HeapEntry& b) {
+    return fires_before(b, a);
+  }
+
+  enum class Source : std::uint8_t { kIndexed, kPosted, kRing };
 
   std::uint32_t alloc_slot();
   void release_slot(std::uint32_t slot);
@@ -209,15 +266,28 @@ class Simulator {
   void resift(std::size_t pos, const HeapEntry& e);
   /// Remove the entry at `pos`; the last entry fills the hole.
   void erase_at(std::size_t pos);
-  /// True when the ring front fires before the heap top (ring non-empty).
-  bool ring_first() const {
-    return ring_size_ > 0 &&
-           (heap_.empty() || fires_before(ring_[ring_head_], heap_.front()));
+  /// The earliest pending entry over the three sources, and in `src` the
+  /// source that holds it; null when nothing is pending.
+  const HeapEntry* next_event(Source& src) const {
+    const HeapEntry* first = nullptr;
+    if (!heap_.empty()) {
+      first = &heap_.front();
+      src = Source::kIndexed;
+    }
+    if (!posted_.empty() &&
+        (first == nullptr || fires_before(posted_.front(), *first))) {
+      first = &posted_.front();
+      src = Source::kPosted;
+    }
+    if (ring_size_ > 0 &&
+        (first == nullptr || fires_before(ring_[ring_head_], *first))) {
+      first = &ring_[ring_head_];
+      src = Source::kRing;
+    }
+    return first;
   }
-  /// Pop the ring front (ring must be non-empty).
-  HeapEntry pop_ring();
-  /// Pop the heap top (heap must be non-empty).
-  HeapEntry pop_heap();
+  /// Pop the next entry of `src` (which must be non-empty).
+  HeapEntry pop(Source src);
   /// Grow the ring to twice its capacity (at least 16), keeping its order.
   void grow_ring();
   /// Execute the popped entry `e`.
@@ -232,6 +302,8 @@ class Simulator {
   void fold_digest(std::uint64_t at, std::uint64_t seq);
 
   std::vector<HeapEntry> heap_;
+  /// Posted heap: a std:: binary heap under fires_after, unindexed.
+  std::vector<HeapEntry> posted_;
   /// In-order ring: ring_size_ entries starting at ring_head_, sorted by
   /// (time, seq) because each append is no earlier than the last entry and
   /// takes a larger seq. Capacity is zero or a power of two.

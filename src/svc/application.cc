@@ -146,14 +146,4 @@ void Application::publish_metrics() {
   metrics_.counter("app.shed_total").set_total(static_cast<double>(shed_));
 }
 
-void Application::deliver(UniqueFunction fn) {
-  if (config_.network_latency <= 0) {
-    fn();
-    return;
-  }
-  // Every hop waits the same delay, so hops scheduled later fire later: the
-  // simulator's in-order ring takes them without a heap operation.
-  sim_.schedule_in_order(sim_.now() + config_.network_latency, std::move(fn));
-}
-
 }  // namespace sora

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/function.h"
@@ -16,13 +17,13 @@
 #include "common/rng.h"
 #include "common/time.h"
 #include "obs/metrics.h"
+#include "sim/simulator.h"
 #include "svc/config.h"
 #include "svc/service.h"
 #include "workload/load_target.h"
 
 namespace sora {
 
-class Simulator;
 class Tracer;
 
 class Application : public LoadTarget {
@@ -94,9 +95,20 @@ class Application : public LoadTarget {
   std::uint64_t shed() const { return shed_; }
   std::uint64_t in_flight() const { return injected_ - completed_ - shed_; }
 
-  /// Deliver a message across the network: runs `fn` after the configured
-  /// network latency (synchronously when latency is 0).
-  void deliver(UniqueFunction fn);
+  /// Deliver a message across the network: runs `fn` (any `void()`
+  /// callable) after the configured network latency, or synchronously when
+  /// the latency is 0. Every hop waits the same delay, so hops scheduled
+  /// later fire later: the simulator's in-order ring takes them without a
+  /// heap operation, and the closure is built directly in its event slot.
+  template <typename F>
+  void deliver(F&& fn) {
+    if (config_.network_latency <= 0) {
+      fn();
+      return;
+    }
+    sim_.schedule_in_order(sim_.now() + config_.network_latency,
+                           std::forward<F>(fn));
+  }
 
  private:
   Service& entry_service(int request_class);

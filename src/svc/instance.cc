@@ -93,7 +93,8 @@ const SoftResourcePool* ServiceInstance::edge_pool(int edge_index) const {
   return const_cast<ServiceInstance*>(this)->edge_pool(edge_index);
 }
 
-void ServiceInstance::serve(Span& span, const RequestMeta& meta, Done done) {
+void ServiceInstance::serve(Span& span, const RequestMeta& meta,
+                            Done&& done) {
   ++outstanding_;
   span.instance = id_;
 

@@ -44,7 +44,7 @@ class ServiceInstance {
   /// caller (arrival stamped). `done` runs after the span is finished.
   /// `meta` carries the class plus the admission metadata (priority,
   /// deadline) propagated to downstream calls.
-  void serve(Span& span, const RequestMeta& meta, Done done);
+  void serve(Span& span, const RequestMeta& meta, Done&& done);
 
   InstanceId id() const { return id_; }
   bool active() const { return active_; }

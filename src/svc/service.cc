@@ -106,7 +106,7 @@ ServiceInstance& Service::pick_replica(Priority priority) {
 }
 
 void Service::dispatch(Span& span, const RequestMeta& meta,
-                       UniqueFunction done, bool pre_admitted) {
+                       UniqueFunction&& done, bool pre_admitted) {
   if (admission_ != nullptr && !pre_admitted) {
     const SimTime now = app_.sim().now();
     const AdmissionDecision d = admission_->decide(meta, now);

@@ -78,7 +78,7 @@ class Service {
   /// rejected error response (failed + rejected) and invokes `done`.
   /// `pre_admitted` is set by Application::inject for root requests it
   /// already admitted at the front door.
-  void dispatch(Span& span, const RequestMeta& meta, UniqueFunction done,
+  void dispatch(Span& span, const RequestMeta& meta, UniqueFunction&& done,
                 bool pre_admitted = false);
 
   // -- admission control -------------------------------------------------------

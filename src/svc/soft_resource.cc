@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "sim/simulator.h"
-
 namespace sora {
 
 const char* to_string(PoolKind kind) {
@@ -30,18 +28,6 @@ void SoftResourcePool::account() {
   use_integral_ += static_cast<double>(in_use_) *
                    static_cast<double>(now - last_change_);
   last_change_ = now;
-}
-
-void SoftResourcePool::acquire(Grant grant) {
-  ++total_acquires_;
-  if (in_use_ < capacity_) {
-    account();
-    ++in_use_;
-    grant();
-    return;
-  }
-  ++total_waits_;
-  waiters_.push_back(Waiter{std::move(grant), sim_.now()});
 }
 
 void SoftResourcePool::release() {

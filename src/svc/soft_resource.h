@@ -14,13 +14,13 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <utility>
 
 #include "common/function.h"
 #include "common/time.h"
+#include "sim/simulator.h"
 
 namespace sora {
-
-class Simulator;
 
 enum class PoolKind {
   kServerThreads,      ///< gates request handling at a service instance
@@ -37,9 +37,23 @@ class SoftResourcePool {
   SoftResourcePool(Simulator& sim, PoolKind kind, std::string name,
                    int capacity);
 
-  /// Request a slot. If one is free the grant runs synchronously; otherwise
-  /// the request queues FIFO and the grant runs when a slot frees up.
-  void acquire(Grant grant);
+  /// Request a slot. If one is free `grant` (any `void()` callable) runs
+  /// synchronously; otherwise the request queues FIFO, with the grant built
+  /// directly in its waiter, and runs when a slot frees up.
+  template <typename F>
+  void acquire(F&& grant) {
+    ++total_acquires_;
+    if (in_use_ < capacity_) {
+      account();
+      ++in_use_;
+      grant();
+      return;
+    }
+    ++total_waits_;
+    Waiter& w = waiters_.emplace_back();
+    w.grant.emplace(std::forward<F>(grant));
+    w.since = sim_.now();
+  }
 
   /// Return a slot, admitting the next waiter if any.
   void release();
@@ -70,7 +84,7 @@ class SoftResourcePool {
  private:
   struct Waiter {
     Grant grant;
-    SimTime since;
+    SimTime since = 0;
   };
 
   void account();  ///< fold elapsed time into the usage integral.

@@ -155,7 +155,7 @@ void ClosedLoopGenerator::spawn_user() {
   // population does not fire in lockstep.
   const SimTime stagger =
       static_cast<SimTime>(rng_.uniform() * static_cast<double>(think_mean_));
-  sim_.schedule_after(stagger, [this] { user_loop(); });
+  sim_.post_after(stagger, [this] { user_loop(); });
 }
 
 void ClosedLoopGenerator::user_loop() {
@@ -173,7 +173,7 @@ void ClosedLoopGenerator::user_loop() {
     if (observer_) observer_(injected_at, cls, rt, ok);
     const SimTime think = static_cast<SimTime>(
         rng_.exponential(static_cast<double>(think_mean_)));
-    sim_.schedule_after(std::max<SimTime>(1, think), [this] { user_loop(); });
+    sim_.post_after(std::max<SimTime>(1, think), [this] { user_loop(); });
   });
 }
 

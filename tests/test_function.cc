@@ -210,5 +210,110 @@ TEST(UniqueFunction, NonTrivialInlinePayloadMovesItsState) {
   EXPECT_EQ(shared.use_count(), 1);
 }
 
+// Records where it lives when it runs, so a test can tell an inline
+// payload (inside the holder) from a heap one. `N` pads it past the buffer.
+template <std::size_t N>
+struct WhereAmI {
+  std::array<unsigned char, N> pad{};
+  const void** at = nullptr;
+  void operator()() const { *at = this; }
+};
+
+bool runs_inline(UniqueFunction& f, const void** at) {
+  f();
+  const auto* self = reinterpret_cast<const unsigned char*>(&f);
+  const auto* where = static_cast<const unsigned char*>(*at);
+  return where >= self && where < self + sizeof(UniqueFunction);
+}
+
+// emplace puts a payload where the constructor would: inline when it fits
+// and moves without throwing, on the heap otherwise.
+TEST(UniqueFunction, EmplaceUsesTheConstructorsInlineOrHeapRule) {
+  using Small = WhereAmI<8>;
+  using Big = WhereAmI<UniqueFunction::kInlineSize>;
+  static_assert(sizeof(Small) <= UniqueFunction::kInlineSize);
+  static_assert(sizeof(Big) > UniqueFunction::kInlineSize);
+  const void* at = nullptr;
+
+  UniqueFunction built_small = Small{{}, &at};
+  UniqueFunction placed_small;
+  placed_small.emplace(Small{{}, &at});
+  EXPECT_TRUE(runs_inline(built_small, &at));
+  EXPECT_TRUE(runs_inline(placed_small, &at));
+
+  UniqueFunction built_big = Big{{}, &at};
+  UniqueFunction placed_big;
+  placed_big.emplace(Big{{}, &at});
+  EXPECT_FALSE(runs_inline(built_big, &at));
+  EXPECT_FALSE(runs_inline(placed_big, &at));
+
+  int calls = 0;
+  UniqueFunction throwing;
+  throwing.emplace(ThrowingMove(&calls));
+  UniqueFunction moved = std::move(throwing);
+  moved();
+  EXPECT_EQ(calls, 1);
+
+  // Emplacing a UniqueFunction takes over its payload instead of nesting it.
+  UniqueFunction outer;
+  outer.emplace(std::move(placed_small));
+  EXPECT_FALSE(placed_small);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(runs_inline(outer, &at));
+}
+
+// Emplacing over a live payload destroys the old one exactly once, inline
+// or heap, and the new one is destroyed with its holder.
+TEST(UniqueFunction, EmplaceOverALivePayloadDestroysItOnce) {
+  auto first = std::make_shared<int>(1);
+  auto second = std::make_shared<int>(2);
+  auto third = std::make_shared<int>(3);
+  BigCapture big;
+  int seen = 0;
+  {
+    UniqueFunction f = [first] {};
+    EXPECT_EQ(first.use_count(), 2);
+    f.emplace([second, big] {});  // inline -> heap
+    EXPECT_EQ(first.use_count(), 1);
+    EXPECT_EQ(second.use_count(), 2);
+    f.emplace([third, &seen] { seen = *third; });  // heap -> inline
+    EXPECT_EQ(second.use_count(), 1);
+    EXPECT_EQ(third.use_count(), 2);
+    f();
+    EXPECT_EQ(seen, 3);
+  }
+  EXPECT_EQ(first.use_count(), 1);
+  EXPECT_EQ(second.use_count(), 1);
+  EXPECT_EQ(third.use_count(), 1);
+}
+
+// An emplaced trivially copyable payload moves by copying the buffer, as a
+// constructed one does, and keeps its values; a payload with a non-trivial
+// capture moves through its move constructor either way.
+TEST(UniqueFunction, EmplacedTrivialPayloadMovesByCopy) {
+  long out = 0;
+  const long value = -1'000'003;
+  auto trivial = [&out, value] { out = value; };
+  static_assert(std::is_trivially_copyable_v<decltype(trivial)>);
+  UniqueFunction built = trivial;
+  UniqueFunction placed;
+  placed.emplace(trivial);
+  EXPECT_TRUE(built.moves_by_copy());
+  EXPECT_TRUE(placed.moves_by_copy());
+  UniqueFunction moved = std::move(placed);
+  EXPECT_TRUE(moved.moves_by_copy());
+  moved();
+  EXPECT_EQ(out, value);
+
+  auto token = std::make_shared<int>(4);
+  UniqueFunction owning;
+  owning.emplace([token] {});
+  EXPECT_FALSE(owning.moves_by_copy());
+  EXPECT_FALSE(UniqueFunction([token] {}).moves_by_copy());
+  BigCapture big;
+  UniqueFunction heap;
+  heap.emplace([token, big] {});
+  EXPECT_TRUE(heap.moves_by_copy());  // the buffer holds only the pointer
+}
+
 }  // namespace
 }  // namespace sora

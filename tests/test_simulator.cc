@@ -518,10 +518,10 @@ TEST(Simulator, RescheduleRefusesHandlesWithoutAPendingEvent) {
 
 // One simulator driven through a seeded mix of schedule_at, constant-delay
 // schedule_in_order (network hops, some chained from their own callbacks),
-// out-of-order schedule_in_order (the fallback to the heap), reschedule,
-// cancel and periodic chains. With `ring` false every schedule_in_order
-// call is a schedule_at instead. All random draws happen before that
-// branch, so both modes see the same operation stream.
+// out-of-order schedule_in_order (the fallback to the posted heap),
+// reschedule, cancel and periodic chains. With `ring` false every
+// schedule_in_order call is a schedule_at instead. All random draws happen
+// before that branch, so both modes see the same operation stream.
 struct RingMixResult {
   std::vector<std::pair<SimTime, int>> fired;  // (now, id) per callback
   // After every operation: events_pending(), events_executed(), digest().
@@ -639,6 +639,176 @@ TEST(Simulator, InOrderRingTiesAndFallback) {
   EXPECT_EQ(fired, (std::vector<int>{4, 5, 1, 2, 3}));
   EXPECT_EQ(sim.events_pending(), 0u);
   EXPECT_EQ(sim.events_executed(), 5u);
+}
+
+// One simulator driven through a seeded mix of all three event sources:
+// schedule_at with a kept handle (the indexed heap), post_at (the posted
+// heap), constant-delay schedule_in_order hops, some chained from their own
+// callbacks (the ring), out-of-order schedule_in_order calls (the fallback
+// to the posted heap), reschedules, cancels, periodic chains (posted ticks)
+// and bursts of exact ties at one time that interleave the three sources.
+// With `split` false every post_at and schedule_in_order call is a
+// schedule_at instead: the heap-only reference. All random draws happen
+// before that branch, so both modes see the same operation stream.
+struct SourceMixResult {
+  std::vector<std::pair<SimTime, int>> fired;  // (now, id) per callback
+  // After every operation: events_pending(), events_executed(), digest().
+  std::vector<std::size_t> pending;
+  std::vector<std::uint64_t> executed;
+  std::vector<std::uint64_t> digests;
+  std::size_t max_posted = 0;  // most heap_entries() - indexed_entries()
+  std::size_t max_ring = 0;    // most events_pending() - heap_entries()
+  std::size_t run_alls = 0;
+  // Split mode: operations after which the indexed heap held anything but
+  // the pending schedule_at events whose handles the mix kept.
+  std::size_t indexed_mismatches = 0;
+};
+
+SourceMixResult run_source_mix(bool split) {
+  constexpr SimTime kHop = 500;
+  Simulator sim;
+  sim.set_digest_enabled(true);
+  Rng rng(0x9057ULL);
+  SourceMixResult r;
+  std::vector<EventHandle> handles;  // only pending ones, pruned per op
+  std::vector<EventHandle> chains;
+  const auto record = [&sim, &r](int id) {
+    return [&sim, &r, id] { r.fired.emplace_back(sim.now(), id); };
+  };
+  const auto post = [&sim, split](SimTime at, Simulator::Callback cb) {
+    if (split) {
+      sim.post_at(at, std::move(cb));
+    } else {
+      sim.schedule_at(at, std::move(cb));
+    }
+  };
+  const auto in_order = [&sim, split](SimTime at, Simulator::Callback cb) {
+    if (split) {
+      sim.schedule_in_order(at, std::move(cb));
+    } else {
+      sim.schedule_at(at, std::move(cb));
+    }
+  };
+  std::function<void(int)> hop = [&](int id) {
+    in_order(sim.now() + kHop, [&, id] {
+      r.fired.emplace_back(sim.now(), id);
+      if (id % 3 == 0) hop(id + 1);
+    });
+  };
+  const auto pick = [&rng](std::size_t n) {
+    return n - 1 - rng.uniform_int(std::min<std::size_t>(n, 32));
+  };
+  const auto draw_time = [&sim, &rng](std::uint64_t steps, SimTime unit) {
+    return sim.now() + unit * static_cast<SimTime>(rng.uniform_int(steps));
+  };
+  const auto snapshot = [&] {
+    r.pending.push_back(sim.events_pending());
+    r.executed.push_back(sim.events_executed());
+    r.digests.push_back(sim.digest());
+  };
+  int next_id = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const std::uint64_t kind = rng.uniform_int(100);
+    const int id = next_id++;
+    if (kind < 15 || handles.empty()) {
+      handles.push_back(sim.schedule_at(draw_time(120, 10), record(id)));
+    } else if (kind < 30) {
+      post(draw_time(120, 10), record(id));
+    } else if (kind < 48) {
+      hop(id * 3);
+    } else if (kind < 53) {
+      // Earlier than the hops already queued whenever any are: fallback.
+      in_order(draw_time(kHop, 1), record(id));
+    } else if (kind < 57) {
+      // Exact ties at the latest hop time, no earlier than any ring entry,
+      // with the sources interleaved in a random order.
+      const SimTime at = sim.now() + kHop;
+      for (int j = 0; j < 6; ++j) {
+        const int tie_id = 100000000 + 8 * id + j;
+        switch (rng.uniform_int(3)) {
+          case 0:
+            handles.push_back(sim.schedule_at(at, record(tie_id)));
+            break;
+          case 1:
+            post(at, record(tie_id));
+            break;
+          default:
+            in_order(at, record(tie_id));
+            break;
+        }
+      }
+    } else if (kind < 63) {
+      sim.reschedule(handles[pick(handles.size())], draw_time(2 * kHop, 1));
+    } else if (kind < 67) {
+      handles[pick(handles.size())].cancel();
+    } else if (kind < 69) {
+      const SimTime period = 50 * static_cast<SimTime>(1 + rng.uniform_int(10));
+      chains.push_back(sim.schedule_periodic(period, record(id)));
+      if (chains.size() > 4) chains[rng.uniform_int(chains.size())].cancel();
+    } else if (kind < 70 && rng.uniform_int(4) == 0) {
+      // Drain everything: periodic chains would never let run_all return.
+      for (EventHandle& c : chains) c.cancel();
+      chains.clear();
+      sim.run_all();
+      ++r.run_alls;
+    } else if (kind < 95) {
+      sim.step();
+    } else {
+      sim.run_until(draw_time(30, 10));
+    }
+    std::erase_if(handles, [](const EventHandle& h) { return !h.pending(); });
+    snapshot();
+    if (split && sim.indexed_entries() != handles.size()) {
+      ++r.indexed_mismatches;
+    }
+    r.max_posted = std::max(r.max_posted,
+                            sim.heap_entries() - sim.indexed_entries());
+    r.max_ring =
+        std::max(r.max_ring, sim.events_pending() - sim.heap_entries());
+  }
+  for (EventHandle& c : chains) c.cancel();
+  while (sim.step()) snapshot();
+  return r;
+}
+
+// Splitting events over the indexed heap, the posted heap and the ring
+// changes where each one waits, never when it fires: the three-way merge
+// must execute the heap-only reference's (time, seq) stream, with the same
+// queue depth after every operation, ties at one time included. The
+// indexed heap holds exactly the events that have a live handle.
+TEST(Simulator, PostedEventsMatchHeapOnlySchedule) {
+  const SourceMixResult split = run_source_mix(true);
+  const SourceMixResult heaped = run_source_mix(false);
+  EXPECT_GT(split.fired.size(), 10000u);
+  EXPECT_GT(split.max_posted, 40u);  // the posted heap was really used
+  EXPECT_GT(split.max_ring, 40u);    // and so was the ring
+  EXPECT_GT(split.run_alls, 20u);
+  EXPECT_EQ(heaped.max_ring, 0u);
+  EXPECT_EQ(split.indexed_mismatches, 0u);
+  EXPECT_EQ(split.fired, heaped.fired);
+  EXPECT_EQ(split.pending, heaped.pending);
+  EXPECT_EQ(split.executed, heaped.executed);
+  EXPECT_EQ(split.digests, heaped.digests);
+  EXPECT_EQ(split.pending.back(), 0u);
+}
+
+// post_at events fire in (time, seq) order with the other sources, and a
+// pending posted event counts in events_pending() and heap_entries() but
+// not in indexed_entries().
+TEST(Simulator, PostedEventsTieWithHandledOnesBySchedulingOrder) {
+  Simulator sim;
+  std::vector<int> fired;
+  sim.post_at(10, [&] { fired.push_back(1); });
+  EventHandle h = sim.schedule_at(10, [&] { fired.push_back(2); });
+  sim.post_after(10, [&] { fired.push_back(3); });
+  sim.post_at(4, [&] { fired.push_back(4); });
+  EXPECT_EQ(sim.events_pending(), 4u);
+  EXPECT_EQ(sim.heap_entries(), 4u);
+  EXPECT_EQ(sim.indexed_entries(), 1u);
+  EXPECT_TRUE(sim.reschedule(h, 10));  // to the back of the tie group
+  sim.run_all();
+  EXPECT_EQ(fired, (std::vector<int>{4, 1, 3, 2}));
+  EXPECT_EQ(sim.events_executed(), 4u);
 }
 
 }  // namespace

@@ -20,11 +20,15 @@ worse than the base's median by more than the metric's bound. stdout gets
 one row per (metric, workload) pair; stderr gets one line per run with its
 end-to-end values.
 
-Beside the gated rows, stdout gets one informational row per workload with
-the base and HEAD medians of raw wall time: each run's median over its
-"repeat N: run X s wall" lines. perfbench's run_s is calibrated against a
-kernel that shares the workload's heap, so the two can move apart; the row
-shows whether they did. It never gates.
+Beside the gated rows, stdout gets two informational rows per workload.
+raw_wall_s has the base and HEAD medians of raw wall time: each run's median
+over its "repeat N: run X s wall, Y s at nominal speed" lines.
+calibration_scale has the medians of raw wall / nominal (X / Y) over the
+same lines: how much slower than nominal the calibration kernel judged the
+host. perfbench's run_s is calibrated against a kernel that shares the
+workload's heap, so a change to the workload's allocation pattern can move
+that ratio and run_s apart from raw wall time; these rows show whether it
+did. They never gate.
 """
 import json
 import os
@@ -83,25 +87,41 @@ def decide(benchmark, base_runs, head_runs):
     return rows, failures
 
 
+REPEAT_LINE = re.compile(
+    r"^\s*repeat \d+: run (\S+) s wall, (\S+) s at nominal speed", re.M)
+
+
 def raw_wall_s(stdout):
     """Median raw wall time over one perfbench run's repeat lines, or None."""
-    walls = [float(m.group(1)) for m in
-             re.finditer(r"^\s*repeat \d+: run (\S+) s wall", stdout, re.M)]
+    walls = [float(m.group(1)) for m in REPEAT_LINE.finditer(stdout)]
     return statistics.median(walls) if walls else None
 
 
-def raw_wall_rows(benchmark, base_runs, head_runs):
-    """Informational rows (passed None) of each side's median raw wall time;
-    a workload where any run printed no repeat line gets no row."""
+def calibration_scale(stdout):
+    """Median of raw wall / nominal over one perfbench run's repeat lines,
+    or None."""
+    scales = [float(m.group(1)) / float(m.group(2))
+              for m in REPEAT_LINE.finditer(stdout) if float(m.group(2)) > 0]
+    return statistics.median(scales) if scales else None
+
+
+INFO_KEYS = ("raw_wall_s", "calibration_scale")
+
+
+def info_rows(benchmark, base_runs, head_runs):
+    """Informational rows (passed None) of each side's median of every
+    INFO_KEYS value; a workload where any run lacks a value gets no row for
+    that key."""
     rows = []
-    for w in benchmark["workloads"]:
-        name = w["name"]
-        walls = [[r.get("raw_wall_s") for r in runs[name]]
-                 for runs in (base_runs, head_runs)]
-        if any(v is None for side in walls for v in side):
-            continue
-        b, h = (statistics.median(side) for side in walls)
-        rows.append(("raw_wall_s", name, b, h, (h - b) / b, None))
+    for key in INFO_KEYS:
+        for w in benchmark["workloads"]:
+            name = w["name"]
+            values = [[r.get(key) for r in runs[name]]
+                      for runs in (base_runs, head_runs)]
+            if any(v is None for side in values for v in side):
+                continue
+            b, h = (statistics.median(side) for side in values)
+            rows.append((key, name, b, h, (h - b) / b, None))
     return rows
 
 
@@ -117,7 +137,8 @@ def format_table(rows):
 
 def run_perfbench(tree, workload, seed, seconds):
     """One `perfbench/run.py --trace 0` in `tree`: its final JSON object,
-    with the run's raw wall time added as "raw_wall_s"."""
+    with the run's raw wall time and calibration scale added as
+    "raw_wall_s" and "calibration_scale"."""
     env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(tree, ".bench_build"))
     proc = subprocess.run(
         [sys.executable, os.path.join(tree, "perfbench", "run.py"),
@@ -131,6 +152,7 @@ def run_perfbench(tree, workload, seed, seconds):
                  f"(exit {proc.returncode})")
     result = json.loads(lines[-1])
     result["raw_wall_s"] = raw_wall_s(proc.stdout)
+    result["calibration_scale"] = calibration_scale(proc.stdout)
     return result
 
 
@@ -176,7 +198,7 @@ def main(argv):
     rows, failures = decide(benchmark, base_runs, head_runs)
     print(f"perf gate: HEAD vs {base_rev} ({sha.stdout.strip()[:12]}), "
           f"{kPairs} pairs per workload, run_seconds {benchmark['run_seconds']}")
-    print(format_table(rows + raw_wall_rows(benchmark, base_runs, head_runs)))
+    print(format_table(rows + info_rows(benchmark, base_runs, head_runs)))
     for f in failures:
         print("FAIL " + f)
     print("gate: " + ("FAIL" if failures else "PASS"))

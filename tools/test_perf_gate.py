@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Tests of the perf gate's decision (tools/perf_gate.py `decide`) and of its
-raw wall time report.
+informational raw wall time and calibration scale rows.
 
 Run from anywhere:
     python3 tools/test_perf_gate.py
@@ -102,23 +102,42 @@ class RawWallReport(unittest.TestCase):
         self.assertEqual(perf_gate.raw_wall_s(self.STDOUT), 2.5)
         self.assertIsNone(perf_gate.raw_wall_s("reps 0, setups 0\n"))
 
+    def test_parses_the_median_calibration_scale(self):
+        # Ratios 2.5/2.4, 2.25/2.2 and 3/2.9: the median is 3/2.9, not the
+        # ratio of the median wall to the median nominal time.
+        self.assertAlmostEqual(perf_gate.calibration_scale(self.STDOUT),
+                               3 / 2.9)
+        self.assertIsNone(perf_gate.calibration_scale("reps 0, setups 0\n"))
+
     def test_rows_are_informational_and_never_gate(self):
+        # run_s 10% better while raw wall is 50% worse and the calibration
+        # scale drops 25%: the calibration trap, reported but not gated.
         base, head = runs(), runs(scale={"run_s": 0.9})
-        for side, wall in ((base, 2.0), (head, 3.0)):
+        for side, wall, cal in ((base, 2.0, 1.6), (head, 3.0, 1.2)):
             for results in side.values():
                 for r in results:
                     r["raw_wall_s"] = wall
-        rows = perf_gate.raw_wall_rows(BENCHMARK, base, head)
-        self.assertEqual([r[1] for r in rows], WORKLOADS)
-        self.assertTrue(all(r[0] == "raw_wall_s" and r[2] == 2.0 and
-                            r[3] == 3.0 and r[5] is None for r in rows))
+                    r["calibration_scale"] = cal
+        rows = perf_gate.info_rows(BENCHMARK, base, head)
+        self.assertEqual([(r[0], r[1]) for r in rows],
+                         [(k, w) for k in perf_gate.INFO_KEYS
+                          for w in WORKLOADS])
+        for key, _, b, h, change, passed in rows:
+            self.assertIsNone(passed)
+            if key == "raw_wall_s":
+                self.assertEqual((b, h), (2.0, 3.0))
+            else:
+                self.assertEqual((b, h), (1.6, 1.2))
+                self.assertAlmostEqual(change, -0.25)
         self.assertIn("| info |", perf_gate.format_table(rows))
+        self.assertNotIn("FAIL", perf_gate.format_table(rows))
         _, failures = verdict(base, head)
         self.assertEqual(failures, [])
-        # A run that printed no repeat line drops its workload's row.
+        # A run that printed no repeat line drops its workload's rows.
         head[WORKLOADS[0]][0]["raw_wall_s"] = None
-        rows = perf_gate.raw_wall_rows(BENCHMARK, base, head)
-        self.assertEqual([r[1] for r in rows], WORKLOADS[1:])
+        head[WORKLOADS[0]][0]["calibration_scale"] = None
+        rows = perf_gate.info_rows(BENCHMARK, base, head)
+        self.assertEqual([r[1] for r in rows], WORKLOADS[1:] * 2)
 
 
 if __name__ == "__main__":
